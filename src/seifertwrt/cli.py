@@ -19,7 +19,6 @@ import csv
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
@@ -32,12 +31,12 @@ from .seifert import (
     parse_normalize,
     plumbing,
     signature_counts,
-    top_invariants,
 )
 from .statesum import BudgetExceeded, xi_statesum, xi_statesum_brute
 from .wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
+    tau_from_xi,
     tau_prime,
     tau_rozansky_numeric,
     tref_closed_form,
@@ -92,44 +91,22 @@ def _tau_record(
 ) -> OutputRecord:
     M = parse_manifold(spec)
     checks: dict[str, bool | None] = {}
-    if t is None:
-        result = tau_prime(M, r, precision=precision)
-        xi = result.xi
-        used_t = result.t
-        tau = result.tau
-        record_nu = result.nu
-        bp, bm = result.b_plus, result.b_minus
-        xi_int, theta_int = result.xi_is_integral, result.theta_is_integral
-    else:
-        xi = xi_closed_form(M, r, t)
-        used_t = t % r
-        tops = top_invariants(M)
-        record_nu = tops.nu
-        bp, bm, _ = b_counts_closed_form(M)
-        if precision is None:
-            import math
-
-            tau = xi.to_complex()
-            if record_nu:
-                tau *= math.sin(math.pi / r) / math.sqrt(r)
-        else:
-            import mpmath
-
-            with mpmath.workdps(precision):
-                tau = xi.to_complex(precision=precision)
-                if record_nu:
-                    tau *= mpmath.sinpi(mpmath.mpf(1) / r) / mpmath.sqrt(r)
-        xi_int = xi.is_algebraic_integer()
-        theta_int = (xi / 2**record_nu).is_algebraic_integer()
+    result = tau_prime(M, r, precision=precision, t=t)
+    xi = result.xi
     if want_oracle:
-        checks["oracle"] = xi_statesum(M, r, used_t) == xi
+        checks["oracle"] = xi_statesum(M, r, result.t) == xi
     if want_rozansky:
         try:
             import mpmath
 
             with mpmath.workdps(ROZANSKY_DPS):
-                a = tau_prime(M, r, precision=ROZANSKY_DPS).tau
                 b = tau_rozansky_numeric(M, r, precision=ROZANSKY_DPS)
+                # tau' is xi at zeta^(1/4 mod r); twist xi there from zeta^t.
+                quarter = mod_inverse(4, r)
+                at_quarter = xi
+                if result.t != quarter:
+                    at_quarter = xi.galois(quarter * mod_inverse(result.t, r))
+                a = tau_from_xi(at_quarter, result.nu, precision=ROZANSKY_DPS)
                 checks["rozansky"] = bool(
                     abs(a - b) < mpmath.mpf(10) ** ROZANSKY_TOL_EXP
                 )
@@ -138,23 +115,22 @@ def _tau_record(
     return OutputRecord(
         manifold=str(M),
         r=r,
-        t=used_t,
-        nu=record_nu,
-        b_plus=bp,
-        b_minus=bm,
+        t=result.t,
+        nu=result.nu,
+        b_plus=result.b_plus,
+        b_minus=result.b_minus,
         xi=_coeff_pairs(xi),
         xi_str=str(xi),
-        tau_re=float(tau.real),
-        tau_im=float(tau.imag),
-        xi_integral=xi_int,
-        theta_integral=theta_int,
+        tau_re=float(result.tau.real),
+        tau_im=float(result.tau.imag),
+        xi_integral=result.xi_is_integral,
+        theta_integral=result.theta_is_integral,
         checks=checks,
     )
 
 
-def _tau_worker(task: tuple) -> dict:
-    record = _tau_record(*task)
-    return asdict(record)
+def _tau_worker(task: tuple) -> OutputRecord:
+    return _tau_record(*task)
 
 
 def _parse_levels(args) -> list[int]:
@@ -248,10 +224,12 @@ def _cmd_tau(args, out) -> int:
         for r in levels
     ]
     if args.jobs > 1:
+        # Imported here: serial runs need no pool, and the import adds
+        # start-up time and resident memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = [
-                OutputRecord.from_json_dict(d) for d in pool.map(_tau_worker, tasks)
-            ]
+            records = list(pool.map(_tau_worker, tasks))
     else:
         records = [_tau_record(*task) for task in tasks]
     _emit(records, args.format, out)

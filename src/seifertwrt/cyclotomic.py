@@ -155,14 +155,21 @@ class CyclotomicNumber:
         _check_level(r)
         if den == 0:
             raise DivisionByZero("denominator must be nonzero")
-        folded: list[Fraction] = [Fraction(0)] * r
-        for i, c in enumerate(coeffs):
-            if c:
-                folded[i % r] += Fraction(c)
+        coeffs = list(coeffs)
         common = 1
-        for c in folded:
-            common = common * c.denominator // gcd(common, c.denominator)
-        ints = [int(c * common) for c in folded]
+        if all(isinstance(c, int) for c in coeffs):
+            ints = [0] * r
+            for i, c in enumerate(coeffs):
+                if c:
+                    ints[i % r] += c
+        else:
+            folded: list[Fraction] = [Fraction(0)] * r
+            for i, c in enumerate(coeffs):
+                if c:
+                    folded[i % r] += Fraction(c)
+            for c in folded:
+                common = common * c.denominator // gcd(common, c.denominator)
+            ints = [int(c * common) for c in folded]
         reduced = _reduce_int_vector(r, ints)
         num, final_den = _normalize(reduced, den * common)
         self.r = r
@@ -309,8 +316,9 @@ class CyclotomicNumber:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other) -> "CyclotomicNumber":

@@ -13,6 +13,7 @@ cross-checks, and the circle-bundle-over-the-trefoil-family closed form.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,6 +131,72 @@ def _check_level_and_unit(r: int, t: int) -> int:
     return t
 
 
+def _central_inverse(r: int, t: int) -> list[int]:
+    """``E`` in ``Z[C_r]`` with ``E(zeta^j) = r / (zeta^(2tj) - zeta^(-2tj))``.
+
+    ``E = sum_k k * x^(2t(1+2k))``.  With ``w = x^(4t)`` this is
+    ``x^(2t) * sum_k k w^k``, and ``sum_{k<r} k w^k = r / (w - 1)`` at every
+    ``w != 1`` with ``w^r = 1``; so the identity holds at ``x = zeta^j`` for
+    every ``j != 0 (mod r)``, whether or not ``j`` is a unit.
+    """
+    vec = [0] * r
+    for k in range(r):
+        vec[(2 * t * (1 + 2 * k)) % r] = k
+    return vec
+
+
+def _ring_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            out = [o + ai * c for o, c in zip(out, b[-i:] + b[:-i])]
+    return out
+
+
+def _color_sum(r: int, t: int, n: int, factors) -> CyclotomicNumber:
+    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)``, exactly.
+
+    ``factors(j)`` lists the factors of ``F_j``, each a tuple of
+    ``(sign, e)`` monomials ``sign * zeta^(t*e)``.  The sum is accumulated
+    as an integer vector in ``Z[C_r]`` and reduced modulo ``Phi_r`` once.
+    The central power is ``D(x^j)`` for one precomputed ``D``: the
+    polynomial ``(x^(2t) - x^(-2t))^(2-n)`` for ``n <= 2``, and
+    ``E^(n-2) / r^(n-2)`` for ``n >= 3`` (see :func:`_central_inverse`).
+    The substitution ``x -> x^j`` maps index ``m`` of ``D`` to ``j*m mod r``,
+    so a color costs ``O(2^n r)`` and the sum ``O(2^n r^2)``.  ``D`` is kept
+    modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
+    the substitution does not respect ``Phi_r``.
+    """
+    if n > 2:
+        base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
+    else:
+        base, power, den = [0] * r, 2 - n, 1
+        base[(2 * t) % r] += 1
+        base[(-2 * t) % r] -= 1
+    central = [1] + [0] * (r - 1)
+    for _ in range(power):
+        central = _ring_mul(central, base)
+    support = [(m, c) for m, c in enumerate(central) if c]
+    acc = [0] * r
+    for j in range(1, r):
+        terms = [(1, 0)]
+        for factor in factors(j):
+            terms = [(s * fs, e + t * fe) for s, e in terms for fs, fe in factor]
+        if not terms:
+            continue
+        twisted = [(j * m, c) for m, c in support]
+        for s, e in terms:
+            for m, c in twisted:
+                acc[(e + m) % r] += s * c
+    return CyclotomicNumber(r, acc, den)
+
+
+def _inverse_central_power(r: int, t: int, power: int) -> CyclotomicNumber:
+    """``(zeta^(2t) - zeta^(-2t))^(-power)``, from ``E / r``."""
+    return CyclotomicNumber(r, _central_inverse(r, t), r) ** power
+
+
 def xi_closed_form(
     M: SeifertData,
     r: int,
@@ -155,41 +222,23 @@ def xi_closed_form(
     if ((r + 1) // 2) % 2 == 1:
         s0 = tops.sign_P * (-tops.sign_H_over_P + 1 - tops.sign_H_abs)
         pre = pre * s0
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    pre = pre * central ** (-2 + tops.sign_H_abs)
-    g_r = gauss_sum(r, r).galois(t)
+    pre = pre * _inverse_central_power(r, t, 2 - tops.sign_H_abs)
     if tops.sign_H_abs:
-        pre = pre * ((-2) * g_r).inverse()
+        # (-2 g)^-1 = -conj(g) / (2r), since |g|^2 = r for odd r.
+        pre = pre * gauss_sum(r, r).galois(-t) * Fraction(-1, 2 * r)
     for leg in legs:
         pre = pre * (leg.sf * leg.jac)
         pre = pre * gauss_sum(r, leg.c).galois(t)
 
-    total = CyclotomicNumber.zero(r)
-    two_minus_n = 2 - M.n
-    for j in range(1, r):
-        factor = CyclotomicNumber.one(r)
-        zero = False
-        for leg in legs:
-            terms = leg.chi_terms(j)
-            if not terms:
-                zero = True
-                break
-            vec = [0] * r
-            for s, e in terms:
-                vec[(t * e) % r] += s
-            factor = factor * CyclotomicNumber(r, vec)
-        if zero or factor.is_zero():
-            continue
-        if two_minus_n != 0:
-            central_j = root_power(r, 2 * t * j) - root_power(r, -2 * t * j)
-            factor = factor * central_j**two_minus_n
-        total = total + factor
-    return pre * total
+    def factors(j):
+        return [leg.chi_terms(j) for leg in legs]
+
+    return pre * _color_sum(r, t, M.n, factors)
 
 
 @dataclass(frozen=True)
 class InvariantResult:
-    """The bundle of invariants of one ``(M, r)`` evaluation at ``A = zeta^(1/4)``.
+    """The bundle of invariants of one ``(M, r)`` evaluation at ``A = zeta^t``.
 
     ``xi`` is exact; ``tau`` is the numerical ``tau'_r`` (a complex or an
     mpmath complex, depending on the requested precision); ``theta`` would be
@@ -208,28 +257,40 @@ class InvariantResult:
     theta_is_integral: bool
 
 
-def tau_prime(M: SeifertData, r: int, precision: int | None = None) -> InvariantResult:
-    """``tau'_r(M)`` and friends, evaluated at ``A = zeta_r**(1/4 mod r)``.
+def tau_from_xi(xi: CyclotomicNumber, nu: int, precision: int | None = None):
+    """The embedding ``(sin(pi/r)/sqrt(r))**nu * xi`` of an exact ``xi`` at level ``r``.
 
+    A ``complex`` by default, an mpmath complex at ``precision`` decimal
+    digits when given.
+    """
+    r = xi.r
+    if precision is None:
+        tau = xi.to_complex()
+        if nu:
+            tau *= math.sin(math.pi / r) / math.sqrt(r)
+        return tau
+    import mpmath
+
+    with mpmath.workdps(precision):
+        tau = xi.to_complex(precision=precision)
+        if nu:
+            tau *= mpmath.sinpi(mpmath.mpf(1) / r) / mpmath.sqrt(r)
+    return tau
+
+
+def tau_prime(
+    M: SeifertData, r: int, precision: int | None = None, t: int | None = None
+) -> InvariantResult:
+    """``tau'_r(M)`` and friends, evaluated at ``A = zeta_r**t``.
+
+    ``t`` defaults to ``1/4 mod r``, the convention of ``tau'``.
     ``tau' = (sin(pi/r)/sqrt(r))**nu * xi_r(M, A)``; for ``nu = 0`` this is
     just the exact ``xi`` embedded numerically.
     """
-    t = mod_inverse(4, r)
+    t = mod_inverse(4, r) if t is None else t % r
     xi = xi_closed_form(M, r, t)
     tops = top_invariants(M)
     b_plus, b_minus, _ = b_counts_closed_form(M)
-    if precision is None:
-        tau = xi.to_complex()
-        if tops.nu:
-            tau *= math.sin(math.pi / r) / math.sqrt(r)
-    else:
-        import mpmath
-
-        with mpmath.workdps(precision):
-            tau = xi.to_complex(precision=precision)
-            if tops.nu:
-                tau *= mpmath.sinpi(mpmath.mpf(1) / r) / mpmath.sqrt(r)
-    halves = 2**tops.nu
     return InvariantResult(
         manifold=M,
         r=r,
@@ -238,9 +299,9 @@ def tau_prime(M: SeifertData, r: int, precision: int | None = None) -> Invariant
         nu=tops.nu,
         b_plus=b_plus,
         b_minus=b_minus,
-        tau=tau,
+        tau=tau_from_xi(xi, tops.nu, precision),
         xi_is_integral=xi.is_algebraic_integer(),
-        theta_is_integral=(xi / halves).is_algebraic_integer(),
+        theta_is_integral=(xi * Fraction(1, 2**tops.nu)).is_algebraic_integer(),
     )
 
 
@@ -267,28 +328,19 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     if ((r + 1) // 2) % 2 == 1:
         base = base * (-tops.sign_H_over_P + 1 - tops.sign_H_abs)
     base = base * (jacobi(abs(tops.P), r) * tops.sign_P)
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    base = base * central ** (-2 + tops.sign_H_abs)
+    base = base * _inverse_central_power(r, t, 2 - tops.sign_H_abs)
     if tops.sign_H_abs:
-        base = base * ((-2) * gauss_sum(r, r)).inverse()
+        base = base * gauss_sum(r, r).conjugate() * Fraction(-1, 2 * r)
 
     quad = (P_prime * tops.H) % r
     p_primes = [mod_inverse(p, r) for p, _ in M.legs]
-    total = CyclotomicNumber.zero(r)
-    two_minus_n = 2 - M.n
-    for j in range(1, r):
-        factor = root_power(r, (-quad * j * j) * t)
-        for pp in p_primes:
-            factor = factor * (
-                root_power(r, 2 * pp * j * t) - root_power(r, -2 * pp * j * t)
-            )
-        if factor.is_zero():
-            continue
-        if two_minus_n != 0:
-            central_j = root_power(r, 2 * t * j) - root_power(r, -2 * t * j)
-            factor = factor * central_j**two_minus_n
-        total = total + factor
-    return base * total
+
+    def factors(j):
+        return [((1, -quad * j * j),)] + [
+            ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
+        ]
+
+    return base * _color_sum(r, t, M.n, factors)
 
 
 def _is_prime(n: int) -> bool:
@@ -327,19 +379,16 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
         def e_r(x):
             return cmath.exp(2j * cmath.pi * x / r)
         imag_unit = 1j
-        quarter_turn = cmath.exp(1j * cmath.pi / 4)
+        digits = contextlib.nullcontext()
     else:
         import mpmath
 
-        ctx = mpmath.mp
-        prev = ctx.dps
-        ctx.dps = precision
         sqrt = mpmath.sqrt
         def e_r(x):
             return mpmath.expjpi(mpmath.mpf(2 * x) / r)
         imag_unit = mpmath.mpc(0, 1)
-        quarter_turn = mpmath.expjpi(mpmath.mpf(1) / 4)
-    try:
+        digits = mpmath.workdps(precision)
+    with digits:
         P_prime = mod_inverse(tops.P, r)
         two_prime = mod_inverse(2, r)
         four_prime = mod_inverse(4, r)
@@ -347,12 +396,10 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
         s_hp = tops.sign_H_over_P
         eps_sq = 1 if r % 4 == 1 else -1
         angle = s_hp * (eps_sq + Fraction(3 * (r - 2), r))
-        # quarter_turn**angle, kept exact in the rational exponent:
+        # e^(i*pi/4)**angle, kept exact in the rational exponent:
         if precision is None:
             gauss_phase = cmath.exp(1j * cmath.pi * float(angle) / 4)
         else:
-            import mpmath
-
             gauss_phase = mpmath.expjpi(
                 mpmath.mpf(angle.numerator) / (4 * angle.denominator)
             )
@@ -380,9 +427,6 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
                 )
             total += term
         return pref * total
-    finally:
-        if precision is not None:
-            ctx.dps = prev
 
 
 TREFOIL_ZERO = SeifertData(legs=((-2, 1), (3, 1), (6, 1)))
@@ -400,23 +444,13 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    return root_power(r, -4 * t) * (2 * r) * central**-2
+    return root_power(r, -4 * t) * (2 * r) * _inverse_central_power(r, t, 2)
 
 
 def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
     """The trefoil-surgery invariants straight from the closed form."""
     t = mod_inverse(4, r)
     xi = tref_xi_closed(r, t)
-    if precision is None:
-        tau = xi.to_complex() * (math.sin(math.pi / r) / math.sqrt(r))
-    else:
-        import mpmath
-
-        with mpmath.workdps(precision):
-            tau = xi.to_complex(precision=precision) * (
-                mpmath.sinpi(mpmath.mpf(1) / r) / mpmath.sqrt(r)
-            )
     return InvariantResult(
         manifold=TREFOIL_ZERO,
         r=r,
@@ -425,7 +459,7 @@ def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
         nu=1,
         b_plus=5,
         b_minus=1,
-        tau=tau,
+        tau=tau_from_xi(xi, 1, precision),
         xi_is_integral=xi.is_algebraic_integer(),
-        theta_is_integral=(xi / 2).is_algebraic_integer(),
+        theta_is_integral=(xi * Fraction(1, 2)).is_algebraic_integer(),
     )

@@ -176,6 +176,15 @@ def test_gauss_sum_magnitude_and_square(r):
     assert g.inverse() == g.conjugate() / r
 
 
+@pytest.mark.parametrize("r", range(3, 202, 2))
+def test_gauss_sum_times_conjugate_is_level(r):
+    # |g_r|^2 = r for every odd r, so (-2 g_r)^-1 = -conj(g_r) / (2r).
+    g = gauss_sum(r, r)
+    assert g * g.conjugate() == r
+    twisted = g.galois(r - 2)
+    assert twisted * twisted.conjugate() == r
+
+
 def test_gauss_sum_frozen_and_numeric():
     g5 = gauss_sum(5, 5)
     assert g5.integer_coefficients() == ((-1, 0, -2, -2), 1)
@@ -205,6 +214,18 @@ def test_constructor_folds_exponents():
     x = CyclotomicNumber(5, [0, 0, 0, 0, 0, 1])  # zeta**5
     assert x == 1
     assert CyclotomicNumber(5, [0, 1]) == root_power(5, 6)
+
+
+@given(
+    levels,
+    st.lists(st.integers(-50, 50), max_size=40),
+    st.integers(-12, 12).filter(bool),
+)
+@settings(deadline=None, max_examples=100)
+def test_integer_and_fraction_construction_agree(r, coeffs, den):
+    as_ints = CyclotomicNumber(r, coeffs, den)
+    as_fracs = CyclotomicNumber(r, [Fraction(c) for c in coeffs], den)
+    assert as_ints.integer_coefficients() == as_fracs.integer_coefficients()
 
 
 def test_rational_detection_and_integrality():

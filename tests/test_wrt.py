@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import SAMPLE_SPECS, get_xi_formula, get_xi_oracle, manifold
+from seifertwrt.cyclotomic import CyclotomicNumber, root_power
 from seifertwrt.numtheory import mod_inverse
 from seifertwrt.seifert import top_invariants
 from seifertwrt.statesum import xi_statesum
@@ -16,6 +17,7 @@ from seifertwrt.wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
     InvariantResult,
+    _central_inverse,
     leg_data,
     tau_prime,
     tau_rozansky_numeric,
@@ -60,6 +62,37 @@ def test_three_sphere_is_normalized():
         res = tau_prime(S3, r)
         assert res.xi == 1
         assert abs(res.tau - 1) < 1e-12
+
+
+@pytest.mark.parametrize("r", range(3, 64, 2))
+def test_central_inverse_identity_at_every_color(r):
+    # E(zeta^j) * (zeta^(2tj) - zeta^(-2tj)) = r for every j != 0 mod r,
+    # including the non-units j that share a factor with r.
+    t = mod_inverse(4, r)
+    E = _central_inverse(r, t)
+    for j in range(1, r):
+        vec = [0] * r
+        for m, c in enumerate(E):
+            vec[(j * m) % r] += c
+        E_j = CyclotomicNumber(r, vec)
+        central_j = root_power(r, 2 * t * j) - root_power(r, -2 * t * j)
+        assert E_j * central_j == r, (r, j)
+
+
+@pytest.mark.parametrize(
+    "spec,r",
+    [
+        ("X(2/1,3/1,7/1)", 31),
+        ("X(2/1,3/1,7/1)", 43),
+        ("X(5/2,-5/3,6/1,-7/2)", 31),
+        ("X(5/2,-5/3,6/1,-7/2)", 43),
+        ("X(2/1,-2/1,3/1,-3/1)", 45),
+    ],
+)
+def test_formula_equals_oracle_at_larger_levels(spec, r):
+    # Prime levels leave every color active; r = 45 has non-unit colors.
+    M = manifold(spec)
+    assert xi_closed_form(M, r, 1) == xi_statesum(M, r, 1)
 
 
 def test_poincare_style_small_cases_against_oracle():
