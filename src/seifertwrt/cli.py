@@ -36,6 +36,7 @@ from .statesum import BudgetExceeded, xi_statesum, xi_statesum_brute
 from .wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
+    InvariantResult,
     tau_from_xi,
     tau_prime,
     tau_rozansky_numeric,
@@ -77,8 +78,22 @@ class OutputRecord:
         return any(v is False for v in self.checks.values())
 
 
-def _coeff_pairs(xi) -> list[list[int]]:
-    return [[c.numerator, c.denominator] for c in xi.coefficients()]
+def _record(res: InvariantResult, checks: dict[str, bool | None]) -> OutputRecord:
+    return OutputRecord(
+        manifold=str(res.manifold),
+        r=res.r,
+        t=res.t,
+        nu=res.nu,
+        b_plus=res.b_plus,
+        b_minus=res.b_minus,
+        xi=[[c.numerator, c.denominator] for c in res.xi.coefficients()],
+        xi_str=str(res.xi),
+        tau_re=float(res.tau.real),
+        tau_im=float(res.tau.imag),
+        xi_integral=res.xi_is_integral,
+        theta_integral=res.theta_is_integral,
+        checks=checks,
+    )
 
 
 def _tau_record(
@@ -112,21 +127,7 @@ def _tau_record(
                 )
         except HypothesisViolated:
             checks["rozansky"] = None
-    return OutputRecord(
-        manifold=str(M),
-        r=r,
-        t=result.t,
-        nu=result.nu,
-        b_plus=result.b_plus,
-        b_minus=result.b_minus,
-        xi=_coeff_pairs(xi),
-        xi_str=str(xi),
-        tau_re=float(result.tau.real),
-        tau_im=float(result.tau.imag),
-        xi_integral=result.xi_is_integral,
-        theta_integral=result.theta_is_integral,
-        checks=checks,
-    )
+    return _record(result, checks)
 
 
 def _tau_worker(task: tuple) -> OutputRecord:
@@ -244,23 +245,8 @@ def _cmd_tref_table(args, out) -> int:
             continue  # the closed form needs gcd(r, 3) = 1
         res = tref_closed_form(r, precision=args.precision)
         general = xi_closed_form(TREFOIL_ZERO, r, res.t)
-        records.append(
-            OutputRecord(
-                manifold=str(TREFOIL_ZERO),
-                r=r,
-                t=res.t,
-                nu=res.nu,
-                b_plus=res.b_plus,
-                b_minus=res.b_minus,
-                xi=_coeff_pairs(res.xi),
-                xi_str=str(res.xi),
-                tau_re=float(res.tau.real),
-                tau_im=float(res.tau.imag),
-                xi_integral=res.xi_is_integral,
-                theta_integral=res.theta_is_integral,
-                checks={"closed_matches_general": res.xi == general},
-            )
-        )
+        checks = {"closed_matches_general": res.xi == general}
+        records.append(_record(res, checks))
     _emit(records, args.format, out)
     return 1 if any(rec.failed() for rec in records) else 0
 
@@ -275,23 +261,8 @@ def _cmd_integrality_scan(args, out) -> int:
             hypothesis = coprime_legs >= M.n - 2
             res = tau_prime(M, r)
             required = res.theta_is_integral if res.nu else res.xi_is_integral
-            records.append(
-                OutputRecord(
-                    manifold=str(M),
-                    r=r,
-                    t=res.t,
-                    nu=res.nu,
-                    b_plus=res.b_plus,
-                    b_minus=res.b_minus,
-                    xi=_coeff_pairs(res.xi),
-                    xi_str=str(res.xi),
-                    tau_re=float(res.tau.real),
-                    tau_im=float(res.tau.imag),
-                    xi_integral=res.xi_is_integral,
-                    theta_integral=res.theta_is_integral,
-                    checks={"integrality": required if hypothesis else None},
-                )
-            )
+            checks = {"integrality": required if hypothesis else None}
+            records.append(_record(res, checks))
     _emit(records, args.format, out)
     return 1 if any(rec.failed() for rec in records) else 0
 
@@ -342,16 +313,20 @@ def _cmd_selftest(args, out) -> int:
             out.write(f"selftest trial {trial}: inertia closed form FAIL\n")
         total_l = sum(len(c) for c in plumbing(M).chains)
         if r ** (1 + total_l) <= args.budget:
-            try:
-                brute_ok = xi_statesum_brute(M, r, t, budget=args.budget) == xi
-            except BudgetExceeded:
-                brute_ok = True
+            brute_ok = xi_statesum_brute(M, r, t, budget=args.budget) == xi
             ran += 1
             if not brute_ok:
                 failures += 1
                 out.write(f"selftest trial {trial}: joint brute force FAIL\n")
     out.write(f"selftest: {ran} checks, {failures} failures\n")
     return 1 if failures else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r-range", dest="r_range",
                        help="inclusive range A:B of odd levels")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--precision", type=int, default=None,
+        p.add_argument("--precision", type=_positive_int, default=None,
                        help="mpmath decimal digits for numerics (default float)")
 
     p_tau = sub.add_parser("tau", help="invariants of given manifolds")
@@ -380,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the plumbing state sum")
     p_tau.add_argument("--rozansky", action="store_true",
                        help="cross-check tau' against the numerical residue form")
-    p_tau.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_tau.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     p_tref = sub.add_parser("tref-table",
                             help="closed-form trefoil-surgery table")
@@ -392,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized consistency drill")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=int, default=8)
+    p_self.add_argument("--trials", type=_positive_int, default=8)
     p_self.add_argument("--budget", type=int, default=20000,
                         help="joint brute-force term budget")
     p_self.add_argument("--inject-fault", choices=FAULT_NAMES, default=None,

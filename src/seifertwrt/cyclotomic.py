@@ -283,27 +283,19 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse through the field norm.
 
-        Runs over Q[x] against the (irreducible) cyclotomic polynomial, so
-        the gcd is a nonzero constant whenever ``self`` is nonzero.
+        The norm ``N(a) = prod_u sigma_u(a)`` over the units ``u mod r`` is a
+        nonzero rational for ``a != 0``, so ``1/a = rest / N(a)`` with
+        ``rest = prod_{u != 1} sigma_u(a)``.
         """
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.r)]
-        a = [Fraction(n, self._den) for n in self._num]
-        # Invariant: u * self + (something) * Phi_r = rem, tracked only in u.
-        r0, r1 = phi_poly, list(a)
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        const = next(c for c in r0 if c != 0)
-        if any(c != 0 for c in r0[1:]) or _poly_degree(r0) > 0:
-            raise ArithmeticError("cyclotomic polynomial was not irreducible?")
-        inv_coeffs = [c / const for c in u0]
-        return CyclotomicNumber(self.r, inv_coeffs)
+        rest = CyclotomicNumber.one(self.r)
+        for u in range(2, self.r):
+            if gcd(u, self.r) == 1:
+                rest = rest * self.galois(u)
+        return rest * (1 / (self * rest).as_rational())
 
     def __pow__(self, exponent: int) -> "CyclotomicNumber":
         if not isinstance(exponent, int):
@@ -431,54 +423,6 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
         den //= g
         num = [n // g for n in num]
     return tuple(num), den
-
-
-def _poly_degree(p: Sequence[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
-
-
-def _poly_divmod_frac(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    dn = _poly_degree(num)
-    dd = _poly_degree(den)
-    rem = list(num[: dn + 1]) if dn >= 0 else [Fraction(0)]
-    if dd < 0:
-        raise DivisionByZero("polynomial division by zero")
-    quot = [Fraction(0)] * max(dn - dd + 1, 1)
-    lead = den[dd]
-    for k in range(dn - dd, -1, -1):
-        coef = rem[k + dd] / lead
-        quot[k] = coef
-        if coef:
-            for i in range(dd + 1):
-                rem[k + i] -= coef * den[i]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
 
 
 def root_power(r: int, k: int) -> CyclotomicNumber:

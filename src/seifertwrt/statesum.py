@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, gauss_sum, root_power
 from .seifert import SeifertData, linking_matrix, plumbing, signature_counts
-from .wrt import HypothesisViolated, LegData
+from .wrt import LegData, _check_level_and_unit
 
 
 class BudgetExceeded(RuntimeError):
@@ -38,15 +37,6 @@ class LegSumTable:
         return self.values[j % self.r]
 
 
-def _check(r: int, t: int) -> int:
-    if r < 3 or r % 2 == 0:
-        raise HypothesisViolated(f"level must be odd and >= 3, got {r}")
-    t %= r
-    if gcd(t, r) != 1:
-        raise HypothesisViolated(f"evaluation parameter {t} is not a unit mod {r}")
-    return t
-
-
 def _rotated(vec: list[int], s: int, r: int) -> list[int]:
     s %= r
     if s == 0:
@@ -63,7 +53,7 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     multiply by the vertex phase ``zeta**(t*m*y^2)`` and convolve with the
     edge weight ``zeta**(2txy) - zeta**(-2txy)``.  Exact, O(len * r^3).
     """
-    t = _check(r, t)
+    t = _check_level_and_unit(r, t)
     framings = tuple(int(m) for m in framings)
     state: list[list[int]] = [[0] * r for _ in range(r + 1)]
     for y in range(1, r + 1):
@@ -100,7 +90,7 @@ def leg_sum_brute(
     Colorings containing the vanishing color (``y = 0 mod r``) contribute
     exactly zero and are skipped.
     """
-    t = _check(r, t)
+    t = _check_level_and_unit(r, t)
     framings = tuple(int(m) for m in framings)
     l = len(framings)  # noqa: E741
     if r ** (l + 1) > budget:
@@ -132,7 +122,7 @@ def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
     Galois twist by ``t`` of the quadratic Gauss sum and ``F(j)`` collects
     the (at most two) active branch exponents of the leg.
     """
-    t = _check(r, t)
+    t = _check_level_and_unit(r, t)
     unit = ((-2) * gauss_sum(r, r).galois(t)) ** leg.l
     unit = unit * (leg.sf * leg.jac)
     unit = unit * gauss_sum(r, leg.c).galois(t)
@@ -163,7 +153,7 @@ def xi_statesum(
     chain framings (they must match ``r`` and ``t``); missing chains are
     contracted on the fly.
     """
-    t = _check(r, t)
+    t = _check_level_and_unit(r, t)
     pres = plumbing(M)
     leg_tables = []
     for chain in pres.chains:
@@ -210,7 +200,7 @@ def xi_statesum_brute(
     ``budget``.  Colorings containing the vanishing color contribute exactly
     zero and are skipped.
     """
-    t = _check(r, t)
+    t = _check_level_and_unit(r, t)
     pres = plumbing(M)
     total_l = sum(len(chain) for chain in pres.chains)
     if r ** (1 + total_l) > budget:

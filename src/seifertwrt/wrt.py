@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, gauss_sum, root_power
+from .cyclotomic import CyclotomicNumber, euler_phi, gauss_sum, root_power
 from .numtheory import (
     good_expansion,
     jacobi,
@@ -288,20 +288,26 @@ def tau_prime(
     just the exact ``xi`` embedded numerically.
     """
     t = mod_inverse(4, r) if t is None else t % r
-    xi = xi_closed_form(M, r, t)
-    tops = top_invariants(M)
+    return _result(M, r, t, xi_closed_form(M, r, t), precision)
+
+
+def _result(
+    M: SeifertData, r: int, t: int, xi: CyclotomicNumber, precision: int | None
+) -> InvariantResult:
+    """Bundle an exact ``xi`` of ``M`` at ``zeta**t`` with its invariants."""
+    nu = top_invariants(M).nu
     b_plus, b_minus, _ = b_counts_closed_form(M)
     return InvariantResult(
         manifold=M,
         r=r,
         t=t,
         xi=xi,
-        nu=tops.nu,
+        nu=nu,
         b_plus=b_plus,
         b_minus=b_minus,
-        tau=tau_from_xi(xi, tops.nu, precision),
+        tau=tau_from_xi(xi, nu, precision),
         xi_is_integral=xi.is_algebraic_integer(),
-        theta_is_integral=(xi * Fraction(1, 2**tops.nu)).is_algebraic_integer(),
+        theta_is_integral=(xi * Fraction(1, 2**nu)).is_algebraic_integer(),
     )
 
 
@@ -343,17 +349,6 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     return base * _color_sum(r, t, M.n, factors)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
     """Numerical ``tau'_r(M)`` in residue form, for cross-checking.
 
@@ -363,7 +358,7 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
     hypotheses: ``r`` prime, ``r >= 5``, ``H != 0``, and all ``p_k, q_k``
     nonzero modulo ``r``; otherwise :class:`HypothesisViolated`.
     """
-    if not _is_prime(r) or r < 5:
+    if r < 5 or euler_phi(r) != r - 1:
         raise HypothesisViolated(f"need a prime level >= 5, got {r}")
     tops = top_invariants(M)
     if tops.H == 0:
@@ -450,16 +445,4 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
 def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
     """The trefoil-surgery invariants straight from the closed form."""
     t = mod_inverse(4, r)
-    xi = tref_xi_closed(r, t)
-    return InvariantResult(
-        manifold=TREFOIL_ZERO,
-        r=r,
-        t=t,
-        xi=xi,
-        nu=1,
-        b_plus=5,
-        b_minus=1,
-        tau=tau_from_xi(xi, 1, precision),
-        xi_is_integral=xi.is_algebraic_integer(),
-        theta_is_integral=(xi * Fraction(1, 2)).is_algebraic_integer(),
-    )
+    return _result(TREFOIL_ZERO, r, t, tref_xi_closed(r, t), precision)

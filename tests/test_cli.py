@@ -173,6 +173,21 @@ def test_usage_errors_exit_two(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--precision", "0"),
+        ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--jobs", "0"),
+        ("selftest", "--trials", "0"),
+    ],
+)
+def test_vacuous_counts_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "seifertwrt"

@@ -114,6 +114,16 @@ def test_inverse_and_division(xy):
             x.inverse()
 
 
+@pytest.mark.parametrize("r", [21, 25, 27, 45, 61])
+def test_inverse_of_dense_element_at_larger_levels(r):
+    # Prime powers and non-cyclic unit groups, beyond the Hypothesis levels.
+    x = CyclotomicNumber(
+        r, [Fraction((7 * k * k + 3 * k + 1) % 11 - 5, 1 + k % 4) for k in range(r)]
+    )
+    assert x * x.inverse() == 1
+    assert x.inverse().inverse() == x
+
+
 @given(levels.flatmap(lambda r: st.tuples(elements(r), st.integers(-4, 6))))
 @settings(deadline=None, max_examples=60)
 def test_pow_matches_repeated_product(xe):

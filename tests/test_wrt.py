@@ -290,6 +290,17 @@ def test_trefoil_tau_closed_numeric():
     assert res5.theta_is_integral
 
 
+@pytest.mark.parametrize("r", [5, 7, 11])
+def test_trefoil_closed_form_counts_match_tau_prime(r):
+    closed = tref_closed_form(r)
+    general = tau_prime(TREFOIL_ZERO, r)
+    assert (closed.nu, closed.b_plus, closed.b_minus) == (
+        general.nu,
+        general.b_plus,
+        general.b_minus,
+    )
+
+
 def test_trefoil_invariants_against_topology():
     from seifertwrt.seifert import (
         b_counts_closed_form,
