@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="randomized consistency drill")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--trials", type=_positive_int, default=8)
-    p_self.add_argument("--budget", type=int, default=20000,
+    p_self.add_argument("--budget", type=_positive_int, default=20000,
                         help="joint brute-force term budget")
     p_self.add_argument("--inject-fault", choices=FAULT_NAMES, default=None,
                         help="deliberately break a route to prove detection")

@@ -44,6 +44,43 @@ def _rotated(vec: list[int], s: int, r: int) -> list[int]:
     return vec[-s:] + vec[:-s]
 
 
+def _chi(r: int, t: int) -> list[CyclotomicNumber]:
+    """Edge weights ``zeta**(2ta) - zeta**(-2ta)`` for ``a`` in ``0..r-1``."""
+    return [root_power(r, 2 * t * a) - root_power(r, -2 * t * a) for a in range(r)]
+
+
+def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
+    """``term`` times the weight of one coloring ``colors`` of ``chain``.
+
+    The walk starts from color 1 at the free end and ends on the edge to the
+    central color ``j``; ``chi`` is the edge-weight table of :func:`_chi`.
+    """
+    prev = 1
+    for m, y in zip(chain, colors):
+        term = term * root_power(r, t * m * y * y) * chi[(prev * y) % r]
+        prev = y
+    return term * chi[(prev * j) % r]
+
+
+def _close(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
+    """``xi`` from the color sum ``total``: normalization and framing correction.
+
+    With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
+    are ``s_+ = -2 zeta^(-3t) g / c`` and ``s_- = conj(s_+) = 2 zeta^(3t)
+    conj(g) / c`` (``conj(c) = -c``).  Since ``b_+ + b_- + b_0`` is the
+    component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
+    s_+^-b_+ s_-^-b_-`` is the single quotient
+    ``zeta^(t(3(b_+ - b_-) - framing_total)) / (c^(b_0+1) g^b_+ conj(g)^b_-
+    (-2)^b_+ 2^b_-)``.
+    """
+    b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
+    g = gauss_sum(r, r).galois(t)
+    den = _chi(r, t)[1] ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
+    den = den * ((-2) ** b_plus * 2**b_minus)
+    phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
+    return total * phase / den
+
+
 def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     """Contract a chain of framed vertices by a transfer dynamic program.
 
@@ -55,18 +92,16 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     """
     t = _check_level_and_unit(r, t)
     framings = tuple(int(m) for m in framings)
-    state: list[list[int]] = [[0] * r for _ in range(r + 1)]
-    for y in range(1, r + 1):
+    state: list[list[int]] = [[0] * r for _ in range(r)]
+    for y in range(r):
         state[y][(2 * t * y) % r] += 1
         state[y][(-2 * t * y) % r] -= 1
     for m in framings:
-        phased = [None] + [
-            _rotated(state[y], t * m * y * y, r) for y in range(1, r + 1)
-        ]
-        new_state: list[list[int]] = [[0] * r for _ in range(r + 1)]
-        for x in range(1, r + 1):
+        phased = [_rotated(state[y], t * m * y * y, r) for y in range(r)]
+        new_state: list[list[int]] = [[0] * r for _ in range(r)]
+        for x in range(r):
             acc = new_state[x]
-            for y in range(1, r + 1):
+            for y in range(r):
                 src = phased[y]
                 if not any(src):
                     continue
@@ -75,10 +110,8 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
                 for i in range(r):
                     acc[i] += plus[i] - minus[i]
         state = new_state
-    values = [CyclotomicNumber.zero(r)] * r
-    for y in range(1, r + 1):
-        values[y % r] = CyclotomicNumber(r, state[y])
-    return LegSumTable(r=r, t=t, framings=framings, values=tuple(values))
+    values = tuple(CyclotomicNumber(r, row) for row in state)
+    return LegSumTable(r=r, t=t, framings=framings, values=values)
 
 
 def leg_sum_brute(
@@ -95,22 +128,14 @@ def leg_sum_brute(
     l = len(framings)  # noqa: E741
     if r ** (l + 1) > budget:
         raise BudgetExceeded(f"{r}**{l + 1} states exceed the budget {budget}")
-    chi = [
-        root_power(r, 2 * t * a) - root_power(r, -2 * t * a) for a in range(r)
-    ]
+    chi = _chi(r, t)
     values = []
     for j in range(r):
         total = CyclotomicNumber.zero(r)
         for colors in product(range(1, r), repeat=l):
-            term = CyclotomicNumber.one(r)
-            prev = None
-            for m, y in zip(framings, colors):
-                term = term * root_power(r, t * m * y * y)
-                term = term * chi[(y if prev is None else prev * y) % r]
-                prev = y
-            if prev is not None:
-                term = term * chi[(prev * j) % r]
-            total = total + term
+            total = total + _chain_term(
+                CyclotomicNumber.one(r), framings, colors, j, chi, r, t
+            )
         values.append(total)
     return LegSumTable(r=r, t=t, framings=framings, values=tuple(values))
 
@@ -130,15 +155,6 @@ def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
     for s, e in leg.chi_terms(j):
         vec[(t * e) % r] += s
     return unit * CyclotomicNumber(r, vec)
-
-
-def _framing_correction(
-    r: int, t: int, b_plus: int, b_minus: int
-) -> CyclotomicNumber:
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    s_plus = (-2) * root_power(r, -3 * t) * central.inverse() * gauss_sum(r, r).galois(t)
-    s_minus = s_plus.galois(-1)
-    return s_plus ** (-b_plus) * s_minus ** (-b_minus)
 
 
 def xi_statesum(
@@ -164,7 +180,7 @@ def xi_statesum(
                 tables[chain] = table
         leg_tables.append(table)
 
-    n = M.n
+    chi = _chi(r, t)
     total = CyclotomicNumber.zero(r)
     for j in range(1, r):
         term = CyclotomicNumber.one(r)
@@ -174,19 +190,8 @@ def xi_statesum(
                 break
         if term.is_zero():
             continue
-        if n != 2:
-            central_j = root_power(r, 2 * t * j) - root_power(r, -2 * t * j)
-            term = term * central_j ** (2 - n)
-        total = total + term
-
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    raw = (
-        total
-        * central ** (-(pres.component_count + 1))
-        * root_power(r, -t * pres.framing_total)
-    )
-    b_plus, b_minus, _ = signature_counts(linking_matrix(pres))
-    return raw * _framing_correction(r, t, b_plus, b_minus)
+        total = total + term * chi[j] ** (2 - M.n)
+    return _close(total, pres, r, t)
 
 
 def xi_statesum_brute(
@@ -207,10 +212,7 @@ def xi_statesum_brute(
         raise BudgetExceeded(
             f"{r}**{1 + total_l} joint states exceed the budget {budget}"
         )
-    n = M.n
-    chi = [
-        root_power(r, 2 * t * a) - root_power(r, -2 * t * a) for a in range(r)
-    ]
+    chi = _chi(r, t)
     slices = []
     start = 0
     for chain in pres.chains:
@@ -219,26 +221,10 @@ def xi_statesum_brute(
 
     total = CyclotomicNumber.zero(r)
     for j in range(1, r):
-        central_pow = (
-            chi[j] ** (2 - n) if n != 2 else CyclotomicNumber.one(r)
-        )
+        central_pow = chi[j] ** (2 - M.n)
         for colors in product(range(1, r), repeat=total_l):
             term = central_pow
             for chain, (lo, hi) in zip(pres.chains, slices):
-                ys = colors[lo:hi]
-                prev = None
-                for m, y in zip(chain, ys):
-                    term = term * root_power(r, t * m * y * y)
-                    term = term * chi[(y if prev is None else prev * y) % r]
-                    prev = y
-                term = term * chi[(prev * j) % r]
+                term = _chain_term(term, chain, colors[lo:hi], j, chi, r, t)
             total = total + term
-
-    central = root_power(r, 2 * t) - root_power(r, -2 * t)
-    raw = (
-        total
-        * central ** (-(pres.component_count + 1))
-        * root_power(r, -t * pres.framing_total)
-    )
-    b_plus, b_minus, _ = signature_counts(linking_matrix(pres))
-    return raw * _framing_correction(r, t, b_plus, b_minus)
+    return _close(total, pres, r, t)

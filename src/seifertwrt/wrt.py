@@ -7,13 +7,12 @@ integer exponents assembled from good expansions (no rational Dedekind sums
 appear at evaluation time).  On top of it sit the normalizations
 ``tau'_r`` and ``Theta_r``, a simplified evaluator for the all-coprime case,
 a numerical evaluator in the shape of Rozansky's residue formula for
-cross-checks, and the circle-bundle-over-the-trefoil-family closed form.
+cross-checks (mpmath only, at 30 digits by default), and the
+circle-bundle-over-the-trefoil-family closed form.
 """
 
 from __future__ import annotations
 
-import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,14 +348,14 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     return base * _color_sum(r, t, M.n, factors)
 
 
-def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
+def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
     """Numerical ``tau'_r(M)`` in residue form, for cross-checking.
 
     Evaluates the stationary-phase-shaped expression (sum over odd residues
-    ``beta`` modulo ``2r``) with floating arithmetic -- ``complex`` by
-    default, mpmath at ``precision`` decimal digits when given.  Standing
-    hypotheses: ``r`` prime, ``r >= 5``, ``H != 0``, and all ``p_k, q_k``
-    nonzero modulo ``r``; otherwise :class:`HypothesisViolated`.
+    ``beta`` modulo ``2r``) as an mpmath complex at ``precision`` decimal
+    digits.  Standing hypotheses: ``r`` prime, ``r >= 5``, ``H != 0``, and
+    all ``p_k, q_k`` nonzero modulo ``r``; otherwise
+    :class:`HypothesisViolated`.
     """
     if r < 5 or euler_phi(r) != r - 1:
         raise HypothesisViolated(f"need a prime level >= 5, got {r}")
@@ -368,22 +367,12 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
             raise HypothesisViolated(
                 f"leg {p}/{q} has an entry divisible by the level {r}"
             )
+    import mpmath
 
-    if precision is None:
-        sqrt = math.sqrt
-        def e_r(x):
-            return cmath.exp(2j * cmath.pi * x / r)
-        imag_unit = 1j
-        digits = contextlib.nullcontext()
-    else:
-        import mpmath
+    def e_r(x):
+        return mpmath.expjpi(mpmath.mpf(2 * x) / r)
 
-        sqrt = mpmath.sqrt
-        def e_r(x):
-            return mpmath.expjpi(mpmath.mpf(2 * x) / r)
-        imag_unit = mpmath.mpc(0, 1)
-        digits = mpmath.workdps(precision)
-    with digits:
+    with mpmath.workdps(precision):
         P_prime = mod_inverse(tops.P, r)
         two_prime = mod_inverse(2, r)
         four_prime = mod_inverse(4, r)
@@ -391,17 +380,11 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int | None = None):
         s_hp = tops.sign_H_over_P
         eps_sq = 1 if r % 4 == 1 else -1
         angle = s_hp * (eps_sq + Fraction(3 * (r - 2), r))
-        # e^(i*pi/4)**angle, kept exact in the rational exponent:
-        if precision is None:
-            gauss_phase = cmath.exp(1j * cmath.pi * float(angle) / 4)
-        else:
-            gauss_phase = mpmath.expjpi(
-                mpmath.mpf(angle.numerator) / (4 * angle.denominator)
-            )
         pref = (
-            imag_unit
-            / (2 * sqrt(r))
-            * gauss_phase
+            mpmath.mpc(0, 1)
+            / (2 * mpmath.sqrt(r))
+            # e^(i*pi/4)**angle, kept exact in the rational exponent:
+            * mpmath.expjpi(mpmath.mpf(angle.numerator) / (4 * angle.denominator))
             * (jacobi(abs(tops.P), r) * tops.sign_P)
             * e_r((four_prime * (P_prime * tops.H + m12_total)) % r)
             / (e_r(two_prime) - e_r(r - two_prime))

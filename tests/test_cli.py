@@ -179,6 +179,8 @@ def test_usage_errors_exit_two(capsys, argv):
         ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--precision", "0"),
         ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--jobs", "0"),
         ("selftest", "--trials", "0"),
+        ("selftest", "--budget", "0"),
+        ("selftest", "--budget", "-5"),
     ],
 )
 def test_vacuous_counts_exit_two(capsys, argv):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import manifold
+from seifertwrt.cyclotomic import CyclotomicNumber
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
@@ -92,6 +93,11 @@ def test_leg_table_value_indexing():
     assert table.value(0).is_zero()
 
 
+def test_empty_chain_dp_matches_brute():
+    # A chain with no vertex is the bare edge from color 1 to the center.
+    assert leg_sum_dp((), 5, 2).values == leg_sum_brute((), 5, 2).values
+
+
 def test_level_validation():
     with pytest.raises(HypothesisViolated):
         leg_sum_dp((1,), 4, 1)
@@ -167,3 +173,18 @@ def test_s_matrix_entry_identities():
         s_minus = s_plus.galois(-1)
         assert (s_plus * s_minus) * central**2 == -4 * r
         assert g.inverse() == g.galois(-1) / r
+
+
+def test_statesum_closes_with_one_division(monkeypatch):
+    # Normalization and framing correction are a single quotient, and with at
+    # most two legs the per-color central power needs no inverse.
+    calls = []
+    inverse = CyclotomicNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
+    xi_statesum(manifold("X(2/1,3/1)"), 7)
+    assert len(calls) == 1
