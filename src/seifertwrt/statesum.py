@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from typing import Mapping, Sequence
 
 from .cyclotomic import CyclotomicNumber, gauss_sum, root_power
@@ -37,16 +38,26 @@ class LegSumTable:
         return self.values[j % self.r]
 
 
-def _rotated(vec: list[int], s: int, r: int) -> list[int]:
-    s %= r
-    if s == 0:
-        return vec[:]
-    return vec[-s:] + vec[:-s]
+def _edge_row(r: int, t: int, a: int) -> list[int]:
+    """Coefficients of ``zeta**(2ta) - zeta**(-2ta)`` on ``zeta**0 .. zeta**(r-1)``."""
+    row = [0] * r
+    row[(2 * t * a) % r] += 1
+    row[(-2 * t * a) % r] -= 1
+    return row
 
 
 def _chi(r: int, t: int) -> list[CyclotomicNumber]:
     """Edge weights ``zeta**(2ta) - zeta**(-2ta)`` for ``a`` in ``0..r-1``."""
-    return [root_power(r, 2 * t * a) - root_power(r, -2 * t * a) for a in range(r)]
+    return [CyclotomicNumber(r, _edge_row(r, t, a)) for a in range(r)]
+
+
+def _unit_lift(j: int, r: int) -> tuple[int, int]:
+    """``d = gcd(j, r)`` and a unit ``u`` mod ``r`` with ``j = d*u (mod r)``."""
+    d = gcd(j, r)
+    u = j // d
+    while gcd(u, r) != 1:
+        u += r // d
+    return d, u
 
 
 def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
@@ -62,7 +73,7 @@ def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
     return term * chi[(prev * j) % r]
 
 
-def _close(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
+def _close(total: CyclotomicNumber, pres, r: int, t: int, chi) -> CyclotomicNumber:
     """``xi`` from the color sum ``total``: normalization and framing correction.
 
     With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
@@ -71,11 +82,11 @@ def _close(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
     s_+^-b_+ s_-^-b_-`` is the single quotient
     ``zeta^(t(3(b_+ - b_-) - framing_total)) / (c^(b_0+1) g^b_+ conj(g)^b_-
-    (-2)^b_+ 2^b_-)``.
+    (-2)^b_+ 2^b_-)``; ``c`` is ``chi[1]`` of the edge-weight table.
     """
     b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
     g = gauss_sum(r, r).galois(t)
-    den = _chi(r, t)[1] ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
+    den = chi[1] ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
     den = den * ((-2) ** b_plus * 2**b_minus)
     phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
     return total * phase / den
@@ -88,29 +99,35 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     contracted vertices whose outgoing edge carries color ``y``, as a raw
     integer vector of coefficients of ``zeta**k``.  One step per framing:
     multiply by the vertex phase ``zeta**(t*m*y^2)`` and convolve with the
-    edge weight ``zeta**(2txy) - zeta**(-2txy)``.  Exact, O(len * r^3).
+    edge weight ``zeta**(2txy) - zeta**(-2txy)``.
+
+    Every step keeps ``state[-y] = -state[y]`` (the phase is even in ``y``,
+    the edge weight odd), so only the rows ``0 < y < r/2`` are stored; the
+    colors ``y`` and ``-y`` contribute equally to each new row, so the sum
+    runs over ``y < r/2`` and the factor 2 per step is applied at the end.
+    A rotation of a row is one slice of the row written twice.  Exact,
+    ``O(len * r^3 / 4)`` integer additions.
     """
     t = _check_level_and_unit(r, t)
     framings = tuple(int(m) for m in framings)
-    state: list[list[int]] = [[0] * r for _ in range(r)]
-    for y in range(r):
-        state[y][(2 * t * y) % r] += 1
-        state[y][(-2 * t * y) % r] -= 1
+    half = range(1, (r + 1) // 2)
+    state = [_edge_row(r, t, y) for y in half]
     for m in framings:
-        phased = [_rotated(state[y], t * m * y * y, r) for y in range(r)]
-        new_state: list[list[int]] = [[0] * r for _ in range(r)]
-        for x in range(r):
-            acc = new_state[x]
-            for y in range(r):
-                src = phased[y]
-                if not any(src):
-                    continue
-                plus = _rotated(src, 2 * t * x * y, r)
-                minus = _rotated(src, -2 * t * x * y, r)
-                for i in range(r):
-                    acc[i] += plus[i] - minus[i]
+        doubled = [(y, row + row) for y, row in zip(half, state) if any(row)]
+        new_state = []
+        for x in half:
+            acc = [0] * r
+            for y, twice in doubled:
+                phase = t * m * y * y
+                plus = r - (phase + 2 * t * x * y) % r
+                minus = r - (phase - 2 * t * x * y) % r
+                plus_row, minus_row = twice[plus : plus + r], twice[minus : minus + r]
+                acc = [a + p - q for a, p, q in zip(acc, plus_row, minus_row)]
+            new_state.append(acc)
         state = new_state
-    values = tuple(CyclotomicNumber(r, row) for row in state)
+    scale = 2 ** len(framings)
+    rows = [CyclotomicNumber(r, [scale * a for a in row]) for row in state]
+    values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
     return LegSumTable(r=r, t=t, framings=framings, values=values)
 
 
@@ -167,22 +184,31 @@ def xi_statesum(
 
     ``tables`` may carry precomputed :class:`LegSumTable` objects keyed by
     chain framings (they must match ``r`` and ``t``); missing chains are
-    contracted on the fly.
+    contracted on the fly, each distinct chain once per call.
+
+    Since ``S(-j) = -S(j)`` for every leg and ``chi[-j] = -chi[j]``, the
+    colors ``j`` and ``-j`` contribute equally: the sum runs over
+    ``j < r/2`` and is doubled.  The central power of color ``j = d*u``
+    (``d = gcd(j, r)``, ``u`` a unit) is the Galois twist ``sigma_u`` of the
+    power at ``d``, so ``n >= 3`` legs take one inverse per divisor ``d``.
     """
     t = _check_level_and_unit(r, t)
     pres = plumbing(M)
+    if tables is None:
+        tables = {}
     leg_tables = []
     for chain in pres.chains:
-        table = tables.get(chain) if tables is not None else None
+        table = tables.get(chain)
         if table is None or table.r != r or table.t != t:
             table = leg_sum_dp(chain, r, t)
-            if tables is not None and hasattr(tables, "__setitem__"):
+            if hasattr(tables, "__setitem__"):
                 tables[chain] = table
         leg_tables.append(table)
 
     chi = _chi(r, t)
+    central: dict[int, CyclotomicNumber] = {}  # chi[d] ** (2 - n) per divisor d
     total = CyclotomicNumber.zero(r)
-    for j in range(1, r):
+    for j in range(1, (r + 1) // 2):
         term = CyclotomicNumber.one(r)
         for table in leg_tables:
             term = term * table.value(j)
@@ -190,8 +216,11 @@ def xi_statesum(
                 break
         if term.is_zero():
             continue
-        total = total + term * chi[j] ** (2 - M.n)
-    return _close(total, pres, r, t)
+        d, u = _unit_lift(j, r)
+        if d not in central:
+            central[d] = chi[d] ** (2 - M.n)
+        total = total + term * central[d].galois(u)
+    return _close(2 * total, pres, r, t, chi)
 
 
 def xi_statesum_brute(
@@ -227,4 +256,4 @@ def xi_statesum_brute(
             for chain, (lo, hi) in zip(pres.chains, slices):
                 term = _chain_term(term, chain, colors[lo:hi], j, chi, r, t)
             total = total + term
-    return _close(total, pres, r, t)
+    return _close(total, pres, r, t, chi)

@@ -369,10 +369,11 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
             )
     import mpmath
 
-    def e_r(x):
-        return mpmath.expjpi(mpmath.mpf(2 * x) / r)
-
     with mpmath.workdps(precision):
+        # e_r(x) = exp(2 pi i x / r), computed once for every residue x.
+        e_r = [mpmath.expjpi(mpmath.mpf(2 * x) / r) for x in range(r)]
+        # e_r(x) - e_r(-x), the factor of the central vertex and of each leg.
+        diff = [e_r[x] - e_r[-x % r] for x in range(r)]
         P_prime = mod_inverse(tops.P, r)
         two_prime = mod_inverse(2, r)
         four_prime = mod_inverse(4, r)
@@ -386,8 +387,8 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
             # e^(i*pi/4)**angle, kept exact in the rational exponent:
             * mpmath.expjpi(mpmath.mpf(angle.numerator) / (4 * angle.denominator))
             * (jacobi(abs(tops.P), r) * tops.sign_P)
-            * e_r((four_prime * (P_prime * tops.H + m12_total)) % r)
-            / (e_r(two_prime) - e_r(r - two_prime))
+            * e_r[(four_prime * (P_prime * tops.H + m12_total)) % r]
+            / diff[two_prime]
         )
         coef = (four_prime * P_prime * tops.H) % r
         p_primes = [mod_inverse(p, r) for p, _ in M.legs]
@@ -396,13 +397,10 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
         for beta in range(1, 2 * r, 2):
             if beta == r:
                 continue
-            term = e_r((-coef * beta * beta) % r)
-            central = e_r((two_prime * beta) % r) - e_r((-two_prime * beta) % r)
-            term *= central**two_minus_n
+            term = e_r[(-coef * beta * beta) % r]
+            term *= diff[(two_prime * beta) % r] ** two_minus_n
             for pp in p_primes:
-                term *= e_r((two_prime * pp * beta) % r) - e_r(
-                    (-two_prime * pp * beta) % r
-                )
+                term *= diff[(two_prime * pp * beta) % r]
             total += term
         return pref * total
 

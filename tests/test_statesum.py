@@ -188,3 +188,117 @@ def test_statesum_closes_with_one_division(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
     xi_statesum(manifold("X(2/1,3/1)"), 7)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "chain,r,t",
+    [((2, -1, 3), 9, 1), ((1, 4, -2), 9, 2), ((1, 4), 15, 1), ((2, -1, 3), 15, 2)],
+)
+def test_dp_matches_brute_composite_levels(chain, r, t):
+    # Composite levels have non-unit colors, where the antisymmetric DP must
+    # still agree with the enumeration at every color.
+    assert leg_sum_dp(chain, r, t).values == leg_sum_brute(chain, r, t).values
+
+
+@given(small_chains, st.sampled_from([3, 5, 7, 9]), st.integers(1, 8))
+@settings(deadline=None, max_examples=30)
+def test_leg_sum_is_odd_in_the_color(chain, r, t):
+    # S(-j) = -S(j), by enumeration: the symmetry the DP and the color loop use.
+    if gcd(t, r) != 1:
+        return
+    table = leg_sum_brute(chain, r, t)
+    for j in range(r):
+        assert table.value(-j) == -table.value(j), (chain, r, t, j)
+
+
+def _all_colors_statesum(M, r, t):
+    """The oracle's color sum over every ``j`` with a per-color central power,
+    from enumerated leg tables: no symmetry and no Galois twist."""
+    from seifertwrt.seifert import plumbing
+    from seifertwrt.statesum import _chi, _close
+
+    pres = plumbing(M)
+    tables = [leg_sum_brute(chain, r, t) for chain in pres.chains]
+    chi = _chi(r, t)
+    total = CyclotomicNumber.zero(r)
+    for j in range(1, r):
+        term = chi[j] ** (2 - M.n)
+        for table in tables:
+            term = term * table.value(j)
+        total = total + term
+    return _close(total, pres, r, t, chi)
+
+
+@pytest.mark.parametrize("spec", ["X(2/1,5/2,-7/3)", "X(2/1,-2/1,5/2,4/1)"])
+@pytest.mark.parametrize("t", [1, 2])
+def test_statesum_matches_all_colors_at_composite_level(spec, t):
+    # At r = 9 the colors 3 and 6 are non-units; they must be active here so
+    # that the central power goes through the divisor d = 3 and a twist.
+    from seifertwrt.seifert import plumbing
+
+    M, r = manifold(spec), 9
+    chains = plumbing(M).chains
+    assert all(not leg_sum_dp(c, r, t).value(3).is_zero() for c in chains)
+    assert xi_statesum(M, r, t) == _all_colors_statesum(M, r, t)
+
+
+@pytest.mark.parametrize("spec", ["X(5/2)", "X(-5/3)", "X(2/1)"])
+def test_joint_brute_matches_statesum_at_composite_level(spec):
+    # The literal joint enumeration at r = 9, where color 3 is active.  With
+    # three or more legs the joint space at r = 9 has at least 9**7 states.
+    M = manifold(spec)
+    for t in (1, 4):
+        assert xi_statesum_brute(M, 9, t) == xi_statesum(M, 9, t)
+
+
+def test_statesum_inverts_once_per_divisor(monkeypatch):
+    # Three legs at r = 15: at most one inverse for each divisor 1, 3, 5 of
+    # the level and one for the closing step.
+    calls = []
+    inverse = CyclotomicNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
+    xi_statesum(manifold("X(2/1,3/1,5/1)"), 15)
+    assert len(calls) <= 4
+
+
+def test_statesum_contracts_each_distinct_chain_once(monkeypatch):
+    import seifertwrt.statesum as statesum
+
+    calls = []
+    dp = statesum.leg_sum_dp
+
+    def counted(framings, r, t=1):
+        calls.append(tuple(framings))
+        return dp(framings, r, t)
+
+    monkeypatch.setattr(statesum, "leg_sum_dp", counted)
+    M = manifold("X(2/1,2/1,3/1)")  # two equal chains and one other
+    xi = xi_statesum(M, 7)
+    assert len(calls) == len(set(calls)) == 2
+    # No cache outlives the call: the next call contracts again.
+    assert xi_statesum(M, 7) == xi and len(calls) == 4
+
+
+def test_statesum_imports_only_leg_data_and_validator_from_wrt():
+    # The oracle must not reach the closed formula's evaluation core.
+    import ast
+    import inspect
+
+    import seifertwrt.statesum as statesum
+
+    tree = ast.parse(inspect.getsource(statesum))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "wrt":
+                names.update(alias.name for alias in node.names)
+            else:  # no ``from . import wrt``
+                assert "wrt" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] == "wrt" for a in node.names)
+    assert names == {"LegData", "_check_level_and_unit"}

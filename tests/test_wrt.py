@@ -259,6 +259,21 @@ def test_rozansky_hypotheses():
         tau_rozansky_numeric(manifold("X(3/7)"), 7)  # q divisible by r
 
 
+@pytest.mark.parametrize("spec,r", [("X(2/1,3/1,5/1,7/1)", 11), ("X(3/2,4/1,5/3)", 13)])
+def test_rozansky_computes_each_root_once(monkeypatch, spec, r):
+    # One table of the r roots e_r(x) per call, plus the prefactor's phase.
+    calls = []
+    expjpi = mpmath.expjpi
+
+    def counted(x):
+        calls.append(x)
+        return expjpi(x)
+
+    monkeypatch.setattr(mpmath, "expjpi", counted)
+    tau_rozansky_numeric(manifold(spec), r, precision=40)
+    assert len(calls) <= r + 3
+
+
 def test_trefoil_closed_form_matches_general_machinery():
     for r in range(3, 26, 2):
         if r % 3 == 0:
