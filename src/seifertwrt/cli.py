@@ -22,6 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
+from .cyclotomic import CyclotomicNumber
 from .numtheory import mod_inverse
 from .seifert import (
     SeifertData,
@@ -86,7 +87,7 @@ def _record(res: InvariantResult, checks: dict[str, bool | None]) -> OutputRecor
         nu=res.nu,
         b_plus=res.b_plus,
         b_minus=res.b_minus,
-        xi=[[c.numerator, c.denominator] for c in res.xi.coefficients()],
+        xi=_xi_pairs(res.xi),
         xi_str=str(res.xi),
         tau_re=float(res.tau.real),
         tau_im=float(res.tau.imag),
@@ -94,6 +95,12 @@ def _record(res: InvariantResult, checks: dict[str, bool | None]) -> OutputRecor
         theta_integral=res.theta_is_integral,
         checks=checks,
     )
+
+
+def _xi_pairs(xi: CyclotomicNumber) -> list[list[int]]:
+    """``xi``'s basis coefficients as ``[numerator, denominator]`` in lowest terms."""
+    num, den = xi.integer_coefficients()
+    return [[n // g, den // g] for n in num for g in (gcd(n, den),)]
 
 
 def _tau_record(

@@ -205,7 +205,9 @@ def xi_statesum(
                 tables[chain] = table
         leg_tables.append(table)
 
-    chi = _chi(r, t)
+    # Only the edge weights that are read are built: chi[1] for _close and
+    # chi[d] for the divisors d with an active color.
+    chi = {1: CyclotomicNumber(r, _edge_row(r, t, 1))}
     central: dict[int, CyclotomicNumber] = {}  # chi[d] ** (2 - n) per divisor d
     total = CyclotomicNumber.zero(r)
     for j in range(1, (r + 1) // 2):
@@ -218,6 +220,8 @@ def xi_statesum(
             continue
         d, u = _unit_lift(j, r)
         if d not in central:
+            if d not in chi:
+                chi[d] = CyclotomicNumber(r, _edge_row(r, t, d))
             central[d] = chi[d] ** (2 - M.n)
         total = total + term * central[d].galois(u)
     return _close(2 * total, pres, r, t, chi)

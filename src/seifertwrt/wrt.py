@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, euler_phi, gauss_sum, root_power
+from .cyclotomic import CyclotomicNumber, euler_phi
 from .numtheory import (
     good_expansion,
     jacobi,
@@ -144,28 +144,90 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
+def _gauss_vector(r: int, c: int, t: int) -> list[int]:
+    """The Gauss sum ``g_c`` at ``zeta^t`` in ``Z[C_r]``.
+
+    That is ``sum_{x=1}^{c} x^(t(r/c)x^2)``; ``g_1 = 1``.
+    """
+    step = t * (r // c)
+    vec = [0] * r
+    for x in range(1, c + 1):
+        vec[(step * x * x) % r] += 1
+    return vec
+
+
+# Kronecker substitution: a vector v of length n is the integer
+# sum_i v[i] * X^i with X = 256**width, stored with the bias X/2 in every
+# slot so that signed coefficients pack and unpack through unsigned bytes.
+# Every coefficient must satisfy |v[i]| < X/2.
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most ``bound``."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(n: int, width: int) -> int:
+    """``X/2`` in each of ``n`` slots of ``width`` bytes."""
+    slot = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(slot * n, "little")
+
+
+def _pack(vec: list[int], width: int) -> int:
+    """``vec`` as one integer, ``width`` bytes per slot."""
+    off = 1 << (8 * width - 1)
+    data = b"".join([(v + off).to_bytes(width, "little") for v in vec])
+    return int.from_bytes(data, "little") - _bias(len(vec), width)
+
+
+def _unpack_folded(value: int, r: int, width: int) -> list[int]:
+    """The ``2r - 1`` slots of ``value`` folded modulo ``x^r - 1``."""
+    off = 1 << (8 * width - 1)
+    n = 2 * r - 1
+    data = (value + _bias(n, width)).to_bytes(n * width, "little")
+    slots = [
+        int.from_bytes(data[i : i + width], "little") - off
+        for i in range(0, n * width, width)
+    ]
+    return [lo + hi for lo, hi in zip(slots, slots[r:] + [0])]
+
+
 def _ring_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``."""
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        if ai:
-            out = [o + ai * c for o, c in zip(out, b[-i:] + b[:-i])]
-    return out
+    """Product in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``.
+
+    One big-integer product of the Kronecker-packed operands gives the
+    ``2r - 1`` coefficients of the plain product, each a sum of at most
+    ``r`` products and so at most ``max|a| * max|b| * r`` in absolute value;
+    the slots are also wide enough for either operand, which matters when
+    the other one is zero.
+    """
+    r = len(a)
+    max_a, max_b = max(map(abs, a)), max(map(abs, b))
+    width = _slot_width(max(max_a * max_b * r, max_a, max_b))
+    return _unpack_folded(_pack(a, width) * _pack(b, width), r, width)
 
 
-def _color_sum(r: int, t: int, n: int, factors) -> CyclotomicNumber:
-    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)``, exactly.
+def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
+    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``.
 
-    ``factors(j)`` lists the factors of ``F_j``, each a tuple of
-    ``(sign, e)`` monomials ``sign * zeta^(t*e)``.  The sum is accumulated
-    as an integer vector in ``Z[C_r]`` and reduced modulo ``Phi_r`` once.
-    The central power is ``D(x^j)`` for one precomputed ``D``: the
-    polynomial ``(x^(2t) - x^(-2t))^(2-n)`` for ``n <= 2``, and
-    ``E^(n-2) / r^(n-2)`` for ``n >= 3`` (see :func:`_central_inverse`).
-    The substitution ``x -> x^j`` maps index ``m`` of ``D`` to ``j*m mod r``,
-    so a color costs ``O(2^n r)`` and the sum ``O(2^n r^2)``.  ``D`` is kept
-    modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
-    the substitution does not respect ``Phi_r``.
+    Returns an integer vector and its denominator.  ``factors(j)`` lists the
+    factors of ``F_j``, each a tuple of ``(sign, e)`` monomials
+    ``sign * zeta^(t*e)``.  The central power is ``D(x^j)`` for one
+    precomputed ``D``: the polynomial ``(x^(2t) - x^(-2t))^(2-n)`` for
+    ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3`` (see
+    :func:`_central_inverse`).  ``D`` is kept modulo ``x^r - 1``, not reduced
+    modulo ``Phi_r``: for a non-unit ``j`` the substitution ``x -> x^j``
+    does not respect ``Phi_r``.
+
+    The sum is accumulated as one Kronecker-packed integer.  For a unit
+    ``j``, ``D(x^j)`` holds ``D[j^-1 k]`` at index ``k``, so it is packed by
+    gathering ``D``'s precomputed slot bytes in that order; for a non-unit
+    ``j`` the indices ``j*m mod r`` merge and the vector is packed anew.
+    Each monomial ``+-x^e`` adds or subtracts the packed ``D(x^j)`` shifted
+    by ``e`` slots, and the accumulator is unpacked once.  A slot receives
+    one entry of some ``D(x^j)`` per monomial, so the monomial count times
+    ``sum|D|`` bounds it.  A color costs ``O(r)`` interpreted steps and at
+    most ``2^n`` big-integer additions of ``O(r)`` slots.
     """
     if n > 2:
         base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
@@ -176,24 +238,75 @@ def _color_sum(r: int, t: int, n: int, factors) -> CyclotomicNumber:
     central = [1] + [0] * (r - 1)
     for _ in range(power):
         central = _ring_mul(central, base)
-    support = [(m, c) for m, c in enumerate(central) if c]
-    acc = [0] * r
+    colors = []
     for j in range(1, r):
         terms = [(1, 0)]
         for factor in factors(j):
             terms = [(s * fs, e + t * fe) for s, e in terms for fs, fe in factor]
-        if not terms:
-            continue
-        twisted = [(j * m, c) for m, c in support]
+        if terms:
+            colors.append((j, terms))
+    if not colors:
+        return [0] * r, den
+    count = sum(len(terms) for _, terms in colors)
+    width = _slot_width(count * sum(map(abs, central)))
+    off, bias = 1 << (8 * width - 1), _bias(r, width)
+    chunks = [(c + off).to_bytes(width, "little") for c in central]
+    support = [(m, c) for m, c in enumerate(central) if c]
+    acc = 0
+    for j, terms in colors:
+        if gcd(j, r) == 1:
+            inv = pow(j, -1, r)
+            data = b"".join([chunks[inv * k % r] for k in range(r)])
+            packed = int.from_bytes(data, "little") - bias
+        else:
+            vec = [0] * r
+            for m, c in support:
+                vec[j * m % r] += c
+            packed = _pack(vec, width)
         for s, e in terms:
-            for m, c in twisted:
-                acc[(e + m) % r] += s * c
-    return CyclotomicNumber(r, acc, den)
+            if s > 0:
+                acc += packed << (8 * width * (e % r))
+            else:
+                acc -= packed << (8 * width * (e % r))
+    return _unpack_folded(acc, r, width), den
 
 
-def _inverse_central_power(r: int, t: int, power: int) -> CyclotomicNumber:
-    """``(zeta^(2t) - zeta^(-2t))^(-power)``, from ``E / r``."""
-    return CyclotomicNumber(r, _central_inverse(r, t), r) ** power
+def _evaluate(
+    r: int,
+    t: int,
+    exponent: int,
+    scalar: int,
+    sign_H_abs: int,
+    conductors=(),
+    color_sum: tuple[list[int], int] | None = None,
+) -> CyclotomicNumber:
+    """The closed formula's value from its parts, in one pass through ``Z[C_r]``.
+
+    The product of ``scalar * zeta^(t*exponent)``, of
+    ``(zeta^(2t) - zeta^(-2t))^(|sign H| - 2) = (E/r)^(2 - |sign H|)`` (see
+    :func:`_central_inverse`), for ``|sign H| = 1`` of
+    ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r`` for odd ``r``; at
+    ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``), of the Gauss sums
+    ``g_c`` at ``zeta^t`` of the ``conductors`` (``g_1 = 1``), and of the
+    optional ``color_sum`` vector and denominator.  The factors are
+    multiplied as integer vectors over one integer denominator, and the
+    result is reduced modulo ``Phi_r`` once, by the one
+    :class:`CyclotomicNumber` it builds.
+    """
+    central = _central_inverse(r, t)
+    if sign_H_abs:
+        vec = _ring_mul(central, _gauss_vector(r, r, -t))
+        scalar, den = -scalar, 2 * r * r
+    else:
+        vec, den = _ring_mul(central, central), r * r
+    for c in conductors:
+        if c > 1:
+            vec = _ring_mul(vec, _gauss_vector(r, c, t))
+    if color_sum is not None:
+        vec = _ring_mul(vec, color_sum[0])
+        den *= color_sum[1]
+    shift = (t * exponent) % r
+    return CyclotomicNumber(r, [scalar * c for c in vec[-shift:] + vec[:-shift]], den)
 
 
 def xi_closed_form(
@@ -217,22 +330,24 @@ def xi_closed_form(
     legs = [leg_data(p, q, r, shift) for (p, q), shift in zip(M.legs, star_shifts)]
 
     exponent = -3 * tops.sign_H_over_P + sum(leg.exponent_const for leg in legs)
-    pre = root_power(r, t * exponent)
+    scalar = 1
     if ((r + 1) // 2) % 2 == 1:
-        s0 = tops.sign_P * (-tops.sign_H_over_P + 1 - tops.sign_H_abs)
-        pre = pre * s0
-    pre = pre * _inverse_central_power(r, t, 2 - tops.sign_H_abs)
-    if tops.sign_H_abs:
-        # (-2 g)^-1 = -conj(g) / (2r), since |g|^2 = r for odd r.
-        pre = pre * gauss_sum(r, r).galois(-t) * Fraction(-1, 2 * r)
+        scalar = tops.sign_P * (-tops.sign_H_over_P + 1 - tops.sign_H_abs)
     for leg in legs:
-        pre = pre * (leg.sf * leg.jac)
-        pre = pre * gauss_sum(r, leg.c).galois(t)
+        scalar *= leg.sf * leg.jac
 
     def factors(j):
         return [leg.chi_terms(j) for leg in legs]
 
-    return pre * _color_sum(r, t, M.n, factors)
+    return _evaluate(
+        r,
+        t,
+        exponent,
+        scalar,
+        tops.sign_H_abs,
+        [leg.c for leg in legs],
+        _color_sum(r, t, M.n, factors),
+    )
 
 
 @dataclass(frozen=True)
@@ -306,8 +421,19 @@ def _result(
         b_minus=b_minus,
         tau=tau_from_xi(xi, nu, precision),
         xi_is_integral=xi.is_algebraic_integer(),
-        theta_is_integral=(xi * Fraction(1, 2**nu)).is_algebraic_integer(),
+        theta_is_integral=_theta_is_integral(xi, nu),
     )
+
+
+def _theta_is_integral(xi: CyclotomicNumber, nu: int) -> bool:
+    """Whether ``xi / 2**nu`` lies in ``Z[zeta_r]``.
+
+    The power basis is an integral basis and ``xi``'s coordinates are in
+    lowest terms, so this holds iff ``xi``'s denominator is 1 and ``2**nu``
+    divides every numerator.
+    """
+    num, den = xi.integer_coefficients()
+    return den == 1 and all(n % 2**nu == 0 for n in num)
 
 
 def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
@@ -329,13 +455,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
         + P_prime * tops.H
         + sum(s_surd_residue(p, q, r) for p, q in M.legs)
     )
-    base = root_power(r, t * exponent)
+    scalar = jacobi(abs(tops.P), r) * tops.sign_P
     if ((r + 1) // 2) % 2 == 1:
-        base = base * (-tops.sign_H_over_P + 1 - tops.sign_H_abs)
-    base = base * (jacobi(abs(tops.P), r) * tops.sign_P)
-    base = base * _inverse_central_power(r, t, 2 - tops.sign_H_abs)
-    if tops.sign_H_abs:
-        base = base * gauss_sum(r, r).conjugate() * Fraction(-1, 2 * r)
+        scalar *= -tops.sign_H_over_P + 1 - tops.sign_H_abs
 
     quad = (P_prime * tops.H) % r
     p_primes = [mod_inverse(p, r) for p, _ in M.legs]
@@ -345,7 +467,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
             ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
         ]
 
-    return base * _color_sum(r, t, M.n, factors)
+    return _evaluate(
+        r, t, exponent, scalar, tops.sign_H_abs, (), _color_sum(r, t, M.n, factors)
+    )
 
 
 def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
@@ -393,16 +517,17 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
         coef = (four_prime * P_prime * tops.H) % r
         p_primes = [mod_inverse(p, r) for p, _ in M.legs]
         two_minus_n = 2 - M.n
+        # beta and 2r - beta = -beta (mod r) give equal terms: the phase is
+        # even in beta, and the odd diff enters (2 - n) + n = 2 times.  So
+        # the sum runs over the odd beta < r and is doubled.
         total = 0
-        for beta in range(1, 2 * r, 2):
-            if beta == r:
-                continue
+        for beta in range(1, r, 2):
             term = e_r[(-coef * beta * beta) % r]
             term *= diff[(two_prime * beta) % r] ** two_minus_n
             for pp in p_primes:
                 term *= diff[(two_prime * pp * beta) % r]
             total += term
-        return pref * total
+        return pref * (2 * total)
 
 
 TREFOIL_ZERO = SeifertData(legs=((-2, 1), (3, 1), (6, 1)))
@@ -420,7 +545,7 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    return root_power(r, -4 * t) * (2 * r) * _inverse_central_power(r, t, 2)
+    return _evaluate(r, t, -4, 2 * r, 0)
 
 
 def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:

@@ -5,8 +5,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seifertwrt.cli import OutputRecord, build_parser, main
+from seifertwrt.cli import OutputRecord, _xi_pairs, build_parser, main
+from seifertwrt.cyclotomic import CyclotomicNumber
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -195,3 +198,19 @@ def test_parser_help_smoke():
     assert parser.prog == "seifertwrt"
     with pytest.raises(SystemExit):
         parser.parse_args(["--help"])
+
+
+@given(
+    st.sampled_from([3, 5, 9, 15]).flatmap(
+        lambda r: st.lists(
+            st.one_of(
+                st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+            ),
+            min_size=1,
+            max_size=r,
+        ).map(lambda cs: CyclotomicNumber(r, cs))
+    )
+)
+@settings(deadline=None, max_examples=200)
+def test_record_pairs_match_fraction_coefficients(xi):
+    assert _xi_pairs(xi) == [[c.numerator, c.denominator] for c in xi.coefficients()]

@@ -302,3 +302,17 @@ def test_statesum_imports_only_leg_data_and_validator_from_wrt():
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[-1] == "wrt" for a in node.names)
     assert names == {"LegData", "_check_level_and_unit"}
+
+
+@pytest.mark.parametrize("spec,r", [("X(2/1,5/2,-7/3)", 9), ("X(3/1,5/2,-7/3)", 15)])
+def test_statesum_builds_only_the_edge_weights_it_reads(monkeypatch, spec, r):
+    # The central sum reads chi[1] and chi[d] for the active divisors d only.
+    from seifertwrt import statesum
+    from seifertwrt.wrt import xi_closed_form
+
+    def whole_table(r, t):
+        raise AssertionError("xi_statesum built the whole edge-weight table")
+
+    monkeypatch.setattr(statesum, "_chi", whole_table)
+    M = manifold(spec)
+    assert xi_statesum(M, r, 2) == xi_closed_form(M, r, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import gcd
 
 import mpmath
@@ -18,6 +19,9 @@ from seifertwrt.wrt import (
     HypothesisViolated,
     InvariantResult,
     _central_inverse,
+    _color_sum,
+    _ring_mul,
+    _theta_is_integral,
     leg_data,
     tau_prime,
     tau_rozansky_numeric,
@@ -87,6 +91,8 @@ def test_central_inverse_identity_at_every_color(r):
         ("X(5/2,-5/3,6/1,-7/2)", 31),
         ("X(5/2,-5/3,6/1,-7/2)", 43),
         ("X(2/1,-2/1,3/1,-3/1)", 45),
+        ("X(2/1,3/1,7/1)", 61),
+        ("X(5/2,-5/3,6/1,-7/2)", 61),
     ],
 )
 def test_formula_equals_oracle_at_larger_levels(spec, r):
@@ -339,3 +345,178 @@ def test_integrality_on_sample():
             res = tau_prime(M, r)
             required = res.theta_is_integral if res.nu else res.xi_is_integral
             assert required, (spec, r)
+
+
+# -- the group-ring core ------------------------------------------------------
+
+
+def _schoolbook_ring_mul(a: list[int], b: list[int]) -> list[int]:
+    """Reference product in ``Z[x]/(x^r - 1)``: every pair of coefficients."""
+    r = len(a)
+    out = [0] * r
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[(i + j) % r] += ai * bj
+    return out
+
+
+def _color_sum_reference(r, t, n, factors):
+    """The per-monomial loop: each monomial ``s*x^e`` of color ``j`` adds
+    ``s * D[m]`` at index ``e + j*m`` for every index ``m`` of ``D``."""
+    if n > 2:
+        base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
+    else:
+        base, power, den = [0] * r, 2 - n, 1
+        base[(2 * t) % r] += 1
+        base[(-2 * t) % r] -= 1
+    central = [1] + [0] * (r - 1)
+    for _ in range(power):
+        central = _schoolbook_ring_mul(central, base)
+    acc = [0] * r
+    for j in range(1, r):
+        terms = [(1, 0)]
+        for factor in factors(j):
+            terms = [(s * fs, e + t * fe) for s, e in terms for fs, fe in factor]
+        for s, e in terms:
+            for m, c in enumerate(central):
+                acc[(e + j * m) % r] += s * c
+    return acc, den
+
+
+def _ring_vectors(r: int):
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**600), 2**600))
+    dense = st.lists(coeff, min_size=r, max_size=r)
+    sparse = st.dictionaries(st.integers(0, r - 1), coeff, max_size=3).map(
+        lambda d: [d.get(i, 0) for i in range(r)]
+    )
+    return st.one_of(st.just([0] * r), sparse, dense)
+
+
+@given(
+    st.sampled_from([3, 5, 9, 15, 21, 25, 31, 45]).flatmap(
+        lambda r: st.tuples(_ring_vectors(r), _ring_vectors(r))
+    )
+)
+@settings(deadline=None, max_examples=200)
+def test_ring_mul_equals_schoolbook(pair):
+    a, b = pair
+    assert _ring_mul(a, b) == _schoolbook_ring_mul(a, b)
+
+
+@pytest.mark.parametrize("r", [3, 9, 45])
+@pytest.mark.parametrize(
+    "fill_a,fill_b",
+    [
+        (2**600, 2**600),  # every plain coefficient at its bound
+        (-(2**600), 2**600),
+        (2**600 - 1, -(2**600 - 1)),
+        (2**600, 0),  # a zero operand: the slots must still hold the other
+        (0, -(2**600)),
+        (0, 0),
+        (255, 1),  # one byte of magnitude, at the edge of a slot
+    ],
+)
+def test_ring_mul_at_slot_bounds(r, fill_a, fill_b):
+    a, b = [fill_a] * r, [fill_b] * r
+    assert _ring_mul(a, b) == _schoolbook_ring_mul(a, b)
+
+
+COLOR_SUM_SPECS = (
+    "X(5/3)",
+    "X(3/1,-5/2)",
+    "X(2/1,9/4,-5/3)",
+    "X(3/2,5/1,-7/3,4/1)",
+    "X(2/1,-3/1,5/2,-9/7,15/4)",
+)
+
+
+@pytest.mark.parametrize("r", [9, 15, 25, 31, 45])
+@pytest.mark.parametrize("spec", COLOR_SUM_SPECS)
+def test_color_sum_equals_per_monomial_loop(spec, r):
+    M = manifold(spec)
+    for t in (1, 2):
+        if gcd(t, r) != 1:
+            continue
+        legs = [leg_data(p, q, r) for p, q in M.legs]
+
+        def factors(j):
+            return [leg.chi_terms(j) for leg in legs]
+
+        expected = _color_sum_reference(r, t, M.n, factors)
+        assert _color_sum(r, t, M.n, factors) == expected, (spec, r, t)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("r,n", [(31, 5), (45, 3), (9, 1)])
+def test_color_sum_with_every_monomial_alike(r, n, sign):
+    # 256 equal monomials per color pile up in every slot: the sums that the
+    # slot width must hold come close to its bound here.
+    def factors(j):
+        return [((sign, 0),)] + [((1, 0), (1, 0))] * 8
+
+    assert _color_sum(r, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
+
+
+def test_color_sum_with_no_active_color():
+    assert _color_sum(9, 1, 3, lambda j: [()]) == ([0] * 9, 9)
+
+
+def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
+    counts = {"init": 0, "mul": 0}
+    init, mul = CyclotomicNumber.__init__, CyclotomicNumber.__mul__
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__init__", counted_init)
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted_mul)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted_mul)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spec,r,t",
+    [
+        ("X(5/2,-5/3,6/1,-7/2)", 61, 1),
+        ("X(2/1,-2/1,3/1,-3/1)", 45, 2),  # H = 0, non-unit colors
+        ("X(6/1,5/4)", 9, 1),  # a leg with c = 3
+        ("X(3/1)", 7, 3),
+    ],
+)
+def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
+    M = manifold(spec)
+    counts = _count_cyclotomic_calls(monkeypatch)
+    xi_closed_form(M, r, t)
+    assert counts == {"init": 1, "mul": 0}
+
+
+def test_all_coprime_and_trefoil_build_one_cyclotomic_number(monkeypatch):
+    counts = _count_cyclotomic_calls(monkeypatch)
+    xi_all_coprime(manifold("X(2/1,3/1,5/1,7/1)"), 13)
+    tref_xi_closed(11, 3)
+    assert counts == {"init": 2, "mul": 0}
+
+
+def _integral_candidates(r: int):
+    ints = st.lists(st.integers(-6, 6), min_size=1, max_size=r)
+    return st.builds(
+        lambda cs, scale, den: CyclotomicNumber(r, [scale * c for c in cs], den),
+        ints,
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 1, 2, 3]),
+    )
+
+
+@given(
+    st.sampled_from([3, 5, 9, 15]).flatmap(_integral_candidates),
+    st.sampled_from([0, 1, 2]),
+)
+@settings(deadline=None, max_examples=200)
+def test_theta_divisibility_matches_scaled_integrality(xi, nu):
+    scaled = xi * Fraction(1, 2**nu)
+    assert _theta_is_integral(xi, nu) == scaled.is_algebraic_integer()
