@@ -19,7 +19,7 @@ import csv
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber
@@ -69,11 +69,7 @@ class OutputRecord:
     checks: dict[str, bool | None] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OutputRecord":
-        return cls(**data)
+        return json.dumps(vars(self), sort_keys=True)
 
     def failed(self) -> bool:
         return any(v is False for v in self.checks.values())

@@ -44,24 +44,6 @@ def sign(x: int | Fraction) -> int:
     return 0
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return ``(g, x, y)`` with ``a*x + b*y = g = gcd(a, b)``.
-
-    ``g`` is nonnegative whenever ``(a, b) != (0, 0)``.
-    """
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m``, reduced to ``0..m-1``.
 

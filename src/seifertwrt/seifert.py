@@ -101,10 +101,6 @@ class TopInvariants:
     sign_H_abs: int
     sign_H_over_P: int
 
-    @property
-    def h_over_p(self) -> Fraction:
-        return Fraction(self.H, self.P)
-
 
 def top_invariants(M: SeifertData) -> TopInvariants:
     P = 1

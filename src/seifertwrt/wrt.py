@@ -159,7 +159,10 @@ def _gauss_vector(r: int, c: int, t: int) -> list[int]:
 # Kronecker substitution: a vector v of length n is the integer
 # sum_i v[i] * X^i with X = 256**width, stored with the bias X/2 in every
 # slot so that signed coefficients pack and unpack through unsigned bytes.
-# Every coefficient must satisfy |v[i]| < X/2.
+# Every coefficient must satisfy |v[i]| < X/2.  Because x -> X maps the
+# group ring Z[C_r] onto the integers modulo X^r - 1, packed vectors are
+# multiplied, shifted and added as plain integers with no bound on the
+# intermediate values; only the vector that is finally unpacked needs it.
 
 
 def _slot_width(bound: int) -> int:
@@ -180,31 +183,61 @@ def _pack(vec: list[int], width: int) -> int:
     return int.from_bytes(data, "little") - _bias(len(vec), width)
 
 
-def _unpack_folded(value: int, r: int, width: int) -> list[int]:
-    """The ``2r - 1`` slots of ``value`` folded modulo ``x^r - 1``."""
-    off = 1 << (8 * width - 1)
-    n = 2 * r - 1
-    data = (value + _bias(n, width)).to_bytes(n * width, "little")
-    slots = [
-        int.from_bytes(data[i : i + width], "little") - off
-        for i in range(0, n * width, width)
-    ]
-    return [lo + hi for lo, hi in zip(slots, slots[r:] + [0])]
+def _fold(value: int, bits: int) -> int:
+    """``value`` modulo ``2^bits - 1``, in ``[0, 2^bits - 1]``.
 
-
-def _ring_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``.
-
-    One big-integer product of the Kronecker-packed operands gives the
-    ``2r - 1`` coefficients of the plain product, each a sum of at most
-    ``r`` products and so at most ``max|a| * max|b| * r`` in absolute value;
-    the slots are also wide enough for either operand, which matters when
-    the other one is zero.
+    With ``bits = 8 * width * r`` this is ``value`` modulo ``X^r - 1``: the
+    high part, from slot ``r`` on, is added onto the low part until no high
+    part is left.
     """
-    r = len(a)
-    max_a, max_b = max(map(abs, a)), max(map(abs, b))
-    width = _slot_width(max(max_a * max_b * r, max_a, max_b))
-    return _unpack_folded(_pack(a, width) * _pack(b, width), r, width)
+    mask = (1 << bits) - 1
+    while value >> bits:
+        value = (value & mask) + (value >> bits)
+    return value
+
+
+def _unpack(value: int, r: int, width: int) -> list[int]:
+    """The vector of ``Z[C_r]`` that ``value`` packs modulo ``X^r - 1``.
+
+    ``value`` is folded (:func:`_fold`) and taken in the window
+    ``|value| < (X^r - 1)/2``.  Every packed vector with coefficients below
+    ``X/2`` lies in that window, and the window holds one integer of each
+    residue class, so the vector is recovered exactly.
+    """
+    bits = 8 * width * r
+    value = _fold(value, bits)
+    if value > (1 << (bits - 1)) - 1:
+        value -= (1 << bits) - 1
+    off = 1 << (8 * width - 1)
+    data = (value + _bias(r, width)).to_bytes(r * width, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") - off
+        for i in range(0, r * width, width)
+    ]
+
+
+def _ring_mul(*vectors: list[int]) -> list[int]:
+    """The product of ``vectors`` in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``.
+
+    All operands are packed at one slot width and multiplied as integers,
+    each partial product folded modulo ``X^r - 1`` (:func:`_fold`); the
+    product is unpacked once.  A cyclic convolution satisfies
+    ``|(a*b)_k| <= max|a| * sum|b|``, so ``max|v_0| * prod_{i>0} sum|v_i|``
+    bounds every coefficient of the product.  When no operand is zero, the
+    bound is also at least every operand's largest coefficient, so every
+    operand fits in the slots.
+    """
+    r = len(vectors[0])
+    bound = max(map(abs, vectors[0])) * math.prod(
+        sum(map(abs, vec)) for vec in vectors[1:]
+    )
+    if not bound:
+        return [0] * r
+    width = _slot_width(bound)
+    value = _pack(vectors[0], width)
+    for vec in vectors[1:]:
+        value = _fold(value * _pack(vec, width), 8 * width * r)
+    return _unpack(value, r, width)
 
 
 def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
@@ -212,22 +245,43 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
 
     Returns an integer vector and its denominator.  ``factors(j)`` lists the
     factors of ``F_j``, each a tuple of ``(sign, e)`` monomials
-    ``sign * zeta^(t*e)``.  The central power is ``D(x^j)`` for one
-    precomputed ``D``: the polynomial ``(x^(2t) - x^(-2t))^(2-n)`` for
-    ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3`` (see
-    :func:`_central_inverse`).  ``D`` is kept modulo ``x^r - 1``, not reduced
-    modulo ``Phi_r``: for a non-unit ``j`` the substitution ``x -> x^j``
-    does not respect ``Phi_r``.
+    ``sign * zeta^(t*e)`` with ``sign = +-1``.  The central power is
+    ``D(x^j)`` for one precomputed ``D``: the polynomial
+    ``(x^(2t) - x^(-2t))^(2-n)`` for ``n <= 2``, and ``E^(n-2)`` over
+    ``r^(n-2)`` for ``n >= 3`` (see :func:`_central_inverse`).  ``D`` is kept
+    modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
+    the substitution ``x -> x^j`` does not respect ``Phi_r``.
+
+    Precondition: the product ``T_j`` of ``factors(j)``, read in ``Z[C_r]``
+    (exponents modulo ``r``), satisfies ``T_(r-j) = (-1)^n T_j``.  Then the
+    colors ``j`` and ``r - j`` together contribute
+    ``T_j D(x^j) + (-1)^n T_j D(x^-j) = T_j D~(x^j)`` with
+    ``D~ = D + (-1)^n D(x^-1)``, so the sum over one color of each pair
+    ``{j, r - j}`` against ``D~`` is the full sum, exactly in ``Z[C_r]``.
+    Since ``D~(x^-1) = (-1)^n D~``, either color of a pair may stand for it.
+    The leg factors of :func:`xi_closed_form` satisfy the precondition leg
+    by leg: under ``j -> r - j`` the branch ``d = j - q_star`` becomes
+    ``r - d``, the other branch at ``r - j``, and ``c | d`` iff
+    ``c | r - d`` because ``c | r``; the sign flips, and the exponent
+    ``-pc_prime*q*d*(d/c) - p_star*(q_star - 2j)`` is unchanged modulo ``r``
+    because ``(r - d)(r/c - d/c) = d*(d/c)`` modulo ``r`` when ``c`` divides
+    ``d`` and ``r``.  Each leg factor is thus odd; in :func:`xi_all_coprime`
+    the quadratic factor is even and the ``n`` leg binomials are odd.
 
     The sum is accumulated as one Kronecker-packed integer.  For a unit
-    ``j``, ``D(x^j)`` holds ``D[j^-1 k]`` at index ``k``, so it is packed by
-    gathering ``D``'s precomputed slot bytes in that order; for a non-unit
-    ``j`` the indices ``j*m mod r`` merge and the vector is packed anew.
-    Each monomial ``+-x^e`` adds or subtracts the packed ``D(x^j)`` shifted
-    by ``e`` slots, and the accumulator is unpacked once.  A slot receives
-    one entry of some ``D(x^j)`` per monomial, so the monomial count times
-    ``sum|D|`` bounds it.  A color costs ``O(r)`` interpreted steps and at
-    most ``2^n`` big-integer additions of ``O(r)`` slots.
+    ``j`` with inverse ``u``, ``D~(x^j)`` holds ``D~[u k]`` at index ``k``;
+    the pair's representative is the color whose ``u`` is at most ``r/2``,
+    and its packed bytes are the slice with step ``u`` of ``D~``'s slot
+    bytes repeated ``(r - 1)/2`` times, a list of ``r(r - 1)/2`` references
+    built once per call.  For a non-unit ``j`` the indices ``j*m mod r``
+    merge and the vector is packed anew.  A factor
+    ``s_0 x^(e_0) (1 + sum_i s_i s_0 x^(e_i - e_0))`` adds the packed value
+    shifted by ``e_i - e_0`` slots for each further monomial, and its sign
+    and leading shift are applied once per color.  A slot of the folded sum
+    receives one entry of some ``D~(x^j)`` per monomial, so the monomial
+    count times ``sum|D~|`` bounds it.  A color costs ``O(1)`` interpreted
+    steps for the gather, and at most ``2n`` big-integer operations of
+    ``O(n r)`` slots for ``n`` two-monomial factors.
     """
     if n > 2:
         base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
@@ -235,40 +289,46 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
         base, power, den = [0] * r, 2 - n, 1
         base[(2 * t) % r] += 1
         base[(-2 * t) % r] -= 1
-    central = [1] + [0] * (r - 1)
-    for _ in range(power):
-        central = _ring_mul(central, base)
+    central = _ring_mul([1] + [0] * (r - 1), *[base] * power)
+    parity = (-1) ** n
+    sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
     colors = []
-    for j in range(1, r):
-        terms = [(1, 0)]
-        for factor in factors(j):
-            terms = [(s * fs, e + t * fe) for s, e in terms for fs, fe in factor]
-        if terms:
-            colors.append((j, terms))
+    for u in range(1, (r + 1) // 2):
+        if gcd(u, r) > 1:
+            j, u = u, 0
+        else:
+            j = pow(u, -1, r)
+        fs = factors(j)
+        if all(fs):
+            colors.append((j, u, fs))
     if not colors:
         return [0] * r, den
-    count = sum(len(terms) for _, terms in colors)
-    width = _slot_width(count * sum(map(abs, central)))
-    off, bias = 1 << (8 * width - 1), _bias(r, width)
-    chunks = [(c + off).to_bytes(width, "little") for c in central]
-    support = [(m, c) for m, c in enumerate(central) if c]
+    count = sum(math.prod(map(len, fs)) for _, _, fs in colors)
+    width = _slot_width(count * sum(map(abs, sym)))
+    bits, off, bias = 8 * width, 1 << (8 * width - 1), _bias(r, width)
+    repeated = [(c + off).to_bytes(width, "little") for c in sym] * (r // 2)
+    support = [(m, c) for m, c in enumerate(sym) if c]
     acc = 0
-    for j, terms in colors:
-        if gcd(j, r) == 1:
-            inv = pow(j, -1, r)
-            data = b"".join([chunks[inv * k % r] for k in range(r)])
-            packed = int.from_bytes(data, "little") - bias
+    for j, u, fs in colors:
+        if u:
+            packed = int.from_bytes(b"".join(repeated[: r * u : u]), "little") - bias
         else:
             vec = [0] * r
             for m, c in support:
                 vec[j * m % r] += c
             packed = _pack(vec, width)
-        for s, e in terms:
-            if s > 0:
-                acc += packed << (8 * width * (e % r))
-            else:
-                acc -= packed << (8 * width * (e % r))
-    return _unpack_folded(acc, r, width), den
+        sign, shift = 1, 0
+        for (s0, e0), *rest in fs:
+            sign *= s0
+            shift += e0
+            value = packed
+            for s, e in rest:
+                term = packed << bits * (t * (e - e0) % r)
+                value = value + term if s == s0 else value - term
+            packed = value
+        term = packed << bits * (t * shift % r)
+        acc = acc + term if sign > 0 else acc - term
+    return _unpack(acc, r, width), den
 
 
 def _evaluate(
@@ -288,23 +348,22 @@ def _evaluate(
     ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r`` for odd ``r``; at
     ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``), of the Gauss sums
     ``g_c`` at ``zeta^t`` of the ``conductors`` (``g_1 = 1``), and of the
-    optional ``color_sum`` vector and denominator.  The factors are
-    multiplied as integer vectors over one integer denominator, and the
+    optional ``color_sum`` vector and denominator.  The factors are packed
+    at one slot width and multiplied as integers over one integer
+    denominator (:func:`_ring_mul`), the product is unpacked once, and the
     result is reduced modulo ``Phi_r`` once, by the one
     :class:`CyclotomicNumber` it builds.
     """
     central = _central_inverse(r, t)
     if sign_H_abs:
-        vec = _ring_mul(central, _gauss_vector(r, r, -t))
-        scalar, den = -scalar, 2 * r * r
+        parts, scalar, den = [central, _gauss_vector(r, r, -t)], -scalar, 2 * r * r
     else:
-        vec, den = _ring_mul(central, central), r * r
-    for c in conductors:
-        if c > 1:
-            vec = _ring_mul(vec, _gauss_vector(r, c, t))
+        parts, den = [central, central], r * r
+    parts += [_gauss_vector(r, c, t) for c in conductors if c > 1]
     if color_sum is not None:
-        vec = _ring_mul(vec, color_sum[0])
+        parts.append(color_sum[0])
         den *= color_sum[1]
+    vec = _ring_mul(*parts)
     shift = (t * exponent) % r
     return CyclotomicNumber(r, [scalar * c for c in vec[-shift:] + vec[:-shift]], den)
 

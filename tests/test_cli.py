@@ -47,7 +47,7 @@ def test_tau_json_roundtrip(capsys):
     assert len(lines) == 4
     for line in lines:
         data = json.loads(line)
-        rec = OutputRecord.from_json_dict(data)
+        rec = OutputRecord(**data)
         assert rec.checks["oracle"] is True
         assert rec.r in (5, 7)
         assert rec.to_json_line() == json.dumps(data, sort_keys=True)

@@ -16,7 +16,6 @@ from seifertwrt.numtheory import (
     NotCoprime,
     ZeroNumerator,
     dedekind_sum,
-    egcd,
     good_expansion,
     jacobi,
     mod_inverse,
@@ -37,13 +36,6 @@ def test_sign():
     assert sign(-3) == -1
     assert sign(0) == 0
     assert sign(Fraction(-1, 2)) == -1
-
-
-@given(st.integers(-200, 200), st.integers(-200, 200))
-def test_egcd_identity(a, b):
-    g, x, y = egcd(a, b)
-    assert a * x + b * y == g
-    assert g == gcd(a, b)
 
 
 @given(st.integers(-100, 100), st.integers(min_value=1, max_value=100))

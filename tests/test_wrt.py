@@ -6,13 +6,14 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _corpus import SAMPLE_SPECS, get_xi_formula, get_xi_oracle, manifold
+from seifertwrt import wrt
 from seifertwrt.cyclotomic import CyclotomicNumber, root_power
 from seifertwrt.numtheory import mod_inverse
-from seifertwrt.seifert import top_invariants
+from seifertwrt.seifert import SeifertData, top_invariants
 from seifertwrt.statesum import xi_statesum
 from seifertwrt.wrt import (
     TREFOIL_ZERO,
@@ -99,6 +100,20 @@ def test_formula_equals_oracle_at_larger_levels(spec, r):
     # Prime levels leave every color active; r = 45 has non-unit colors.
     M = manifold(spec)
     assert xi_closed_form(M, r, 1) == xi_statesum(M, r, 1)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("r", [45, 63])
+@pytest.mark.parametrize(
+    "spec", ["X(3/1,5/2,-7/3)", "X(3/2,5/1,-7/3,9/4)", "X(6/5,-7/2,9/4,5/3)"]
+)
+def test_formula_equals_oracle_with_composite_conductors(spec, r, t):
+    # Every manifold has legs with c = gcd(r, p) > 1 at both levels, so the
+    # half-range color sum meets inactive colors and non-unit colors.
+    M = manifold(spec)
+    xi = xi_closed_form(M, r, t)
+    assert not xi.is_zero()
+    assert xi == xi_statesum(M, r, t)
 
 
 def test_poincare_style_small_cases_against_oracle():
@@ -447,14 +462,85 @@ def test_color_sum_equals_per_monomial_loop(spec, r):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("r,n", [(31, 5), (45, 3), (9, 1)])
+@pytest.mark.parametrize("r,n", [(31, 5), (45, 3), (9, 1), (25, 4)])
 def test_color_sum_with_every_monomial_alike(r, n, sign):
     # 256 equal monomials per color pile up in every slot: the sums that the
-    # slot width must hold come close to its bound here.
+    # slot width must hold come close to its bound here.  For odd n the odd
+    # factor x^j - x^-j keeps the precondition T_(r-j) = (-1)^n T_j.
     def factors(j):
-        return [((sign, 0),)] + [((1, 0), (1, 0))] * 8
+        odd = [((1, j), (-1, -j))] if n % 2 else []
+        return [((sign, 0),)] + [((1, 0), (1, 0))] * 8 + odd
 
     assert _color_sum(r, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
+
+
+def _expanded(factors, j: int, r: int, t: int) -> list[int]:
+    """The product of ``factors(j)`` as a vector of ``Z[C_r]``."""
+    terms = [(1, 0)]
+    for factor in factors(j):
+        terms = [(s * fs, e + fe) for s, e in terms for fs, fe in factor]
+    vec = [0] * r
+    for s, e in terms:
+        vec[t * e % r] += s
+    return vec
+
+
+def _factors_passed(call) -> list:
+    """The ``(r, t, n, factors)`` of every ``_color_sum`` call that ``call()`` makes."""
+    seen = []
+
+    def spy(r, t, n, factors):
+        seen.append((r, t, n, factors))
+        return _color_sum(r, t, n, factors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wrt, "_color_sum", spy)
+        call()
+    return seen
+
+
+_LEGS = st.lists(
+    st.tuples(st.integers(-15, 15), st.integers(1, 9)).filter(
+        lambda pq: pq[0] != 0 and gcd(abs(pq[0]), pq[1]) == 1
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(
+    _LEGS,
+    st.sampled_from(range(3, 64, 2)),
+    st.integers(1, 200),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+)
+@settings(deadline=None, max_examples=150)
+def test_color_sum_precondition_holds_for_every_caller(legs, r, t, shifts):
+    # _color_sum visits one color of each pair {j, r - j}; that is exact only
+    # when the product of the factors satisfies T_(r-j) = (-1)^n T_j.
+    assume(gcd(t, r) == 1)
+    M = SeifertData(legs=tuple(legs))
+    calls = _factors_passed(lambda: xi_closed_form(M, r, t, tuple(shifts[: M.n])))
+    if all(gcd(p, r) == 1 for p, _ in legs):
+        calls += _factors_passed(lambda: xi_all_coprime(M, r))
+    for r_, t_, n, factors in calls:
+        for j in range(1, r_):
+            odd = [(-1) ** n * c for c in _expanded(factors, j, r_, t_)]
+            assert _expanded(factors, r_ - j, r_, t_) == odd, (legs, r_, t_, j)
+
+
+@pytest.mark.parametrize("r", [9, 31, 45])
+def test_color_sum_visits_one_color_per_pair(r):
+    legs = [leg_data(p, q, r) for p, q in manifold("X(2/1,9/4,-5/3)").legs]
+    calls = []
+
+    def factors(j):
+        calls.append(j)
+        return [leg.chi_terms(j) for leg in legs]
+
+    _color_sum(r, 1, 3, factors)
+    assert len(calls) <= (r - 1) // 2
+    assert {min(j, r - j) for j in calls} == set(range(1, (r + 1) // 2))
 
 
 def test_color_sum_with_no_active_color():
