@@ -133,8 +133,71 @@ def _tau_record(
     return _record(result, checks)
 
 
-def _tau_worker(task: tuple) -> OutputRecord:
-    return _tau_record(*task)
+def _run_share(tasks: list[tuple]) -> tuple[list[OutputRecord], Exception | None]:
+    """The records of ``tasks`` in order, up to the first error, and that error."""
+    records = []
+    for task in tasks:
+        try:
+            records.append(_tau_record(*task))
+        except Exception as exc:
+            return records, exc
+    return records, None
+
+
+def _send_share(conn, tasks: list[tuple]) -> None:
+    """Child-process target: compute one share and send it to the parent."""
+    with conn:
+        conn.send(_run_share(tasks))
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list[OutputRecord]:
+    """``_tau_record`` over ``tasks`` in ``jobs`` processes, this one included.
+
+    Task ``i`` runs in share ``i % jobs``. Shares ``1..jobs-1`` run in child
+    processes and send ``(records, first_error)`` back over a one-way pipe,
+    while share 0 runs here. Records come back in task order, and the first
+    error in task order is raised, as a serial loop would raise it.
+    """
+    # Imported here: serial runs need no child processes, and the import
+    # adds start-up time and resident memory.
+    import multiprocessing
+
+    children = []
+    shares = []
+    try:
+        for k in range(1, jobs):
+            recv_end, send_end = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_send_share, args=(send_end, tasks[k::jobs])
+            )
+            child.start()
+            send_end.close()
+            children.append((child, recv_end))
+        shares.append(_run_share(tasks[0::jobs]))
+        for child, recv_end in children:
+            try:
+                shares.append(recv_end.recv())
+            except EOFError:
+                shares.append(None)
+    finally:
+        # Closing the read end first lets a child still sending fail and exit.
+        for child, recv_end in children:
+            recv_end.close()
+            child.join()
+    for k, share in enumerate(shares[1:], start=1):
+        if share is None:
+            raise RuntimeError(
+                f"worker process for share {k} exited with code "
+                f"{children[k - 1][0].exitcode} before sending its records"
+            )
+    errors = [
+        (k + jobs * len(records), exc)
+        for k, (records, exc) in enumerate(shares)
+        if exc is not None
+    ]
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
+    return [shares[i % jobs][0][i // jobs] for i in range(len(tasks))]
 
 
 def _parse_levels(args) -> list[int]:
@@ -227,13 +290,9 @@ def _cmd_tau(args, out) -> int:
         for spec in args.manifolds
         for r in levels
     ]
-    if args.jobs > 1:
-        # Imported here: serial runs need no pool, and the import adds
-        # start-up time and resident memory.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_tau_worker, tasks))
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        records = _run_tasks(tasks, jobs)
     else:
         records = [_tau_record(*task) for task in tasks]
     _emit(records, args.format, out)
@@ -358,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the plumbing state sum")
     p_tau.add_argument("--rozansky", action="store_true",
                        help="cross-check tau' against the numerical residue form")
-    p_tau.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    p_tau.add_argument("--jobs", type=_positive_int, default=1,
+                       help="processes that compute records, this one included, "
+                       "at most one per record; output and errors are those "
+                       "of a serial run")
 
     p_tref = sub.add_parser("tref-table",
                             help="closed-form trefoil-surgery table")

@@ -173,13 +173,15 @@ def linking_matrix(pres: PlumbingPresentation) -> tuple[tuple[int, ...], ...]:
 def signature_counts(matrix) -> tuple[int, int, int]:
     """Exact inertia ``(b_plus, b_minus, b_zero)`` of a symmetric matrix.
 
-    Symmetric congruence elimination over ``Fraction``: pivot on a nonzero
-    diagonal entry when one exists; otherwise repair a hyperbolic block by the
-    symmetric shear ``row_i += row_j``, ``col_i += col_j`` (which makes the
-    diagonal entry ``2*a[i][j]`` nonzero); rows that are entirely zero count
-    as null directions.  Congruence preserves inertia, so this is exact.
+    Symmetric congruence elimination: pivot on a nonzero diagonal entry when
+    one exists; otherwise repair a hyperbolic block by the symmetric shear
+    ``row_i += row_j``, ``col_i += col_j`` (which makes the diagonal entry
+    ``2*a[i][j]`` nonzero); rows that are entirely zero count as null
+    directions.  Congruence preserves inertia, so this is exact.  Elimination
+    visits only the nonzero entries of the pivot row and column, and entries
+    stay integers until a division makes them fractions.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [list(row) for row in matrix]
     n = len(a)
     for row in a:
         if len(row) != n:
@@ -208,11 +210,15 @@ def signature_counts(matrix) -> tuple[int, int, int]:
         else:
             b_minus += 1
         remaining.remove(pivot)
+        pivot_row = a[pivot]
+        support = [k for k in remaining if pivot_row[k]]
         for i in remaining:
-            factor = a[i][pivot] / p
-            if factor:
-                for k in remaining:
-                    a[i][k] -= factor * a[pivot][k]
+            x = a[i][pivot]
+            if x:
+                factor = x // p if x % p == 0 else Fraction(x, p)
+                row = a[i]
+                for k in support:
+                    row[k] -= factor * pivot_row[k]
     return b_plus, b_minus, b_zero
 
 

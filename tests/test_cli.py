@@ -3,11 +3,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seifertwrt import cli
 from seifertwrt.cli import OutputRecord, _xi_pairs, build_parser, main
 from seifertwrt.cyclotomic import CyclotomicNumber
 
@@ -90,11 +96,82 @@ def test_tau_explicit_t(capsys):
 
 
 def test_tau_jobs_match_serial(capsys):
-    argv = ["tau", "X(2/1,3/1)", "X(5/2)", "--r", "5,7", "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *argv)
-    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    checked = ["tau", "X(2/1,3/1)", "X(5/2,-5/3,6/1)", "X(-2/1,3/1,6/1)",
+               "--r", "5,7,9", "--oracle", "--rozansky"]
+    cases = [
+        (["tau", "X(2/1,3/1)", "X(5/2)", "--r", "5,7", "--format", "json"], "2"),
+        (checked + ["--format", "json"], "3"),
+        (checked + ["--format", "csv"], "3"),
+    ]
+    for argv, jobs in cases:
+        code1, out1, err1 = run_cli(capsys, *argv)
+        code2, out2, err2 = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code1 == code2 == 0
+        assert err1 == err2 == ""
+        assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "manifolds",
+    [
+        ["X(4/2)", "X(2/1,3/1)", "X(5/2)"],
+        ["X(2/1,3/1)", "X(4/2)", "X(5/2)"],
+        ["X(2/1,3/1)", "X(5/2)", "X(4/2)"],
+        # Two bad entries: at --jobs 3 this process's share meets X(4/2)
+        # while a child's meets X(6/4), which comes first in task order.
+        ["X(2/1,3/1)", "X(6/4)", "X(5/2)", "X(4/2)"],
+    ],
+)
+def test_tau_jobs_error_parity(capsys, manifolds):
+    results = {
+        jobs: run_cli(capsys, "tau", *manifolds, "--r", "5", "--jobs", jobs)
+        for jobs in ("1", "2", "3", "8")
+    }
+    first_bad = next(m for m in manifolds if m in ("X(4/2)", "X(6/4)"))
+    serial = results["1"]
+    assert serial == (2, "", f"error: surgery coefficient {first_bad[2:-1]} "
+                             "is not reduced\n")
+    for jobs, result in results.items():
+        assert result == serial, jobs
+
+
+def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch):
+    started = []
+    original = multiprocessing.Process.start
+
+    def counting_start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    argv = ["tau", "X(2/1,3/1)", "--r", "5,7", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "8")
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+
+
+def test_tau_jobs_child_death_raises(monkeypatch):
+    monkeypatch.setattr(cli, "_send_share", lambda conn, tasks: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_loads_no_processes_or_mpmath():
+    # Serial runs and the set-up probe of the benchmark pay for none of these.
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import seifertwrt.cli\n"
+        "seifertwrt.cli.build_parser()\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'mpmath')"
+        " if m in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_tau_rozansky_skip_marker(capsys):

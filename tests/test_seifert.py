@@ -204,6 +204,64 @@ def test_signature_congruence_invariance(matrix, seed):
     assert signature_counts(pap) == signature_counts(matrix)
 
 
+def _dense_signature_counts(matrix) -> tuple[int, int, int]:
+    """Reference: the same elimination over ``Fraction``, every entry visited."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    remaining = list(range(len(a)))
+    b_plus = b_minus = b_zero = 0
+    while remaining:
+        pivot = next((i for i in remaining if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in remaining for j in remaining if a[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                b_zero += len(remaining)
+                break
+            i, j = pair
+            for k in remaining:
+                a[i][k] += a[j][k]
+            for k in remaining:
+                a[k][i] += a[k][j]
+            continue
+        p = a[pivot][pivot]
+        if p > 0:
+            b_plus += 1
+        else:
+            b_minus += 1
+        remaining.remove(pivot)
+        for i in remaining:
+            factor = a[i][pivot] / p
+            if factor:
+                for k in remaining:
+                    a[i][k] -= factor * a[pivot][k]
+    return b_plus, b_minus, b_zero
+
+
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric integer matrices up to 9x9, mostly zero, some with zero
+    diagonals (only the shear can start) and some with zero rows."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    upper = [[draw(entry) for _ in range(n - i)] for i in range(n)]
+    a = [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = 0
+    for z in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for k in range(n):
+            a[z][k] = a[k][z] = 0
+    return tuple(tuple(row) for row in a)
+
+
+@given(sparse_symmetric_matrices())
+@settings(deadline=None, max_examples=300)
+def test_signature_counts_matches_dense_elimination(matrix):
+    assert signature_counts(matrix) == _dense_signature_counts(matrix)
+
+
 def test_b_counts_closed_form_matches_exact_signature():
     for spec in CORPUS_SPECS:
         M = manifold(spec)
