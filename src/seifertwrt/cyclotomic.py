@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -55,32 +56,26 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_exact_div_int(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
-    """Quotient of exact integer polynomial division (remainder must vanish).
+def _divmod_monic(
+    num: Sequence[int], den: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomial ``num`` by a monic ``den``.
 
-    Coefficient lists are low-degree first; ``den`` must be monic up to sign.
+    Coefficient lists are low-degree first; the remainder is padded to
+    ``len(den) - 1`` entries.  Each step subtracts a multiple of ``den`` at its
+    nonzero coefficients only.
     """
-    num_work = list(num)
-    den_list = list(den)
-    while den_list and den_list[-1] == 0:
-        den_list.pop()
-    lead = den_list[-1]
-    if abs(lead) != 1:
-        raise ValueError("divisor must have leading coefficient +-1")
-    deg_d = len(den_list) - 1
-    deg_n = len(num_work) - 1
-    while deg_n >= 0 and num_work[deg_n] == 0:
-        deg_n -= 1
-    quotient = [0] * (deg_n - deg_d + 1)
-    for k in range(deg_n - deg_d, -1, -1):
-        coef = num_work[k + deg_d] // lead
-        quotient[k] = coef
-        if coef:
-            for i, d in enumerate(den_list):
-                num_work[k + i] -= coef * d
-    if any(num_work):
-        raise ValueError("division left a nonzero remainder")
-    return tuple(quotient)
+    deg = len(den) - 1
+    work = list(num) + [0] * (deg - len(num))
+    nonzero = list(compress(range(deg), den))  # i < deg with den[i] != 0
+    quotient = [0] * (len(work) - deg)
+    for k in range(len(work) - deg - 1, -1, -1):
+        c = work[k + deg]
+        if c:
+            quotient[k] = c
+            for i in nonzero:
+                work[k + i] -= c * den[i]
+    return quotient, work[:deg]
 
 
 @lru_cache(maxsize=None)
@@ -91,13 +86,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, exactly.
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    quotient: tuple[int, ...] = tuple(num)
+    quotient = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            quotient = _poly_exact_div_int(quotient, cyclotomic_polynomial(d))
-    return quotient
+            quotient, remainder = _divmod_monic(quotient, cyclotomic_polynomial(d))
+            if any(remainder):
+                raise ValueError("division left a nonzero remainder")
+    return tuple(quotient)
 
 
 def _check_level(r: int) -> None:
@@ -105,38 +100,9 @@ def _check_level(r: int) -> None:
         raise InvalidLevel(f"level must be odd and >= 3, got {r}")
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(r: int) -> tuple[tuple[int, ...], ...]:
-    """Rows ``x^k mod Phi_r`` (basis coefficients, length phi) for k = phi .. 2r-4."""
-    phi = euler_phi(r)
-    top = [-c for c in cyclotomic_polynomial(r)[:phi]]  # x^phi in the basis
-    rows = [tuple(top)]
-    current = list(top)
-    for _ in range(phi + 1, 2 * r - 3):
-        shifted = [0] + current[: phi - 1]
-        lead = current[phi - 1]
-        if lead:
-            for i in range(phi):
-                shifted[i] += lead * top[i]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
-
-
 def _reduce_int_vector(r: int, vec: list[int]) -> list[int]:
     """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``."""
-    phi = euler_phi(r)
-    if len(vec) <= phi:
-        return vec + [0] * (phi - len(vec))
-    rows = _reduction_rows(r)
-    out = vec[:phi] + [0] * (phi - min(phi, len(vec)))
-    for k in range(phi, len(vec)):
-        c = vec[k]
-        if c:
-            row = rows[k - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+    return _divmod_monic(vec, cyclotomic_polynomial(r))[1]
 
 
 class CyclotomicNumber:
@@ -277,6 +243,9 @@ class CyclotomicNumber:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
+        for k in range(self.r, len(conv)):  # x^r = 1
+            conv[k - self.r] += conv[k]
+        del conv[self.r :]
         reduced = _reduce_int_vector(self.r, conv)
         return CyclotomicNumber._raw(self.r, reduced, self._den * o._den)
 
@@ -295,7 +264,9 @@ class CyclotomicNumber:
         for u in range(2, self.r):
             if gcd(u, self.r) == 1:
                 rest = rest * self.galois(u)
-        return rest * (1 / (self * rest).as_rational())
+        norm = (self * rest).as_rational()
+        num = [n * norm.denominator for n in rest._num]
+        return CyclotomicNumber._raw(self.r, num, rest._den * norm.numerator)
 
     def __pow__(self, exponent: int) -> "CyclotomicNumber":
         if not isinstance(exponent, int):

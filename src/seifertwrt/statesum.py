@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber, gauss_sum, root_power
 from .seifert import SeifertData, linking_matrix, plumbing, signature_counts
@@ -174,17 +174,10 @@ def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
     return unit * CyclotomicNumber(r, vec)
 
 
-def xi_statesum(
-    M: SeifertData,
-    r: int,
-    t: int = 1,
-    tables: Mapping[tuple[int, ...], LegSumTable] | None = None,
-) -> CyclotomicNumber:
+def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     """``xi_r(M)`` at ``zeta**t`` via plumbing contraction (the oracle route).
 
-    ``tables`` may carry precomputed :class:`LegSumTable` objects keyed by
-    chain framings (they must match ``r`` and ``t``); missing chains are
-    contracted on the fly, each distinct chain once per call.
+    Each distinct chain is contracted once per call.
 
     Since ``S(-j) = -S(j)`` for every leg and ``chi[-j] = -chi[j]``, the
     colors ``j`` and ``-j`` contribute equally: the sum runs over
@@ -194,16 +187,12 @@ def xi_statesum(
     """
     t = _check_level_and_unit(r, t)
     pres = plumbing(M)
-    if tables is None:
-        tables = {}
+    tables: dict[tuple[int, ...], LegSumTable] = {}
     leg_tables = []
     for chain in pres.chains:
-        table = tables.get(chain)
-        if table is None or table.r != r or table.t != t:
-            table = leg_sum_dp(chain, r, t)
-            if hasattr(tables, "__setitem__"):
-                tables[chain] = table
-        leg_tables.append(table)
+        if chain not in tables:
+            tables[chain] = leg_sum_dp(chain, r, t)
+        leg_tables.append(tables[chain])
 
     # Only the edge weights that are read are built: chi[1] for _close and
     # chi[d] for the divisors d with an active color.

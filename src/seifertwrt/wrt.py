@@ -42,10 +42,9 @@ class LegData:
     ``p*p_star + q*q_star = 1`` read off the good expansion (optionally
     perturbed by an integer ``shift``: ``q_star += shift*p``,
     ``p_star -= shift*q``); ``pc_prime`` inverts ``p/c`` modulo ``r/c``
-    (zero when ``r = c``); ``p_prime`` inverts ``p`` modulo ``r`` when
-    ``c = 1``; ``sf`` and ``jac`` are the sign and Jacobi-symbol factors of
-    the leg's closed Gauss-sum evaluation; ``exponent_const`` is the leg's
-    contribution ``3(l - 1 + sign p) - sum(ms) + shift`` to the global
+    (zero when ``r = c``); ``sf`` and ``jac`` are the sign and Jacobi-symbol
+    factors of the leg's closed Gauss-sum evaluation; ``exponent_const`` is
+    the leg's contribution ``3(l - 1 + sign p) - sum(ms) + shift`` to the global
     root-of-unity exponent.
     """
 
@@ -58,10 +57,8 @@ class LegData:
     q_star: int
     p_star: int
     pc_prime: int
-    p_prime: int | None
     sf: int
     jac: int
-    shift: int
     exponent_const: int
 
     def chi_terms(self, j: int) -> tuple[tuple[int, int], ...]:
@@ -99,7 +96,6 @@ def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
     p_star = bez.b_star - shift * q
     rc = r // c
     pc_prime = 0 if rc == 1 else mod_inverse(p // c, rc)
-    p_prime = mod_inverse(p, r) if c == 1 else None
     sf = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = jacobi(p // c, rc) * jacobi(q, c)
     exponent_const = 3 * (e.l - 1 + sign(p)) - sum(e.ms) + shift
@@ -113,18 +109,17 @@ def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
         q_star=q_star,
         p_star=p_star,
         pc_prime=pc_prime,
-        p_prime=p_prime,
         sf=sf,
         jac=jac,
-        shift=shift,
         exponent_const=exponent_const,
     )
 
 
-def _check_level_and_unit(r: int, t: int) -> int:
+def _check_level_and_unit(r: int, t: int | None) -> int:
+    """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
     if r < 3 or r % 2 == 0:
         raise HypothesisViolated(f"level must be odd and >= 3, got {r}")
-    t %= r
+    t = mod_inverse(4, r) if t is None else t % r
     if gcd(t, r) != 1:
         raise HypothesisViolated(f"evaluation parameter {t} is not a unit mod {r}")
     return t
@@ -460,7 +455,7 @@ def tau_prime(
     ``tau' = (sin(pi/r)/sqrt(r))**nu * xi_r(M, A)``; for ``nu = 0`` this is
     just the exact ``xi`` embedded numerically.
     """
-    t = mod_inverse(4, r) if t is None else t % r
+    t = _check_level_and_unit(r, t)
     return _result(M, r, t, xi_closed_form(M, r, t), precision)
 
 
@@ -503,7 +498,7 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     modulo ``r``.  Raises :class:`HypothesisViolated` when some
     ``gcd(p_k, r) > 1``.
     """
-    t = _check_level_and_unit(r, mod_inverse(4, r))
+    t = _check_level_and_unit(r, None)
     tops = top_invariants(M)
     for p, _ in M.legs:
         if gcd(p, r) != 1:
@@ -609,5 +604,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
 
 def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
     """The trefoil-surgery invariants straight from the closed form."""
-    t = mod_inverse(4, r)
+    t = _check_level_and_unit(r, None)
     return _result(TREFOIL_ZERO, r, t, tref_xi_closed(r, t), precision)

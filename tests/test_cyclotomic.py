@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -13,6 +15,8 @@ from seifertwrt.cyclotomic import (
     InvalidLevel,
     LevelMismatch,
     NotADivisor,
+    _divmod_monic,
+    _reduce_int_vector,
     cyclotomic_polynomial,
     euler_phi,
     gauss_sum,
@@ -74,6 +78,142 @@ def test_cyclotomic_polynomial_annihilates_root(r):
     for k, c in enumerate(cyclotomic_polynomial(r)):
         total = total + c * z**k
     assert total.is_zero()
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # prod_{d | n} Phi_d = x^n - 1, checked by multiplying, not dividing.
+    for n in range(1, 106):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, list(cyclotomic_polynomial(d)))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+        assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n), n
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=40),
+    st.lists(st.integers(-5, 5), max_size=12).map(lambda low: low + [1]),
+)
+@settings(deadline=None, max_examples=200)
+def test_divmod_monic_identity(num, den):
+    quotient, remainder = _divmod_monic(num, den)
+    assert len(remainder) == len(den) - 1
+    size = max(len(num), len(den))
+    back = _poly_mul(quotient, den) if quotient else []
+    back = back + [0] * (size - len(back))
+    for i, c in enumerate(remainder):
+        back[i] += c
+    assert back == num + [0] * (size - len(num))
+
+
+# A reference reducer that shares no code with ``_divmod_monic``: it never
+# divides, it adds multiples of precomputed rows ``x^k mod Phi_r``.
+@lru_cache(maxsize=None)
+def _reduction_rows(r: int) -> tuple[tuple[int, ...], ...]:
+    """Rows ``x^k mod Phi_r`` (basis coefficients, length phi) for k = phi .. 2r-4."""
+    phi = euler_phi(r)
+    top = [-c for c in cyclotomic_polynomial(r)[:phi]]  # x^phi in the basis
+    rows = [tuple(top)]
+    current = list(top)
+    for _ in range(phi + 1, 2 * r - 3):
+        shifted = [0] + current[: phi - 1]
+        lead = current[phi - 1]
+        if lead:
+            for i in range(phi):
+                shifted[i] += lead * top[i]
+        current = shifted
+        rows.append(tuple(current))
+    return tuple(rows)
+
+
+def _reference_reduce(r: int, vec: list[int]) -> list[int]:
+    """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``."""
+    phi = euler_phi(r)
+    if len(vec) <= phi:
+        return vec + [0] * (phi - len(vec))
+    rows = _reduction_rows(r)
+    out = vec[:phi] + [0] * (phi - min(phi, len(vec)))
+    for k in range(phi, len(vec)):
+        c = vec[k]
+        if c:
+            row = rows[k - phi]
+            for i in range(phi):
+                out[i] += c * row[i]
+    return out
+
+
+REDUCE_LEVELS = (3, 5, 9, 15, 21, 25, 27, 45, 61, 63, 101, 105)
+BIG = 2**600
+
+
+def _vector(rng: random.Random, kind: str, n: int) -> list[int]:
+    if kind == "dense":
+        return [rng.randint(-3, 3) for _ in range(n)]
+    if kind == "big":
+        return [rng.choice((-1, 1)) * rng.randint(BIG - 5, BIG) for _ in range(n)]
+    vec = [0] * n  # sparse: at most three nonzero slots
+    for _ in range(min(n, 3)):
+        vec[rng.randrange(n)] = rng.choice((-BIG, -1, 1, BIG))
+    return vec
+
+
+@pytest.mark.parametrize("r", REDUCE_LEVELS)
+def test_reduce_matches_row_table_at_every_length(r):
+    rng = random.Random(r)
+    for n in range(2 * r - 2):
+        for kind in ("dense", "sparse", "big"):
+            vec = _vector(rng, kind, n)
+            assert _reduce_int_vector(r, vec) == _reference_reduce(r, vec), (n, kind)
+
+
+def _vectors(r: int):
+    """Length ``0 .. 2r-3`` vectors: dense small, sparse or +-2^600 entries."""
+
+    def of_length(n: int):
+        sparse = st.dictionaries(
+            st.integers(0, max(n - 1, 0)),
+            st.sampled_from((-BIG, -1, 1, BIG)),
+            max_size=min(n, 3),
+        ).map(lambda d: [d.get(i, 0) for i in range(n)])
+        return st.one_of(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            sparse,
+            st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n),
+        )
+
+    return st.tuples(st.just(r), st.integers(0, 2 * r - 3).flatmap(of_length))
+
+
+@given(st.sampled_from(REDUCE_LEVELS).flatmap(_vectors))
+@settings(deadline=None, max_examples=100)
+def test_reduce_matches_row_table(case):
+    r, vec = case
+    assert _reduce_int_vector(r, vec) == _reference_reduce(r, vec)
+
+
+def test_cyclotomic_imports_no_route_module():
+    # Both routes share this layer; it must never reach either route's code.
+    import ast
+    import inspect
+
+    import seifertwrt.cyclotomic as cyclotomic
+
+    forbidden = {"wrt", "statesum", "seifert", "cli"}
+    for node in ast.walk(ast.parse(inspect.getsource(cyclotomic))):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] not in forbidden
+            assert not forbidden & {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] in forbidden for a in node.names)
 
 
 @given(levels, st.integers(-30, 30))

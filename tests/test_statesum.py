@@ -74,10 +74,8 @@ def test_closed_leg_handles_single_vertex_chain():
             q_star=1,
             p_star=0,
             pc_prime=1,
-            p_prime=1,
             sf=1,
             jac=1,
-            shift=0,
             exponent_const=3 * (1 - 1 + 1) - 1,
         )
         dp = leg_sum_dp((1,), r, t)
@@ -136,18 +134,6 @@ def test_joint_brute_budget_guard():
 def test_joint_brute_matches_statesum(spec, r, t):
     M = manifold(spec)
     assert xi_statesum_brute(M, r, t) == xi_statesum(M, r, t)
-
-
-def test_table_cache_reuse():
-    M = manifold("X(3/1,3/2)")
-    cache: dict = {}
-    first = xi_statesum(M, 7, 1, tables=cache)
-    assert cache  # populated
-    again = xi_statesum(M, 7, 1, tables=cache)
-    assert first == again
-    # a stale table for a different level is ignored, not misused
-    wrong = {chain: leg_sum_dp(chain, 5, 1) for chain in cache}
-    assert xi_statesum(M, 7, 1, tables=wrong) == first
 
 
 def test_statesum_zero_color_column_is_zero():

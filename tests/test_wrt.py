@@ -157,6 +157,13 @@ def test_level_validation():
     for bad_r in (1, 2, 4, -5):
         with pytest.raises(HypothesisViolated):
             xi_closed_form(M, bad_r, 1)
+        # the 1/4 convention is validated before 4 is inverted
+        with pytest.raises(HypothesisViolated, match="level must be odd"):
+            tau_prime(M, bad_r)
+        with pytest.raises(HypothesisViolated, match="level must be odd"):
+            xi_all_coprime(M, bad_r)
+        with pytest.raises(HypothesisViolated, match="level must be odd"):
+            tref_closed_form(bad_r)
     with pytest.raises(HypothesisViolated):
         xi_closed_form(M, 9, 3)  # t not a unit
 
@@ -164,12 +171,9 @@ def test_level_validation():
 def test_leg_data_fields():
     leg = leg_data(3, 1, 5)
     assert (leg.c, leg.l, leg.q_star, leg.p_star) == (1, 2, 4, -1)
-    assert leg.p_prime == mod_inverse(3, 5)
     assert leg.jac == -1 and leg.sf == 1
-    # with c > 1 the inverse modulo r does not exist
     leg9 = leg_data(6, 1, 9)
     assert leg9.c == 3
-    assert leg9.p_prime is None
     assert (leg9.pc_prime * 2) % 3 == 1
 
 
