@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
 from math import gcd
+from time import perf_counter
 
 from .cyclotomic import CyclotomicNumber
 from .numtheory import mod_inverse
@@ -48,6 +50,17 @@ from .wrt import (
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 FAULT_NAMES = ("flip-oracle-sign",)
+# Seconds a ``tau`` request runs in this process before ``--jobs`` hands the
+# rest of its records to child processes.  Starting a child costs the fork,
+# the copy-on-write page faults the parent takes while the child lives (about
+# 500, against 10-15 in a serial run), and the join.  On a shared 2-vCPU
+# machine (Python 3.11.7), in a process that had already served the 42-manifold
+# corpus, 15 records at r = 3..31 took 6.6 ms serially for X(5/2) and 7.8 ms
+# for X(2/1,3/1,5/1,7/1), and 13.7 and 15.8 ms with --jobs 2: a child costs
+# 10-12 ms (quartiles 8.8-12.4 ms over 41 runs) beyond half the serial time.
+# Waiting twice that long keeps such requests, with room for the machine's
+# speed drift, in this process, and costs a long request at most this long.
+CHILD_START_S = 0.020
 
 
 @dataclass
@@ -153,10 +166,12 @@ def _send_share(conn, tasks: list[tuple]) -> None:
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[OutputRecord]:
     """``_tau_record`` over ``tasks`` in ``jobs`` processes, this one included.
 
-    Task ``i`` runs in share ``i % jobs``. Shares ``1..jobs-1`` run in child
-    processes and send ``(records, first_error)`` back over a one-way pipe,
-    while share 0 runs here. Records come back in task order, and the first
-    error in task order is raised, as a serial loop would raise it.
+    ``_cmd_tau`` calls this only for the records left once a request has run
+    for ``CHILD_START_S``; shorter requests never start a child.  Task ``i``
+    runs in share ``i % jobs``. Shares ``1..jobs-1`` run in child processes
+    and send ``(records, first_error)`` back over a one-way pipe, while share
+    0 runs here. Records come back in task order, and the first error in task
+    order is raised, as a serial loop would raise it.
     """
     # Imported here: serial runs need no child processes, and the import
     # adds start-up time and resident memory.
@@ -200,11 +215,22 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[OutputRecord]:
     return [shares[i % jobs][0][i // jobs] for i in range(len(tasks))]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_levels(args) -> list[int]:
     levels: set[int] = set()
     if args.r:
-        for chunk in args.r.split(","):
-            levels.add(int(chunk))
+        try:
+            levels.update(int(chunk) for chunk in args.r.split(","))
+        except ValueError as exc:
+            raise ValueError(
+                f"bad --r {args.r!r}, expected comma-separated levels"
+            ) from exc
     if args.r_range:
         try:
             lo, hi = (int(x) for x in args.r_range.split(":"))
@@ -290,11 +316,15 @@ def _cmd_tau(args, out) -> int:
         for spec in args.manifolds
         for r in levels
     ]
-    jobs = min(args.jobs, len(tasks))
-    if jobs > 1:
-        records = _run_tasks(tasks, jobs)
-    else:
-        records = [_tau_record(*task) for task in tasks]
+    max_jobs = min(args.jobs, _usable_cpus())
+    records = []
+    start = perf_counter()
+    for i, task in enumerate(tasks):
+        jobs = min(max_jobs, len(tasks) - i)
+        if jobs > 1 and perf_counter() - start >= CHILD_START_S:
+            records += _run_tasks(tasks[i:], jobs)
+            break
+        records.append(_tau_record(*task))
     _emit(records, args.format, out)
     return 1 if any(rec.failed() for rec in records) else 0
 
@@ -419,8 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check tau' against the numerical residue form")
     p_tau.add_argument("--jobs", type=_positive_int, default=1,
                        help="processes that compute records, this one included, "
-                       "at most one per record; output and errors are those "
-                       "of a serial run")
+                       "at most one per record and one per usable CPU; child "
+                       "processes start only once the request has run for "
+                       f"{CHILD_START_S * 1000:g} ms, so short requests run "
+                       "here alone; output and errors are those of a serial "
+                       "run")
 
     p_tref = sub.add_parser("tref-table",
                             help="closed-form trefoil-surgery table")

@@ -119,10 +119,11 @@ def _check_level_and_unit(r: int, t: int | None) -> int:
     """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
     if r < 3 or r % 2 == 0:
         raise HypothesisViolated(f"level must be odd and >= 3, got {r}")
-    t = mod_inverse(4, r) if t is None else t % r
+    if t is None:
+        return mod_inverse(4, r)
     if gcd(t, r) != 1:
         raise HypothesisViolated(f"evaluation parameter {t} is not a unit mod {r}")
-    return t
+    return t % r
 
 
 def _central_inverse(r: int, t: int) -> list[int]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -95,7 +96,33 @@ def test_tau_explicit_t(capsys):
     assert rec["t"] == 3
 
 
-def test_tau_jobs_match_serial(capsys):
+def use_cpus(monkeypatch, n: int) -> None:
+    """Let this process run on ``n`` CPUs, as ``cli._usable_cpus`` sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def count_starts(monkeypatch) -> list:
+    """The ``multiprocessing.Process`` objects started from now on."""
+    started = []
+    original = multiprocessing.Process.start
+
+    def counting_start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    return started
+
+
+@pytest.fixture
+def children_at_once(monkeypatch):
+    """``--jobs`` starts its children at a request's first record, on 3 CPUs."""
+    monkeypatch.setattr(cli, "CHILD_START_S", 0)
+    use_cpus(monkeypatch, 3)
+
+
+def test_tau_jobs_match_serial(capsys, children_at_once):
     checked = ["tau", "X(2/1,3/1)", "X(5/2,-5/3,6/1)", "X(-2/1,3/1,6/1)",
                "--r", "5,7,9", "--oracle", "--rozansky"]
     cases = [
@@ -122,7 +149,7 @@ def test_tau_jobs_match_serial(capsys):
         ["X(2/1,3/1)", "X(6/4)", "X(5/2)", "X(4/2)"],
     ],
 )
-def test_tau_jobs_error_parity(capsys, manifolds):
+def test_tau_jobs_error_parity(capsys, children_at_once, manifolds):
     results = {
         jobs: run_cli(capsys, "tau", *manifolds, "--r", "5", "--jobs", jobs)
         for jobs in ("1", "2", "3", "8")
@@ -135,15 +162,9 @@ def test_tau_jobs_error_parity(capsys, manifolds):
         assert result == serial, jobs
 
 
-def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch):
-    started = []
-    original = multiprocessing.Process.start
-
-    def counting_start(self):
-        started.append(self)
-        original(self)
-
-    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch,
+                                                  children_at_once):
+    started = count_starts(monkeypatch)
     argv = ["tau", "X(2/1,3/1)", "--r", "5,7", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv, "--jobs", "8")
     assert len(started) == 1
@@ -151,11 +172,60 @@ def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch):
     assert (code, out) == run_cli(capsys, *argv)[:2]
 
 
-def test_tau_jobs_child_death_raises(monkeypatch):
+def test_tau_jobs_child_death_raises(monkeypatch, children_at_once):
     monkeypatch.setattr(cli, "_send_share", lambda conn, tasks: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3"):
         main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_tau_jobs_capped_at_usable_cpus(capsys, monkeypatch, affinity):
+    monkeypatch.setattr(cli, "CHILD_START_S", 0)
+    if affinity:
+        use_cpus(monkeypatch, 2)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = count_starts(monkeypatch)
+    argv = ["tau", "X(2/1,3/1)", "--r", "5,7,9,11", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, "--jobs", "4")
+    assert len(started) == 1
+    assert (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_tau_jobs_short_request_starts_no_process(capsys, monkeypatch):
+    # About 6 ms of work once warm, a third of the default CHILD_START_S.
+    use_cpus(monkeypatch, 2)
+    argv = ["tau", "X(5/2)", "--r-range", "3:31", "--format", "json"]
+    serial = run_cli(capsys, *argv)
+    started = count_starts(monkeypatch)
+    assert run_cli(capsys, *argv, "--jobs", "2") == serial
+    assert started == []
+
+
+@pytest.mark.parametrize(
+    ("manifolds", "children"),
+    [
+        (["X(2/1,3/1)", "X(5/2,-5/3,6/1)", "X(-2/1,3/1,6/1)"], 2),
+        # The error is in this process's share after the switch.
+        (["X(2/1,3/1)", "X(4/2)", "X(5/2)"], 2),
+        # The error is in the serial prefix: raised before any child starts.
+        (["X(4/2)", "X(2/1,3/1)", "X(5/2)"], 0),
+    ],
+)
+def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, manifolds,
+                                             children):
+    use_cpus(monkeypatch, 3)
+    argv = ["tau", *manifolds, "--r", "5,7,9", "--oracle", "--format", "json"]
+    serial = run_cli(capsys, *argv)
+    # The request's start and the checks before tasks 0, 1 and 2 read 0 s;
+    # the check before task 3 reads 1 s, so tasks 3..8 go to 3 shares.
+    clock = itertools.chain(itertools.repeat(0.0, 4), itertools.repeat(1.0))
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+    started = count_starts(monkeypatch)
+    assert run_cli(capsys, *argv, "--jobs", "3") == serial
+    assert len(started) == children
 
 
 def test_cli_import_loads_no_processes_or_mpmath():
@@ -251,6 +321,19 @@ def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("--r", "5,,7"), "bad --r '5,,7', expected comma-separated levels"),
+        (("--r", "5,seven"), "bad --r '5,seven', expected comma-separated levels"),
+        (("--r", "5", "--t", "5"), "evaluation parameter 5 is not a unit mod 5"),
+        (("--r", "9", "--t", "-3"), "evaluation parameter -3 is not a unit mod 9"),
+    ],
+)
+def test_usage_error_names_the_given_value(capsys, argv, message):
+    assert run_cli(capsys, "tau", "X(2/1)", *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
