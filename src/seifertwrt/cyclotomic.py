@@ -4,7 +4,8 @@ A :class:`CyclotomicNumber` is a vector of ``euler_phi(r)`` integers over a
 single positive denominator, representing a polynomial in ``zeta = e^{2*pi*i/r}``
 reduced modulo the r-th cyclotomic polynomial.  All arithmetic (including
 inversion and Galois twists) is exact; a numerical embedding into C is
-available at float or arbitrary mpmath precision for cross-checks only.
+available at float or arbitrary mpmath precision for cross-checks only.  Both
+routes build their vectors of ``Z[C_r] = Z[x]/(x^r - 1)`` here, products too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .numtheory import NonInvertible
@@ -124,15 +125,9 @@ class CyclotomicNumber:
         coeffs = list(coeffs)
         common = 1
         if all(isinstance(c, int) for c in coeffs):
-            ints = [0] * r
-            for i, c in enumerate(coeffs):
-                if c:
-                    ints[i % r] += c
+            ints = _substitute(coeffs, 1, r)
         else:
-            folded: list[Fraction] = [Fraction(0)] * r
-            for i, c in enumerate(coeffs):
-                if c:
-                    folded[i % r] += Fraction(c)
+            folded = _substitute([Fraction(c) for c in coeffs], 1, r)
             for c in folded:
                 common = common * c.denominator // gcd(common, c.denominator)
             ints = [int(c * common) for c in folded]
@@ -303,11 +298,7 @@ class CyclotomicNumber:
         t %= self.r
         if gcd(t, self.r) != 1:
             raise NonInvertible(f"{t} is not a unit modulo {self.r}")
-        vec = [0] * self.r
-        for i, n in enumerate(self._num):
-            if n:
-                vec[(t * i) % self.r] += n
-        reduced = _reduce_int_vector(self.r, vec)
+        reduced = _reduce_int_vector(self.r, _substitute(self._num, t, self.r))
         return CyclotomicNumber._raw(self.r, reduced, self._den)
 
     def conjugate(self) -> "CyclotomicNumber":
@@ -399,9 +390,7 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 def root_power(r: int, k: int) -> CyclotomicNumber:
     """The root of unity ``zeta_r ** k`` as an exact cyclotomic number."""
     _check_level(r)
-    vec = [0] * r
-    vec[k % r] = 1
-    return CyclotomicNumber(r, vec)
+    return CyclotomicNumber(r, [0] * (k % r) + [1])
 
 
 def gauss_sum(r: int, c: int) -> CyclotomicNumber:
@@ -413,8 +402,114 @@ def gauss_sum(r: int, c: int) -> CyclotomicNumber:
     _check_level(r)
     if c < 1 or r % c != 0:
         raise NotADivisor(f"{c} does not divide {r}")
-    step = r // c
+    return CyclotomicNumber(r, _gauss_vector(r, c))
+
+
+def _gauss_vector(r: int, c: int, t: int = 1) -> list[int]:
+    """The Gauss sum ``g_c`` at ``x = zeta^t`` in ``Z[C_r]``, for ``c | r``.
+
+    That is ``sum_{x=1}^{c} x^(t(r/c)x^2)``; ``g_1 = 1``.
+    """
     vec = [0] * r
     for x in range(1, c + 1):
-        vec[(step * x * x) % r] += 1
-    return CyclotomicNumber(r, vec)
+        vec[t * (r // c) * x * x % r] += 1
+    return vec
+
+
+def _binomial(r: int, a: int) -> list[int]:
+    """``x^a - x^-a`` in ``Z[C_r]`` (zero when ``r | a``)."""
+    vec = [0] * r
+    vec[a % r] += 1
+    vec[-a % r] -= 1
+    return vec
+
+
+def _substitute(vec: Sequence[Rational], u: int, r: int) -> list[Rational]:
+    """``vec(x^u)`` in ``Z[C_r]``: index ``m`` goes to ``u*m mod r``, for any length."""
+    out = [0] * r
+    for m, c in enumerate(vec):
+        if c:
+            out[u * m % r] += c
+    return out
+
+
+# Kronecker substitution: a vector v of length n is the integer
+# sum_i v[i] * X^i with X = 256**width, stored with the bias X/2 in every
+# slot so that signed coefficients pack and unpack through unsigned bytes.
+# Every coefficient must satisfy |v[i]| < X/2.  Because x -> X maps the
+# group ring Z[C_r] onto the integers modulo X^r - 1, packed vectors are
+# multiplied, shifted and added as plain integers with no bound on the
+# intermediate values; only the vector that is finally unpacked needs it.
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most ``bound``."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(n: int, width: int) -> int:
+    """``X/2`` in each of ``n`` slots of ``width`` bytes."""
+    slot = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(slot * n, "little")
+
+
+def _pack(vec: list[int], width: int) -> int:
+    """``vec`` as one integer, ``width`` bytes per slot."""
+    off = 1 << (8 * width - 1)
+    data = b"".join([(v + off).to_bytes(width, "little") for v in vec])
+    return int.from_bytes(data, "little") - _bias(len(vec), width)
+
+
+def _fold(value: int, bits: int) -> int:
+    """``value`` modulo ``2^bits - 1``, in ``[0, 2^bits - 1]``.
+
+    With ``bits = 8 * width * r`` this is ``value`` modulo ``X^r - 1``: the
+    high part, from slot ``r`` on, is added onto the low part until no high
+    part is left.
+    """
+    mask = (1 << bits) - 1
+    while value >> bits:
+        value = (value & mask) + (value >> bits)
+    return value
+
+
+def _unpack(value: int, r: int, width: int) -> list[int]:
+    """The vector of ``Z[C_r]`` that ``value`` packs modulo ``X^r - 1``.
+
+    ``value`` is folded (:func:`_fold`) and taken in the window
+    ``|value| < (X^r - 1)/2``.  Every packed vector with coefficients below
+    ``X/2`` lies in that window, and the window holds one integer of each
+    residue class, so the vector is recovered exactly.
+    """
+    bits = 8 * width * r
+    value = _fold(value, bits)
+    if value > (1 << (bits - 1)) - 1:
+        value -= (1 << bits) - 1
+    off = 1 << (8 * width - 1)
+    data = (value + _bias(r, width)).to_bytes(r * width, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") - off
+        for i in range(0, r * width, width)
+    ]
+
+
+def _ring_mul(*vectors: list[int]) -> list[int]:
+    """The product of ``vectors`` in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``.
+
+    All operands are packed at one slot width and multiplied as integers,
+    each partial product folded modulo ``X^r - 1`` (:func:`_fold`); the
+    product is unpacked once.  A cyclic convolution satisfies
+    ``|(a*b)_k| <= max|a| * sum|b|``, so ``max|v_0| * prod_{i>0} sum|v_i|``
+    bounds every coefficient of the product.  When no operand is zero, the
+    bound is also at least every operand's largest coefficient, so every
+    operand fits in the slots.
+    """
+    r = len(vectors[0])
+    bound = max(map(abs, vectors[0])) * prod(sum(map(abs, v)) for v in vectors[1:])
+    if not bound:
+        return [0] * r
+    width = _slot_width(bound)
+    value = _pack(vectors[0], width)
+    for vec in vectors[1:]:
+        value = _fold(value * _pack(vec, width), 8 * width * r)
+    return _unpack(value, r, width)

@@ -16,9 +16,9 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from .cyclotomic import CyclotomicNumber, gauss_sum, root_power
+from .cyclotomic import CyclotomicNumber, _binomial, gauss_sum, root_power
 from .seifert import SeifertData, linking_matrix, plumbing, signature_counts
-from .wrt import LegData, _check_level_and_unit
+from .wrt import _check_level_and_unit
 
 
 class BudgetExceeded(RuntimeError):
@@ -38,17 +38,9 @@ class LegSumTable:
         return self.values[j % self.r]
 
 
-def _edge_row(r: int, t: int, a: int) -> list[int]:
-    """Coefficients of ``zeta**(2ta) - zeta**(-2ta)`` on ``zeta**0 .. zeta**(r-1)``."""
-    row = [0] * r
-    row[(2 * t * a) % r] += 1
-    row[(-2 * t * a) % r] -= 1
-    return row
-
-
 def _chi(r: int, t: int) -> list[CyclotomicNumber]:
     """Edge weights ``zeta**(2ta) - zeta**(-2ta)`` for ``a`` in ``0..r-1``."""
-    return [CyclotomicNumber(r, _edge_row(r, t, a)) for a in range(r)]
+    return [CyclotomicNumber(r, _binomial(r, 2 * t * a)) for a in range(r)]
 
 
 def _unit_lift(j: int, r: int) -> tuple[int, int]:
@@ -111,7 +103,7 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     t = _check_level_and_unit(r, t)
     framings = tuple(int(m) for m in framings)
     half = range(1, (r + 1) // 2)
-    state = [_edge_row(r, t, y) for y in half]
+    state = [_binomial(r, 2 * t * y) for y in half]
     for m in framings:
         doubled = [(y, row + row) for y, row in zip(half, state) if any(row)]
         new_state = []
@@ -129,49 +121,6 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     rows = [CyclotomicNumber(r, [scale * a for a in row]) for row in state]
     values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
     return LegSumTable(r=r, t=t, framings=framings, values=values)
-
-
-def leg_sum_brute(
-    framings: Sequence[int], r: int, t: int = 1, budget: int = 10**6
-) -> LegSumTable:
-    """The same table as :func:`leg_sum_dp`, by enumerating every coloring.
-
-    Refuses to start when the state space ``r**(len+1)`` exceeds ``budget``.
-    Colorings containing the vanishing color (``y = 0 mod r``) contribute
-    exactly zero and are skipped.
-    """
-    t = _check_level_and_unit(r, t)
-    framings = tuple(int(m) for m in framings)
-    l = len(framings)  # noqa: E741
-    if r ** (l + 1) > budget:
-        raise BudgetExceeded(f"{r}**{l + 1} states exceed the budget {budget}")
-    chi = _chi(r, t)
-    values = []
-    for j in range(r):
-        total = CyclotomicNumber.zero(r)
-        for colors in product(range(1, r), repeat=l):
-            total = total + _chain_term(
-                CyclotomicNumber.one(r), framings, colors, j, chi, r, t
-            )
-        values.append(total)
-    return LegSumTable(r=r, t=t, framings=framings, values=tuple(values))
-
-
-def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
-    """Closed Gauss-sum evaluation of one leg's ``S(j)``.
-
-    ``S(j) = (-2 g_t(r))**l * sf * jac * g_t(c) * F(j)`` where ``g_t`` is the
-    Galois twist by ``t`` of the quadratic Gauss sum and ``F(j)`` collects
-    the (at most two) active branch exponents of the leg.
-    """
-    t = _check_level_and_unit(r, t)
-    unit = ((-2) * gauss_sum(r, r).galois(t)) ** leg.l
-    unit = unit * (leg.sf * leg.jac)
-    unit = unit * gauss_sum(r, leg.c).galois(t)
-    vec = [0] * r
-    for s, e in leg.chi_terms(j):
-        vec[(t * e) % r] += s
-    return unit * CyclotomicNumber(r, vec)
 
 
 def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
@@ -196,7 +145,7 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
 
     # Only the edge weights that are read are built: chi[1] for _close and
     # chi[d] for the divisors d with an active color.
-    chi = {1: CyclotomicNumber(r, _edge_row(r, t, 1))}
+    chi = {1: CyclotomicNumber(r, _binomial(r, 2 * t))}
     central: dict[int, CyclotomicNumber] = {}  # chi[d] ** (2 - n) per divisor d
     total = CyclotomicNumber.zero(r)
     for j in range(1, (r + 1) // 2):
@@ -210,7 +159,7 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
         d, u = _unit_lift(j, r)
         if d not in central:
             if d not in chi:
-                chi[d] = CyclotomicNumber(r, _edge_row(r, t, d))
+                chi[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d))
             central[d] = chi[d] ** (2 - M.n)
         total = total + term * central[d].galois(u)
     return _close(2 * total, pres, r, t, chi)

@@ -4,11 +4,11 @@ For odd ``r >= 3`` this module evaluates the SO(3) invariant ``xi_r`` of
 ``X(p_1/q_1, ..., p_n/q_n)`` exactly in ``Q(zeta_r)`` by a single sum of at
 most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)`` and
 integer exponents assembled from good expansions (no rational Dedekind sums
-appear at evaluation time).  On top of it sit the normalizations
-``tau'_r`` and ``Theta_r``, a simplified evaluator for the all-coprime case,
-a numerical evaluator in the shape of Rozansky's residue formula for
-cross-checks (mpmath only, at 30 digits by default), and the
-circle-bundle-over-the-trefoil-family closed form.
+appear at evaluation time), with its products taken in the group ring
+``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On top of it sit the
+normalizations ``tau'_r`` and ``Theta_r``, a numerical evaluator in the shape
+of Rozansky's residue formula for cross-checks (mpmath only, at 30 digits by
+default), and the circle-bundle-over-the-trefoil-family closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, euler_phi
+from .cyclotomic import (
+    CyclotomicNumber,
+    _bias,
+    _binomial,
+    _gauss_vector,
+    _pack,
+    _ring_mul,
+    _slot_width,
+    _substitute,
+    _unpack,
+    euler_phi,
+)
 from .numtheory import (
     good_expansion,
     jacobi,
@@ -140,102 +151,6 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
-def _gauss_vector(r: int, c: int, t: int) -> list[int]:
-    """The Gauss sum ``g_c`` at ``zeta^t`` in ``Z[C_r]``.
-
-    That is ``sum_{x=1}^{c} x^(t(r/c)x^2)``; ``g_1 = 1``.
-    """
-    step = t * (r // c)
-    vec = [0] * r
-    for x in range(1, c + 1):
-        vec[(step * x * x) % r] += 1
-    return vec
-
-
-# Kronecker substitution: a vector v of length n is the integer
-# sum_i v[i] * X^i with X = 256**width, stored with the bias X/2 in every
-# slot so that signed coefficients pack and unpack through unsigned bytes.
-# Every coefficient must satisfy |v[i]| < X/2.  Because x -> X maps the
-# group ring Z[C_r] onto the integers modulo X^r - 1, packed vectors are
-# multiplied, shifted and added as plain integers with no bound on the
-# intermediate values; only the vector that is finally unpacked needs it.
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per slot for coefficients of absolute value at most ``bound``."""
-    return bound.bit_length() // 8 + 1
-
-
-def _bias(n: int, width: int) -> int:
-    """``X/2`` in each of ``n`` slots of ``width`` bytes."""
-    slot = (1 << (8 * width - 1)).to_bytes(width, "little")
-    return int.from_bytes(slot * n, "little")
-
-
-def _pack(vec: list[int], width: int) -> int:
-    """``vec`` as one integer, ``width`` bytes per slot."""
-    off = 1 << (8 * width - 1)
-    data = b"".join([(v + off).to_bytes(width, "little") for v in vec])
-    return int.from_bytes(data, "little") - _bias(len(vec), width)
-
-
-def _fold(value: int, bits: int) -> int:
-    """``value`` modulo ``2^bits - 1``, in ``[0, 2^bits - 1]``.
-
-    With ``bits = 8 * width * r`` this is ``value`` modulo ``X^r - 1``: the
-    high part, from slot ``r`` on, is added onto the low part until no high
-    part is left.
-    """
-    mask = (1 << bits) - 1
-    while value >> bits:
-        value = (value & mask) + (value >> bits)
-    return value
-
-
-def _unpack(value: int, r: int, width: int) -> list[int]:
-    """The vector of ``Z[C_r]`` that ``value`` packs modulo ``X^r - 1``.
-
-    ``value`` is folded (:func:`_fold`) and taken in the window
-    ``|value| < (X^r - 1)/2``.  Every packed vector with coefficients below
-    ``X/2`` lies in that window, and the window holds one integer of each
-    residue class, so the vector is recovered exactly.
-    """
-    bits = 8 * width * r
-    value = _fold(value, bits)
-    if value > (1 << (bits - 1)) - 1:
-        value -= (1 << bits) - 1
-    off = 1 << (8 * width - 1)
-    data = (value + _bias(r, width)).to_bytes(r * width, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") - off
-        for i in range(0, r * width, width)
-    ]
-
-
-def _ring_mul(*vectors: list[int]) -> list[int]:
-    """The product of ``vectors`` in the group ring ``Z[C_r] = Z[x]/(x^r - 1)``.
-
-    All operands are packed at one slot width and multiplied as integers,
-    each partial product folded modulo ``X^r - 1`` (:func:`_fold`); the
-    product is unpacked once.  A cyclic convolution satisfies
-    ``|(a*b)_k| <= max|a| * sum|b|``, so ``max|v_0| * prod_{i>0} sum|v_i|``
-    bounds every coefficient of the product.  When no operand is zero, the
-    bound is also at least every operand's largest coefficient, so every
-    operand fits in the slots.
-    """
-    r = len(vectors[0])
-    bound = max(map(abs, vectors[0])) * math.prod(
-        sum(map(abs, vec)) for vec in vectors[1:]
-    )
-    if not bound:
-        return [0] * r
-    width = _slot_width(bound)
-    value = _pack(vectors[0], width)
-    for vec in vectors[1:]:
-        value = _fold(value * _pack(vec, width), 8 * width * r)
-    return _unpack(value, r, width)
-
-
 def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``.
 
@@ -261,8 +176,9 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     ``c | r - d`` because ``c | r``; the sign flips, and the exponent
     ``-pc_prime*q*d*(d/c) - p_star*(q_star - 2j)`` is unchanged modulo ``r``
     because ``(r - d)(r/c - d/c) = d*(d/c)`` modulo ``r`` when ``c`` divides
-    ``d`` and ``r``.  Each leg factor is thus odd; in :func:`xi_all_coprime`
-    the quadratic factor is even and the ``n`` leg binomials are odd.
+    ``d`` and ``r``.  Each leg factor is thus odd; in the all-coprime
+    restatement (``xi_all_coprime`` in ``tests/test_wrt.py``) the quadratic
+    factor is even and the ``n`` leg binomials are odd.
 
     The sum is accumulated as one Kronecker-packed integer.  For a unit
     ``j`` with inverse ``u``, ``D~(x^j)`` holds ``D~[u k]`` at index ``k``;
@@ -282,9 +198,7 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     if n > 2:
         base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
     else:
-        base, power, den = [0] * r, 2 - n, 1
-        base[(2 * t) % r] += 1
-        base[(-2 * t) % r] -= 1
+        base, power, den = _binomial(r, 2 * t), 2 - n, 1
     central = _ring_mul([1] + [0] * (r - 1), *[base] * power)
     parity = (-1) ** n
     sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
@@ -303,16 +217,12 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     width = _slot_width(count * sum(map(abs, sym)))
     bits, off, bias = 8 * width, 1 << (8 * width - 1), _bias(r, width)
     repeated = [(c + off).to_bytes(width, "little") for c in sym] * (r // 2)
-    support = [(m, c) for m, c in enumerate(sym) if c]
     acc = 0
     for j, u, fs in colors:
         if u:
             packed = int.from_bytes(b"".join(repeated[: r * u : u]), "little") - bias
         else:
-            vec = [0] * r
-            for m, c in support:
-                vec[j * m % r] += c
-            packed = _pack(vec, width)
+            packed = _pack(_substitute(sym, j, r), width)
         sign, shift = 1, 0
         for (s0, e0), *rest in fs:
             sign *= s0
@@ -489,42 +399,6 @@ def _theta_is_integral(xi: CyclotomicNumber, nu: int) -> bool:
     """
     num, den = xi.integer_coefficients()
     return den == 1 and all(n % 2**nu == 0 for n in num)
-
-
-def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
-    """``xi_r`` at ``A = zeta**(1/4 mod r)`` when every ``p_k`` is coprime to ``r``.
-
-    A streamlined restatement of the general formula: all Gauss sums of
-    composite conductor disappear and the per-leg data reduces to inverses
-    modulo ``r``.  Raises :class:`HypothesisViolated` when some
-    ``gcd(p_k, r) > 1``.
-    """
-    t = _check_level_and_unit(r, None)
-    tops = top_invariants(M)
-    for p, _ in M.legs:
-        if gcd(p, r) != 1:
-            raise HypothesisViolated(f"leg numerator {p} shares a factor with {r}")
-    P_prime = mod_inverse(tops.P, r)
-    exponent = (
-        -3 * tops.sign_H_over_P
-        + P_prime * tops.H
-        + sum(s_surd_residue(p, q, r) for p, q in M.legs)
-    )
-    scalar = jacobi(abs(tops.P), r) * tops.sign_P
-    if ((r + 1) // 2) % 2 == 1:
-        scalar *= -tops.sign_H_over_P + 1 - tops.sign_H_abs
-
-    quad = (P_prime * tops.H) % r
-    p_primes = [mod_inverse(p, r) for p, _ in M.legs]
-
-    def factors(j):
-        return [((1, -quad * j * j),)] + [
-            ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
-        ]
-
-    return _evaluate(
-        r, t, exponent, scalar, tops.sign_H_abs, (), _color_sum(r, t, M.n, factors)
-    )
 
 
 def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 import pytest
@@ -15,7 +16,9 @@ from seifertwrt.cyclotomic import (
     InvalidLevel,
     LevelMismatch,
     NotADivisor,
+    _binomial,
     _divmod_monic,
+    _gauss_vector,
     _reduce_int_vector,
     cyclotomic_polynomial,
     euler_phi,
@@ -214,6 +217,25 @@ def test_cyclotomic_imports_no_route_module():
             assert not forbidden & {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[-1] in forbidden for a in node.names)
+
+
+@pytest.mark.parametrize("r", [9, 15, 45])
+def test_gauss_vector_is_the_twisted_gauss_sum(r):
+    # The closed formula reads g_c at zeta^t straight off Z[C_r]; the oracle
+    # twists the reduced gauss_sum.  Every conductor c | r and every unit t,
+    # negative ones included, since the formula also reads g_r at zeta^-t.
+    for c in [d for d in range(1, r + 1) if r % d == 0]:
+        g = gauss_sum(r, c)
+        for t in range(1 - r, r):
+            if gcd(t, r) == 1:
+                twisted = CyclotomicNumber(r, _gauss_vector(r, c, t))
+                assert twisted == g.galois(t), (r, c, t)
+
+
+@given(levels, st.integers(-60, 60))
+def test_binomial_is_the_difference_of_roots(r, a):
+    expected = root_power(r, a) - root_power(r, -a)
+    assert CyclotomicNumber(r, _binomial(r, a)) == expected
 
 
 @given(levels, st.integers(-30, 30))

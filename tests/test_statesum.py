@@ -1,23 +1,77 @@
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import manifold
-from seifertwrt.cyclotomic import CyclotomicNumber
+from seifertwrt.cyclotomic import CyclotomicNumber, gauss_sum
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
-    leg_sum_brute,
-    leg_sum_closed,
+    _chain_term,
+    _chi,
     leg_sum_dp,
     xi_statesum,
     xi_statesum_brute,
 )
-from seifertwrt.wrt import TREFOIL_ZERO, HypothesisViolated, LegData, leg_data
+from seifertwrt.wrt import (
+    TREFOIL_ZERO,
+    HypothesisViolated,
+    LegData,
+    _check_level_and_unit,
+    leg_data,
+)
+
+# -- reference routes: per-leg tables by enumeration and by Gauss sums --------
+
+
+def leg_sum_brute(
+    framings: Sequence[int], r: int, t: int = 1, budget: int = 10**6
+) -> LegSumTable:
+    """The same table as :func:`leg_sum_dp`, by enumerating every coloring.
+
+    Refuses to start when the state space ``r**(len+1)`` exceeds ``budget``.
+    Colorings containing the vanishing color (``y = 0 mod r``) contribute
+    exactly zero and are skipped.
+    """
+    t = _check_level_and_unit(r, t)
+    framings = tuple(int(m) for m in framings)
+    l = len(framings)  # noqa: E741
+    if r ** (l + 1) > budget:
+        raise BudgetExceeded(f"{r}**{l + 1} states exceed the budget {budget}")
+    chi = _chi(r, t)
+    values = []
+    for j in range(r):
+        total = CyclotomicNumber.zero(r)
+        for colors in product(range(1, r), repeat=l):
+            total = total + _chain_term(
+                CyclotomicNumber.one(r), framings, colors, j, chi, r, t
+            )
+        values.append(total)
+    return LegSumTable(r=r, t=t, framings=framings, values=tuple(values))
+
+
+def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
+    """Closed Gauss-sum evaluation of one leg's ``S(j)``.
+
+    ``S(j) = (-2 g_t(r))**l * sf * jac * g_t(c) * F(j)`` where ``g_t`` is the
+    Galois twist by ``t`` of the quadratic Gauss sum and ``F(j)`` collects
+    the (at most two) active branch exponents of the leg.
+    """
+    t = _check_level_and_unit(r, t)
+    unit = ((-2) * gauss_sum(r, r).galois(t)) ** leg.l
+    unit = unit * (leg.sf * leg.jac)
+    unit = unit * gauss_sum(r, leg.c).galois(t)
+    vec = [0] * r
+    for s, e in leg.chi_terms(j):
+        vec[(t * e) % r] += s
+    return unit * CyclotomicNumber(r, vec)
+
 
 small_chains = st.lists(st.integers(-3, 4), min_size=1, max_size=2)
 coprime_legs = st.tuples(
@@ -201,7 +255,7 @@ def _all_colors_statesum(M, r, t):
     """The oracle's color sum over every ``j`` with a per-color central power,
     from enumerated leg tables: no symmetry and no Galois twist."""
     from seifertwrt.seifert import plumbing
-    from seifertwrt.statesum import _chi, _close
+    from seifertwrt.statesum import _close
 
     pres = plumbing(M)
     tables = [leg_sum_brute(chain, r, t) for chain in pres.chains]
@@ -270,7 +324,7 @@ def test_statesum_contracts_each_distinct_chain_once(monkeypatch):
     assert xi_statesum(M, 7) == xi and len(calls) == 4
 
 
-def test_statesum_imports_only_leg_data_and_validator_from_wrt():
+def test_statesum_imports_only_the_validator_from_wrt():
     # The oracle must not reach the closed formula's evaluation core.
     import ast
     import inspect
@@ -287,7 +341,26 @@ def test_statesum_imports_only_leg_data_and_validator_from_wrt():
                 assert "wrt" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[-1] == "wrt" for a in node.names)
-    assert names == {"LegData", "_check_level_and_unit"}
+    assert names == {"_check_level_and_unit"}
+
+
+def test_statesum_twists_its_own_gauss_sum():
+    # The oracle shares the plain builders of cyclotomic with the closed
+    # formula, never the formula's twisted Gauss vector.
+    import ast
+    import inspect
+
+    import seifertwrt.statesum as statesum
+
+    tree = ast.parse(inspect.getsource(statesum))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "cyclotomic"
+        for alias in node.names
+    }
+    assert "gauss_sum" in names and "_gauss_vector" not in names
 
 
 @pytest.mark.parametrize("spec,r", [("X(2/1,5/2,-7/3)", 9), ("X(3/1,5/2,-7/3)", 15)])

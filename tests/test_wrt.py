@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from _corpus import SAMPLE_SPECS, get_xi_formula, get_xi_oracle, manifold
 from seifertwrt import wrt
-from seifertwrt.cyclotomic import CyclotomicNumber, root_power
-from seifertwrt.numtheory import mod_inverse
+from seifertwrt.cyclotomic import CyclotomicNumber, _ring_mul, root_power
+from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
 from seifertwrt.seifert import SeifertData, top_invariants
 from seifertwrt.statesum import xi_statesum
 from seifertwrt.wrt import (
@@ -21,14 +21,12 @@ from seifertwrt.wrt import (
     InvariantResult,
     _central_inverse,
     _color_sum,
-    _ring_mul,
     _theta_is_integral,
     leg_data,
     tau_prime,
     tau_rozansky_numeric,
     tref_closed_form,
     tref_xi_closed,
-    xi_all_coprime,
     xi_closed_form,
 )
 
@@ -46,6 +44,43 @@ ORACLE_FROZEN = {
     ("X(2/1,3/1,5/1,7/1)", 11, 1): ((-5, -4, 0, -3, -3, -3, 0, -3, -3, 0), 1),
     ("X(-5/3)", 7, 2): ((0, 0, 1, 1, 0, 0), 1),
 }
+
+
+def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
+    """``xi_r`` at ``A = zeta**(1/4 mod r)`` when every ``p_k`` is coprime to ``r``.
+
+    The paper's all-coprime restatement of the general formula: all Gauss
+    sums of composite conductor disappear and the per-leg data reduces to
+    inverses modulo ``r``.  It runs through the same ``wrt._evaluate`` and
+    ``wrt._color_sum`` as :func:`xi_closed_form`, called through the module
+    so that a spy on ``wrt._color_sum`` sees its calls.  Raises
+    :class:`HypothesisViolated` when some ``gcd(p_k, r) > 1``.
+    """
+    t = wrt._check_level_and_unit(r, None)
+    tops = top_invariants(M)
+    for p, _ in M.legs:
+        if gcd(p, r) != 1:
+            raise HypothesisViolated(f"leg numerator {p} shares a factor with {r}")
+    P_prime = mod_inverse(tops.P, r)
+    exponent = (
+        -3 * tops.sign_H_over_P
+        + P_prime * tops.H
+        + sum(s_surd_residue(p, q, r) for p, q in M.legs)
+    )
+    scalar = jacobi(abs(tops.P), r) * tops.sign_P
+    if ((r + 1) // 2) % 2 == 1:
+        scalar *= -tops.sign_H_over_P + 1 - tops.sign_H_abs
+
+    quad = (P_prime * tops.H) % r
+    p_primes = [mod_inverse(p, r) for p, _ in M.legs]
+
+    def factors(j):
+        return [((1, -quad * j * j),)] + [
+            ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
+        ]
+
+    color_sum = wrt._color_sum(r, t, M.n, factors)
+    return wrt._evaluate(r, t, exponent, scalar, tops.sign_H_abs, (), color_sum)
 
 
 def test_formula_reproduces_frozen_oracle_values():
