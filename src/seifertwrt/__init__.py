@@ -5,122 +5,25 @@ The package computes ``xi_r``, ``tau'_r`` and ``Theta_r`` of
 formulas evaluated in exact cyclotomic arithmetic, and verifies them against
 an independent plumbing state-sum contraction, against a numerical residue
 formula, and against algebraic-integrality predictions.
+
+The names below are the library's entry points; everything else is imported
+from its defining module, e.g. ``from seifertwrt.cyclotomic import gauss_sum``.
 """
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    DivisionByZero,
-    InvalidLevel,
-    LevelMismatch,
-    NotADivisor,
-    cyclotomic_polynomial,
-    euler_phi,
-    gauss_sum,
-    root_power,
-)
-from .numtheory import (
-    BezoutPair,
-    GoodExpansion,
-    IndexOutOfRange,
-    InvalidModulus,
-    NonInvertible,
-    NotCoprime,
-    ZeroNumerator,
-    dedekind_sum,
-    good_expansion,
-    jacobi,
-    mod_inverse,
-    partial_numerator,
-    s_surd_residue,
-    sign,
-    star_pair,
-)
-from .seifert import (
-    ParseError,
-    PlumbingPresentation,
-    SeifertData,
-    TopInvariants,
-    ZeroEntry,
-    b_counts_closed_form,
-    linking_matrix,
-    parse_manifold,
-    parse_normalize,
-    plumbing,
-    signature_counts,
-    top_invariants,
-)
-from .statesum import (
-    BudgetExceeded,
-    LegSumTable,
-    leg_sum_dp,
-    xi_statesum,
-    xi_statesum_brute,
-)
-from .wrt import (
-    TREFOIL_ZERO,
-    HypothesisViolated,
-    InvariantResult,
-    LegData,
-    leg_data,
-    tau_prime,
-    tau_rozansky_numeric,
-    tref_closed_form,
-    tref_xi_closed,
-    xi_closed_form,
-)
+from .cyclotomic import CyclotomicNumber
+from .numtheory import good_expansion
+from .seifert import parse_manifold
+from .statesum import xi_statesum
+from .wrt import tau_prime, tau_rozansky_numeric, xi_closed_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BezoutPair",
-    "BudgetExceeded",
     "CyclotomicNumber",
-    "DivisionByZero",
-    "GoodExpansion",
-    "HypothesisViolated",
-    "IndexOutOfRange",
-    "InvalidLevel",
-    "InvalidModulus",
-    "InvariantResult",
-    "LegData",
-    "LegSumTable",
-    "LevelMismatch",
-    "NonInvertible",
-    "NotADivisor",
-    "NotCoprime",
-    "ParseError",
-    "PlumbingPresentation",
-    "SeifertData",
-    "TREFOIL_ZERO",
-    "TopInvariants",
-    "ZeroEntry",
-    "ZeroNumerator",
-    "b_counts_closed_form",
-    "cyclotomic_polynomial",
-    "dedekind_sum",
-    "euler_phi",
-    "gauss_sum",
     "good_expansion",
-    "jacobi",
-    "leg_data",
-    "leg_sum_dp",
-    "linking_matrix",
-    "mod_inverse",
     "parse_manifold",
-    "parse_normalize",
-    "partial_numerator",
-    "plumbing",
-    "root_power",
-    "s_surd_residue",
-    "sign",
-    "signature_counts",
-    "star_pair",
     "tau_prime",
     "tau_rozansky_numeric",
-    "top_invariants",
-    "tref_closed_form",
-    "tref_xi_closed",
     "xi_closed_form",
     "xi_statesum",
-    "xi_statesum_brute",
 ]

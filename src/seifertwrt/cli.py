@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from math import gcd
 from time import perf_counter
 
@@ -61,49 +60,33 @@ FAULT_NAMES = ("flip-oracle-sign",)
 # Waiting twice that long keeps such requests, with room for the machine's
 # speed drift, in this process, and costs a long request at most this long.
 CHILD_START_S = 0.020
+# How a record is laid out: its CSV columns and its text line, each followed
+# by the checks, whose results both formats spell as CHECK_STATES does.
+CSV_COLUMNS = ("manifold", "r", "t", "nu", "b_plus", "b_minus", "tau_re", "tau_im",
+               "xi_integral", "theta_integral", "xi")
+CHECK_STATES = {None: "skip", True: "pass", False: "FAIL"}
+TEXT_LINE = ("{manifold} r={r} t={t}: tau'={tau_re:+.9f}{tau_im:+.9f}i nu={nu} "
+             "b+={b_plus} b-={b_minus} xi[{xi_str}] integral(xi)={xi_integral} "
+             "integral(theta)={theta_integral}")
 
 
-@dataclass
-class OutputRecord:
-    """One line of CLI output, format-independent."""
-
-    manifold: str
-    r: int
-    t: int
-    nu: int
-    b_plus: int
-    b_minus: int
-    xi: list[list[int]]  # basis coefficients as [numerator, denominator] pairs
-    xi_str: str
-    tau_re: float
-    tau_im: float
-    xi_integral: bool
-    theta_integral: bool
-    checks: dict[str, bool | None] = field(default_factory=dict)
-
-    def to_json_line(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
-
-    def failed(self) -> bool:
-        return any(v is False for v in self.checks.values())
-
-
-def _record(res: InvariantResult, checks: dict[str, bool | None]) -> OutputRecord:
-    return OutputRecord(
-        manifold=str(res.manifold),
-        r=res.r,
-        t=res.t,
-        nu=res.nu,
-        b_plus=res.b_plus,
-        b_minus=res.b_minus,
-        xi=_xi_pairs(res.xi),
-        xi_str=str(res.xi),
-        tau_re=float(res.tau.real),
-        tau_im=float(res.tau.imag),
-        xi_integral=res.xi_is_integral,
-        theta_integral=res.theta_is_integral,
-        checks=checks,
-    )
+def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
+    """One output record: the object a ``--format json`` line serializes."""
+    return {
+        "manifold": str(res.manifold),
+        "r": res.r,
+        "t": res.t,
+        "nu": res.nu,
+        "b_plus": res.b_plus,
+        "b_minus": res.b_minus,
+        "xi": _xi_pairs(res.xi),
+        "xi_str": str(res.xi),
+        "tau_re": float(res.tau.real),
+        "tau_im": float(res.tau.imag),
+        "xi_integral": res.xi_is_integral,
+        "theta_integral": res.theta_is_integral,
+        "checks": checks,
+    }
 
 
 def _xi_pairs(xi: CyclotomicNumber) -> list[list[int]]:
@@ -119,7 +102,7 @@ def _tau_record(
     want_oracle: bool,
     want_rozansky: bool,
     precision: int | None,
-) -> OutputRecord:
+) -> dict:
     M = parse_manifold(spec)
     checks: dict[str, bool | None] = {}
     result = tau_prime(M, r, precision=precision, t=t)
@@ -146,7 +129,7 @@ def _tau_record(
     return _record(result, checks)
 
 
-def _run_share(tasks: list[tuple]) -> tuple[list[OutputRecord], Exception | None]:
+def _run_share(tasks: list[tuple]) -> tuple[list[dict], Exception | None]:
     """The records of ``tasks`` in order, up to the first error, and that error."""
     records = []
     for task in tasks:
@@ -163,7 +146,7 @@ def _send_share(conn, tasks: list[tuple]) -> None:
         conn.send(_run_share(tasks))
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list[OutputRecord]:
+def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     """``_tau_record`` over ``tasks`` in ``jobs`` processes, this one included.
 
     ``_cmd_tau`` calls this only for the records left once a request has run
@@ -247,69 +230,29 @@ def _parse_levels(args) -> list[int]:
     return sorted(levels)
 
 
-def _emit(records: list[OutputRecord], fmt: str, out) -> None:
+def _emit(records: list[dict], fmt: str, out) -> None:
+    """Write ``records`` as JSON lines, one CSV table or one text line each."""
     if fmt == "json":
         for rec in records:
-            out.write(rec.to_json_line() + "\n")
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
         return
+    check_names = sorted({name for rec in records for name in rec["checks"]})
     if fmt == "csv":
-        check_names = sorted({name for rec in records for name in rec.checks})
         writer = csv.writer(out)
-        writer.writerow(
-            [
-                "manifold",
-                "r",
-                "t",
-                "nu",
-                "b_plus",
-                "b_minus",
-                "tau_re",
-                "tau_im",
-                "xi_integral",
-                "theta_integral",
-                "xi",
-            ]
-            + [f"check_{name}" for name in check_names]
-        )
+        writer.writerow([*CSV_COLUMNS, *(f"check_{name}" for name in check_names)])
         for rec in records:
-            xi_field = ";".join(f"{n}/{d}" for n, d in rec.xi)
-            row = [
-                rec.manifold,
-                rec.r,
-                rec.t,
-                rec.nu,
-                rec.b_plus,
-                rec.b_minus,
-                repr(rec.tau_re),
-                repr(rec.tau_im),
-                rec.xi_integral,
-                rec.theta_integral,
-                xi_field,
-            ]
-            for name in check_names:
-                value = rec.checks.get(name)
-                row.append("skip" if value is None else ("pass" if value else "FAIL"))
-            writer.writerow(row)
+            cells = {**rec, "xi": ";".join(f"{n}/{d}" for n, d in rec["xi"])}
+            writer.writerow([*(cells[name] for name in CSV_COLUMNS),
+                             *(CHECK_STATES[rec["checks"].get(name)]
+                               for name in check_names)])
         return
-    # text
     for rec in records:
-        bits = [
-            f"{rec.manifold} r={rec.r} t={rec.t}:",
-            f"tau'={rec.tau_re:+.9f}{rec.tau_im:+.9f}i",
-            f"nu={rec.nu}",
-            f"b+={rec.b_plus}",
-            f"b-={rec.b_minus}",
-            f"xi[{rec.xi_str}]",
-            f"integral(xi)={rec.xi_integral}",
-            f"integral(theta)={rec.theta_integral}",
-        ]
-        for name, value in sorted(rec.checks.items()):
-            state = "skip" if value is None else ("pass" if value else "FAIL")
-            bits.append(f"{name}={state}")
-        out.write(" ".join(bits) + "\n")
+        states = (f"{name}={CHECK_STATES[value]}"
+                  for name, value in sorted(rec["checks"].items()))
+        out.write(" ".join([TEXT_LINE.format_map(rec), *states]) + "\n")
 
 
-def _cmd_tau(args, out) -> int:
+def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
     tasks = [
         (spec, r, args.t, args.oracle, args.rozansky, args.precision)
@@ -325,11 +268,10 @@ def _cmd_tau(args, out) -> int:
             records += _run_tasks(tasks[i:], jobs)
             break
         records.append(_tau_record(*task))
-    _emit(records, args.format, out)
-    return 1 if any(rec.failed() for rec in records) else 0
+    return records
 
 
-def _cmd_tref_table(args, out) -> int:
+def _cmd_tref_table(args) -> list[dict]:
     levels = _parse_levels(args)
     records = []
     for r in levels:
@@ -339,11 +281,10 @@ def _cmd_tref_table(args, out) -> int:
         general = xi_closed_form(TREFOIL_ZERO, r, res.t)
         checks = {"closed_matches_general": res.xi == general}
         records.append(_record(res, checks))
-    _emit(records, args.format, out)
-    return 1 if any(rec.failed() for rec in records) else 0
+    return records
 
 
-def _cmd_integrality_scan(args, out) -> int:
+def _cmd_integrality_scan(args) -> list[dict]:
     levels = _parse_levels(args)
     records = []
     for spec in args.manifolds:
@@ -351,12 +292,18 @@ def _cmd_integrality_scan(args, out) -> int:
         for r in levels:
             coprime_legs = sum(1 for p, _ in M.legs if gcd(p, r) == 1)
             hypothesis = coprime_legs >= M.n - 2
-            res = tau_prime(M, r)
+            res = tau_prime(M, r, precision=args.precision)
             required = res.theta_is_integral if res.nu else res.xi_is_integral
             checks = {"integrality": required if hypothesis else None}
             records.append(_record(res, checks))
-    _emit(records, args.format, out)
-    return 1 if any(rec.failed() for rec in records) else 0
+    return records
+
+
+RECORD_COMMANDS = {
+    "tau": _cmd_tau,
+    "tref-table": _cmd_tref_table,
+    "integrality-scan": _cmd_integrality_scan,
+}
 
 
 def _random_manifold(rng: random.Random) -> SeifertData:
@@ -474,23 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "tau":
-            return _cmd_tau(args, out)
-        if args.command == "tref-table":
-            return _cmd_tref_table(args, out)
-        if args.command == "integrality-scan":
-            return _cmd_integrality_scan(args, out)
         if args.command == "selftest":
             return _cmd_selftest(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        records = RECORD_COMMANDS[args.command](args)
+        _emit(records, args.format, out)
     except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    failed = any(value is False for rec in records for value in rec["checks"].values())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

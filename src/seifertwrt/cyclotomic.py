@@ -295,7 +295,6 @@ class CyclotomicNumber:
 
     def galois(self, t: int) -> "CyclotomicNumber":
         """Apply the field automorphism ``zeta -> zeta**t`` (``gcd(t, r) = 1``)."""
-        t %= self.r
         if gcd(t, self.r) != 1:
             raise NonInvertible(f"{t} is not a unit modulo {self.r}")
         reduced = _reduce_int_vector(self.r, _substitute(self._num, t, self.r))

@@ -25,23 +25,24 @@ from _corpus import (
     get_xi_oracle,
     manifold,
 )
-from seifertwrt import (
-    BudgetExceeded,
-    HypothesisViolated,
+from seifertwrt.cli import main as cli_main
+from seifertwrt.seifert import (
     b_counts_closed_form,
     linking_matrix,
     plumbing,
     signature_counts,
+    top_invariants,
+)
+from seifertwrt.statesum import BudgetExceeded, xi_statesum_brute
+from seifertwrt.wrt import (
+    TREFOIL_ZERO,
+    HypothesisViolated,
     tau_prime,
     tau_rozansky_numeric,
-    top_invariants,
     tref_closed_form,
     tref_xi_closed,
     xi_closed_form,
-    xi_statesum_brute,
 )
-from seifertwrt.cli import main as cli_main
-from seifertwrt.wrt import TREFOIL_ZERO
 
 
 def _criterion(label: str, capsys, bound: float | None, body) -> None:

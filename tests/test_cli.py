@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +16,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifertwrt import cli
-from seifertwrt.cli import OutputRecord, _xi_pairs, build_parser, main
+from seifertwrt.cli import _xi_pairs, build_parser, main
 from seifertwrt.cyclotomic import CyclotomicNumber
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+RECORD_KEYS = [
+    "b_minus", "b_plus", "checks", "manifold", "nu", "r", "t", "tau_im", "tau_re",
+    "theta_integral", "xi", "xi_integral", "xi_str",
+]
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """The ``$ seifertwrt ...`` examples of README's "Command line" section.
+
+    Each is its argv and the output lines shown under it; a first line
+    ``...`` stands for lines left out.
+    """
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("\n$ seifertwrt ")[1:]:
+        command, *lines = block.split("\n")
+        shown = list(itertools.takewhile(
+            lambda line: line and not line.startswith("```"), lines))
+        examples.append((shlex.split(command), shown))
+    return examples
+
+
+def test_readme_command_line_examples(capsys):
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["tau", "tau", "tref-table", "selftest"]
+    for argv, shown in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if shown[0] == "...":
+            assert out.endswith("\n" + "\n".join(shown[1:]) + "\n"), argv
+        else:
+            assert out == "\n".join(shown) + "\n", argv
+
+
+def test_tau_failed_check_exits_one(capsys, monkeypatch):
+    # An oracle that disagrees everywhere; the residue form needs a prime
+    # level, so it is skipped at r = 9.
+    real = cli.xi_statesum
+    monkeypatch.setattr(cli, "xi_statesum", lambda M, r, t: -real(M, r, t))
+    argv = ["tau", "X(2/1,3/1,9/1)", "--r", "5,9", "--oracle", "--rozansky"]
+    text = (
+        "X(2/1,3/1,9/1) r=5 t=4: tau'=+1.000000000+0.000000000i nu=0 b+=6 b-=1 "
+        "xi[1] integral(xi)=True integral(theta)=True oracle=FAIL rozansky=pass\n"
+        "X(2/1,3/1,9/1) r=9 t=7: tau'=-7.290859369+0.000000000i nu=0 b+=6 b-=1 "
+        "xi[-2 - z + z^2 + 2*z^4 + 3*z^5] integral(xi)=True integral(theta)=True "
+        "oracle=FAIL rozansky=skip\n"
+    )
+    assert run_cli(capsys, *argv) == (1, text, "")
+    table = (
+        "manifold,r,t,nu,b_plus,b_minus,tau_re,tau_im,xi_integral,theta_integral,"
+        "xi,check_oracle,check_rozansky\r\n"
+        '"X(2/1,3/1,9/1)",5,4,0,6,1,1.0,0.0,True,True,1/1;0/1;0/1;0/1,FAIL,pass\r\n'
+        '"X(2/1,3/1,9/1)",9,7,0,6,1,-7.2908593693815895,6.661338147750939e-16,'
+        "True,True,-2/1;-1/1;1/1;0/1;2/1;3/1,FAIL,skip\r\n"
+    )
+    assert run_cli(capsys, *argv, "--format", "csv") == (1, table, "")
 
 
 def test_tau_text_output(capsys):
@@ -54,10 +115,10 @@ def test_tau_json_roundtrip(capsys):
     assert len(lines) == 4
     for line in lines:
         data = json.loads(line)
-        rec = OutputRecord(**data)
-        assert rec.checks["oracle"] is True
-        assert rec.r in (5, 7)
-        assert rec.to_json_line() == json.dumps(data, sort_keys=True)
+        assert sorted(data) == RECORD_KEYS
+        assert data["checks"]["oracle"] is True
+        assert data["r"] in (5, 7)
+        assert line == json.dumps(data, sort_keys=True)
     first = json.loads(lines[0])
     assert first["manifold"] == "X(-2/1,3/1,6/1)"
     assert first["nu"] == 1
@@ -283,6 +344,15 @@ def test_integrality_scan(capsys):
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert len(recs) == 8
     assert all(rec["checks"]["integrality"] in (True, None) for rec in recs)
+
+
+def test_integrality_scan_honours_precision(capsys):
+    argv = ["X(2/1,3/1,7/1)", "--r", "7", "--precision", "50", "--format", "json"]
+    _, scan, _ = run_cli(capsys, "integrality-scan", *argv)
+    _, tau, _ = run_cli(capsys, "tau", *argv)
+    scan, tau = json.loads(scan), json.loads(tau)
+    assert scan["tau_re"] == 2.524458669761153
+    assert {**scan, "checks": {}} == tau
 
 
 def test_selftest_passes(capsys):

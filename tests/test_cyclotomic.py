@@ -331,6 +331,14 @@ def test_galois_on_root():
     z = root_power(7, 1)
     assert z.galois(3) == z**3
     assert (z + z**2).galois(2) == z**2 + z**4
+    assert (z + z**2).galois(2 + 7) == (z + z**2).galois(2)
+    assert (z + z**2).galois(-1) == (z + z**2).galois(6)
+
+
+@pytest.mark.parametrize(("r", "t"), [(7, 14), (7, 0), (9, -3), (9, 12), (15, 25)])
+def test_galois_error_names_the_given_exponent(r, t):
+    with pytest.raises(NonInvertible, match=rf"^{t} is not a unit modulo {r}$"):
+        root_power(r, 1).galois(t)
 
 
 def test_conjugate_is_complex_conjugation():
