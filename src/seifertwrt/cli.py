@@ -23,7 +23,7 @@ import sys
 from math import gcd
 from time import perf_counter
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _check_level
 from .numtheory import mod_inverse
 from .seifert import (
     SeifertData,
@@ -219,14 +219,14 @@ def _parse_levels(args) -> list[int]:
             lo, hi = (int(x) for x in args.r_range.split(":"))
         except ValueError as exc:
             raise ValueError(f"bad --r-range {args.r_range!r}, expected A:B") from exc
-        for r in range(lo, hi + 1):
-            if r % 2 == 1:
-                levels.add(r)
+        odd = range(lo | 1, hi + 1, 2)
+        if not odd:
+            raise ValueError(f"--r-range {args.r_range!r} holds no odd level")
+        levels.update(odd)
     if not levels:
         raise ValueError("no levels given: use --r and/or --r-range")
     for r in levels:
-        if r < 3 or r % 2 == 0:
-            raise ValueError(f"levels must be odd and >= 3, got {r}")
+        _check_level(r)
     return sorted(levels)
 
 

@@ -17,12 +17,16 @@ from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .numtheory import NonInvertible
+from .numtheory import NonInvertible, mod_inverse
 
 Rational = int | Fraction
 
 
-class InvalidLevel(ValueError):
+class HypothesisViolated(ValueError):
+    """Raised when input data violates a formula's standing hypotheses."""
+
+
+class InvalidLevel(HypothesisViolated):
     """Raised when a root-of-unity level is outside the supported domain."""
 
 
@@ -96,9 +100,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(quotient)
 
 
-def _check_level(r: int) -> None:
+def _check_level(r: int, t: int | None = 1) -> int:
+    """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
     if r < 3 or r % 2 == 0:
         raise InvalidLevel(f"level must be odd and >= 3, got {r}")
+    if t is None:
+        return mod_inverse(4, r)
+    if gcd(t, r) != 1:
+        raise HypothesisViolated(f"evaluation parameter {t} is not a unit mod {r}")
+    return t % r
 
 
 def _reduce_int_vector(r: int, vec: list[int]) -> list[int]:
@@ -459,13 +469,18 @@ def _pack(vec: list[int], width: int) -> int:
     return int.from_bytes(data, "little") - _bias(len(vec), width)
 
 
-def _fold(value: int, bits: int) -> int:
-    """``value`` modulo ``2^bits - 1``, in ``[0, 2^bits - 1]``.
+def _rotate(value: int, k: int, r: int, width: int) -> int:
+    """``value`` times ``x^k``, unfolded: a shift by ``k mod r`` slots."""
+    return value << 8 * width * (k % r)
 
-    With ``bits = 8 * width * r`` this is ``value`` modulo ``X^r - 1``: the
-    high part, from slot ``r`` on, is added onto the low part until no high
-    part is left.
+
+def _fold(value: int, r: int, width: int) -> int:
+    """``value`` modulo ``X^r - 1``, in ``[0, X^r - 1]``.
+
+    The high part, from slot ``r`` on, is added onto the low part until no
+    high part is left.
     """
+    bits = 8 * width * r
     mask = (1 << bits) - 1
     while value >> bits:
         value = (value & mask) + (value >> bits)
@@ -481,7 +496,7 @@ def _unpack(value: int, r: int, width: int) -> list[int]:
     residue class, so the vector is recovered exactly.
     """
     bits = 8 * width * r
-    value = _fold(value, bits)
+    value = _fold(value, r, width)
     if value > (1 << (bits - 1)) - 1:
         value -= (1 << bits) - 1
     off = 1 << (8 * width - 1)
@@ -510,5 +525,5 @@ def _ring_mul(*vectors: list[int]) -> list[int]:
     width = _slot_width(bound)
     value = _pack(vectors[0], width)
     for vec in vectors[1:]:
-        value = _fold(value * _pack(vec, width), 8 * width * r)
+        value = _fold(value * _pack(vec, width), r, width)
     return _unpack(value, r, width)

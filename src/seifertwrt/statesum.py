@@ -1,8 +1,8 @@
 """Independent state-sum evaluation of the invariants over plumbing graphs.
 
 This is the package's oracle: it never touches the closed formulas.  Each leg
-chain is contracted by a transfer-matrix dynamic program over raw
-root-of-unity coefficient vectors (or, in the brute variant, by literally
+chain is contracted by a transfer-matrix dynamic program over packed
+elements of the group ring ``Z[C_r]`` (or, in the brute variant, by literally
 enumerating every coloring of the joint state space), the central vertex is
 summed, and the framing anomaly is corrected by the exact signature of the
 integer linking matrix.  Agreement of :func:`xi_statesum` with the closed
@@ -16,9 +16,18 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from .cyclotomic import CyclotomicNumber, _binomial, gauss_sum, root_power
+from .cyclotomic import (
+    CyclotomicNumber,
+    _binomial,
+    _check_level,
+    _fold,
+    _rotate,
+    _slot_width,
+    _unpack,
+    gauss_sum,
+    root_power,
+)
 from .seifert import SeifertData, linking_matrix, plumbing, signature_counts
-from .wrt import _check_level_and_unit
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,7 +74,7 @@ def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
     return term * chi[(prev * j) % r]
 
 
-def _close(total: CyclotomicNumber, pres, r: int, t: int, chi) -> CyclotomicNumber:
+def _close(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
     """``xi`` from the color sum ``total``: normalization and framing correction.
 
     With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
@@ -74,11 +83,12 @@ def _close(total: CyclotomicNumber, pres, r: int, t: int, chi) -> CyclotomicNumb
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
     s_+^-b_+ s_-^-b_-`` is the single quotient
     ``zeta^(t(3(b_+ - b_-) - framing_total)) / (c^(b_0+1) g^b_+ conj(g)^b_-
-    (-2)^b_+ 2^b_-)``; ``c`` is ``chi[1]`` of the edge-weight table.
+    (-2)^b_+ 2^b_-)``.
     """
     b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
+    c = CyclotomicNumber(r, _binomial(r, 2 * t))
     g = gauss_sum(r, r).galois(t)
-    den = chi[1] ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
+    den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
     den = den * ((-2) ** b_plus * 2**b_minus)
     phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
     return total * phase / den
@@ -87,38 +97,36 @@ def _close(total: CyclotomicNumber, pres, r: int, t: int, chi) -> CyclotomicNumb
 def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     """Contract a chain of framed vertices by a transfer dynamic program.
 
-    ``state[y]`` holds the partial sum over all colorings of the already
-    contracted vertices whose outgoing edge carries color ``y``, as a raw
-    integer vector of coefficients of ``zeta**k``.  One step per framing:
-    multiply by the vertex phase ``zeta**(t*m*y^2)`` and convolve with the
-    edge weight ``zeta**(2txy) - zeta**(-2txy)``.
+    ``state[y]`` is the partial sum over all colorings of the contracted
+    vertices whose outgoing edge carries color ``y``, one packed element of
+    ``Z[C_r]``.  A step multiplies it by the vertex phase ``zeta**(t*m*y^2)``
+    and the edge weight ``zeta**(2txy) - zeta**(-2txy)``: two rotations.
 
     Every step keeps ``state[-y] = -state[y]`` (the phase is even in ``y``,
     the edge weight odd), so only the rows ``0 < y < r/2`` are stored; the
     colors ``y`` and ``-y`` contribute equally to each new row, so the sum
     runs over ``y < r/2`` and the factor 2 per step is applied at the end.
-    A rotation of a row is one slice of the row written twice.  Exact,
-    ``O(len * r^3 / 4)`` integer additions.
+    ``sum|state[y]|`` starts at 2 and each step multiplies it by at most
+    ``r - 1``, so ``2(r-1)^len`` bounds every coefficient.  Exact, with
+    ``len * (r-1)^2 / 2`` rotations.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     framings = tuple(int(m) for m in framings)
+    width = _slot_width(2 * (r - 1) ** len(framings))
     half = range(1, (r + 1) // 2)
-    state = [_binomial(r, 2 * t * y) for y in half]
+    state = [_rotate(1, 2 * t * y, r, width) - _rotate(1, -2 * t * y, r, width)
+             for y in half]
     for m in framings:
-        doubled = [(y, row + row) for y, row in zip(half, state) if any(row)]
-        new_state = []
-        for x in half:
-            acc = [0] * r
-            for y, twice in doubled:
-                phase = t * m * y * y
-                plus = r - (phase + 2 * t * x * y) % r
-                minus = r - (phase - 2 * t * x * y) % r
-                plus_row, minus_row = twice[plus : plus + r], twice[minus : minus + r]
-                acc = [a + p - q for a, p, q in zip(acc, plus_row, minus_row)]
-            new_state.append(acc)
-        state = new_state
+        edges = [(t * m * y * y, 2 * t * y, row) for y, row in zip(half, state)]
+        state = [
+            _fold(sum(_rotate(row, phase + x * s, r, width)
+                      - _rotate(row, phase - x * s, r, width)
+                      for phase, s, row in edges), r, width)
+            for x in half
+        ]
     scale = 2 ** len(framings)
-    rows = [CyclotomicNumber(r, [scale * a for a in row]) for row in state]
+    rows = [CyclotomicNumber(r, [scale * a for a in _unpack(row, r, width)])
+            for row in state]
     values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
     return LegSumTable(r=r, t=t, framings=framings, values=values)
 
@@ -134,35 +142,24 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     (``d = gcd(j, r)``, ``u`` a unit) is the Galois twist ``sigma_u`` of the
     power at ``d``, so ``n >= 3`` legs take one inverse per divisor ``d``.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     pres = plumbing(M)
-    tables: dict[tuple[int, ...], LegSumTable] = {}
-    leg_tables = []
-    for chain in pres.chains:
-        if chain not in tables:
-            tables[chain] = leg_sum_dp(chain, r, t)
-        leg_tables.append(tables[chain])
-
-    # Only the edge weights that are read are built: chi[1] for _close and
-    # chi[d] for the divisors d with an active color.
-    chi = {1: CyclotomicNumber(r, _binomial(r, 2 * t))}
+    tables = {chain: leg_sum_dp(chain, r, t) for chain in set(pres.chains)}
     central: dict[int, CyclotomicNumber] = {}  # chi[d] ** (2 - n) per divisor d
     total = CyclotomicNumber.zero(r)
     for j in range(1, (r + 1) // 2):
         term = CyclotomicNumber.one(r)
-        for table in leg_tables:
-            term = term * table.value(j)
+        for chain in pres.chains:
+            term = term * tables[chain].value(j)
             if term.is_zero():
                 break
         if term.is_zero():
             continue
         d, u = _unit_lift(j, r)
         if d not in central:
-            if d not in chi:
-                chi[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d))
-            central[d] = chi[d] ** (2 - M.n)
+            central[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d)) ** (2 - M.n)
         total = total + term * central[d].galois(u)
-    return _close(2 * total, pres, r, t, chi)
+    return _close(2 * total, pres, r, t)
 
 
 def xi_statesum_brute(
@@ -176,7 +173,7 @@ def xi_statesum_brute(
     ``budget``.  Colorings containing the vanishing color contribute exactly
     zero and are skipped.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     pres = plumbing(M)
     total_l = sum(len(chain) for chain in pres.chains)
     if r ** (1 + total_l) > budget:
@@ -198,4 +195,4 @@ def xi_statesum_brute(
             for chain, (lo, hi) in zip(pres.chains, slices):
                 term = _chain_term(term, chain, colors[lo:hi], j, chi, r, t)
             total = total + term
-    return _close(total, pres, r, t, chi)
+    return _close(total, pres, r, t)

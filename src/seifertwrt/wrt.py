@@ -20,11 +20,14 @@ from math import gcd
 
 from .cyclotomic import (
     CyclotomicNumber,
+    HypothesisViolated,
     _bias,
     _binomial,
+    _check_level,
     _gauss_vector,
     _pack,
     _ring_mul,
+    _rotate,
     _slot_width,
     _substitute,
     _unpack,
@@ -39,10 +42,6 @@ from .numtheory import (
     star_pair,
 )
 from .seifert import SeifertData, b_counts_closed_form, top_invariants
-
-
-class HypothesisViolated(ValueError):
-    """Raised when input data violates a formula's standing hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -126,17 +125,6 @@ def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
     )
 
 
-def _check_level_and_unit(r: int, t: int | None) -> int:
-    """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
-    if r < 3 or r % 2 == 0:
-        raise HypothesisViolated(f"level must be odd and >= 3, got {r}")
-    if t is None:
-        return mod_inverse(4, r)
-    if gcd(t, r) != 1:
-        raise HypothesisViolated(f"evaluation parameter {t} is not a unit mod {r}")
-    return t % r
-
-
 def _central_inverse(r: int, t: int) -> list[int]:
     """``E`` in ``Z[C_r]`` with ``E(zeta^j) = r / (zeta^(2tj) - zeta^(-2tj))``.
 
@@ -215,7 +203,7 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
         return [0] * r, den
     count = sum(math.prod(map(len, fs)) for _, _, fs in colors)
     width = _slot_width(count * sum(map(abs, sym)))
-    bits, off, bias = 8 * width, 1 << (8 * width - 1), _bias(r, width)
+    off, bias = 1 << (8 * width - 1), _bias(r, width)
     repeated = [(c + off).to_bytes(width, "little") for c in sym] * (r // 2)
     acc = 0
     for j, u, fs in colors:
@@ -229,10 +217,10 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
             shift += e0
             value = packed
             for s, e in rest:
-                term = packed << bits * (t * (e - e0) % r)
+                term = _rotate(packed, t * (e - e0), r, width)
                 value = value + term if s == s0 else value - term
             packed = value
-        term = packed << bits * (t * shift % r)
+        term = _rotate(packed, t * shift, r, width)
         acc = acc + term if sign > 0 else acc - term
     return _unpack(acc, r, width), den
 
@@ -286,7 +274,7 @@ def xi_closed_form(
     independent of it (property-tested), which exercises the built-in
     compensating exponent.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     tops = top_invariants(M)
     if star_shifts is None:
         star_shifts = (0,) * M.n
@@ -366,7 +354,7 @@ def tau_prime(
     ``tau' = (sin(pi/r)/sqrt(r))**nu * xi_r(M, A)``; for ``nu = 0`` this is
     just the exact ``xi`` embedded numerically.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     return _result(M, r, t, xi_closed_form(M, r, t), precision)
 
 
@@ -469,7 +457,7 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
     apply).  Vanishes for ``r = 1 (mod 3)``; for ``r = 2 (mod 3)`` equals
     ``zeta^(-4t) * 2r / (zeta^(2t) - zeta^(-2t))**2``.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     if r % 3 == 0:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
@@ -479,5 +467,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
 
 def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
     """The trefoil-surgery invariants straight from the closed form."""
-    t = _check_level_and_unit(r, None)
+    t = _check_level(r, None)
     return _result(TREFOIL_ZERO, r, t, tref_xi_closed(r, t), precision)

@@ -400,6 +400,10 @@ def test_usage_errors_exit_two(capsys, argv):
         (("--r", "5,seven"), "bad --r '5,seven', expected comma-separated levels"),
         (("--r", "5", "--t", "5"), "evaluation parameter 5 is not a unit mod 5"),
         (("--r", "9", "--t", "-3"), "evaluation parameter -3 is not a unit mod 9"),
+        (("--r", "1"), "level must be odd and >= 3, got 1"),
+        (("--r-range", "9:3"), "--r-range '9:3' holds no odd level"),
+        (("--r-range", "4:4"), "--r-range '4:4' holds no odd level"),
+        (("--r", "5", "--r-range", "9:3"), "--r-range '9:3' holds no odd level"),
     ],
 )
 def test_usage_error_names_the_given_value(capsys, argv, message):

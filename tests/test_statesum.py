@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import manifold
-from seifertwrt.cyclotomic import CyclotomicNumber, gauss_sum
+from seifertwrt.cyclotomic import (
+    CyclotomicNumber,
+    _binomial,
+    _check_level,
+    _slot_width,
+    gauss_sum,
+)
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
@@ -23,11 +29,40 @@ from seifertwrt.wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
     LegData,
-    _check_level_and_unit,
     leg_data,
 )
 
-# -- reference routes: per-leg tables by enumeration and by Gauss sums --------
+# -- reference routes: per-leg tables by lists, enumeration and Gauss sums ----
+
+
+def leg_sum_dp_lists(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
+    """The same table as :func:`leg_sum_dp`, by the DP over coefficient lists.
+
+    The same recursion on the rows ``0 < y < r/2``, with each row a list of
+    ``r`` integers and its rotation by ``k`` one slice of the row written
+    twice.
+    """
+    t = _check_level(r, t)
+    framings = tuple(int(m) for m in framings)
+    half = range(1, (r + 1) // 2)
+    state = [_binomial(r, 2 * t * y) for y in half]
+    for m in framings:
+        doubled = [(y, row + row) for y, row in zip(half, state) if any(row)]
+        new_state = []
+        for x in half:
+            acc = [0] * r
+            for y, twice in doubled:
+                phase = t * m * y * y
+                plus = r - (phase + 2 * t * x * y) % r
+                minus = r - (phase - 2 * t * x * y) % r
+                plus_row, minus_row = twice[plus : plus + r], twice[minus : minus + r]
+                acc = [a + p - q for a, p, q in zip(acc, plus_row, minus_row)]
+            new_state.append(acc)
+        state = new_state
+    scale = 2 ** len(framings)
+    rows = [CyclotomicNumber(r, [scale * a for a in row]) for row in state]
+    values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
+    return LegSumTable(r=r, t=t, framings=framings, values=values)
 
 
 def leg_sum_brute(
@@ -39,7 +74,7 @@ def leg_sum_brute(
     Colorings containing the vanishing color (``y = 0 mod r``) contribute
     exactly zero and are skipped.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     framings = tuple(int(m) for m in framings)
     l = len(framings)  # noqa: E741
     if r ** (l + 1) > budget:
@@ -63,7 +98,7 @@ def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
     Galois twist by ``t`` of the quadratic Gauss sum and ``F(j)`` collects
     the (at most two) active branch exponents of the leg.
     """
-    t = _check_level_and_unit(r, t)
+    t = _check_level(r, t)
     unit = ((-2) * gauss_sum(r, r).galois(t)) ** leg.l
     unit = unit * (leg.sf * leg.jac)
     unit = unit * gauss_sum(r, leg.c).galois(t)
@@ -74,6 +109,11 @@ def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
 
 
 small_chains = st.lists(st.integers(-3, 4), min_size=1, max_size=2)
+levels_and_units = st.sampled_from(range(3, 46, 2)).flatmap(
+    lambda r: st.tuples(
+        st.just(r), st.sampled_from([t for t in range(1, r) if gcd(t, r) == 1])
+    )
+)
 coprime_legs = st.tuples(
     st.integers(min_value=-7, max_value=7).filter(lambda p: p != 0),
     st.integers(min_value=1, max_value=6),
@@ -143,6 +183,26 @@ def test_leg_table_value_indexing():
     assert table.value(3) == table.value(8) == table.value(-2)
     assert table.value(0) == table.value(5)
     assert table.value(0).is_zero()
+
+
+@given(st.lists(st.integers(-7, 7), max_size=8), levels_and_units)
+@settings(deadline=None, max_examples=60)
+def test_packed_dp_matches_list_dp(chain, level):
+    # Odd levels 3..45, composite ones included, at every unit t.
+    r, t = level
+    assert leg_sum_dp(chain, r, t).values == leg_sum_dp_lists(chain, r, t).values
+
+
+@pytest.mark.parametrize(
+    "r,length,width",
+    [(3, 5, 1), (3, 6, 2), (3, 7, 2), (3, 8, 2), (5, 2, 1), (5, 3, 2), (5, 4, 2)],
+)
+def test_packed_dp_across_slot_widths(r, length, width):
+    # The bound 2 (r - 1)^len crosses 128 and 256 on these chains, and the
+    # slot width grows from one byte to two (the coefficients stay below 128).
+    assert _slot_width(2 * (r - 1) ** length) == width
+    for chain in ((0,) * length, (1,) * length, (-7, 3, 2, -1, 5, 7, -2, 4)[:length]):
+        assert leg_sum_dp(chain, r).values == leg_sum_dp_lists(chain, r).values
 
 
 def test_empty_chain_dp_matches_brute():
@@ -266,7 +326,7 @@ def _all_colors_statesum(M, r, t):
         for table in tables:
             term = term * table.value(j)
         total = total + term
-    return _close(total, pres, r, t, chi)
+    return _close(total, pres, r, t)
 
 
 @pytest.mark.parametrize("spec", ["X(2/1,5/2,-7/3)", "X(2/1,-2/1,5/2,4/1)"])
@@ -324,7 +384,7 @@ def test_statesum_contracts_each_distinct_chain_once(monkeypatch):
     assert xi_statesum(M, 7) == xi and len(calls) == 4
 
 
-def test_statesum_imports_only_the_validator_from_wrt():
+def test_statesum_imports_nothing_from_wrt():
     # The oracle must not reach the closed formula's evaluation core.
     import ast
     import inspect
@@ -341,7 +401,7 @@ def test_statesum_imports_only_the_validator_from_wrt():
                 assert "wrt" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[-1] == "wrt" for a in node.names)
-    assert names == {"_check_level_and_unit"}
+    assert names == set()
 
 
 def test_statesum_twists_its_own_gauss_sum():

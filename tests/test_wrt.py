@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _corpus import SAMPLE_SPECS, get_xi_formula, get_xi_oracle, manifold
 from seifertwrt import wrt
-from seifertwrt.cyclotomic import CyclotomicNumber, _ring_mul, root_power
+from seifertwrt.cyclotomic import CyclotomicNumber, _check_level, _ring_mul, root_power
 from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
 from seifertwrt.seifert import SeifertData, top_invariants
 from seifertwrt.statesum import xi_statesum
@@ -56,7 +56,7 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     so that a spy on ``wrt._color_sum`` sees its calls.  Raises
     :class:`HypothesisViolated` when some ``gcd(p_k, r) > 1``.
     """
-    t = wrt._check_level_and_unit(r, None)
+    t = _check_level(r, None)
     tops = top_invariants(M)
     for p, _ in M.legs:
         if gcd(p, r) != 1:
