@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .numtheory import NonInvertible, mod_inverse
 
@@ -467,6 +467,26 @@ def _pack(vec: list[int], width: int) -> int:
     off = 1 << (8 * width - 1)
     data = b"".join([(v + off).to_bytes(width, "little") for v in vec])
     return int.from_bytes(data, "little") - _bias(len(vec), width)
+
+
+def _substitutions(vec: list[int], width: int) -> Callable[[int], int]:
+    """``at(j) = _pack(_substitute(vec, j, r), width)`` for any color ``j``.
+
+    A unit ``j`` with inverse ``u`` puts ``vec[u k]`` at index ``k``: a slice
+    of ``vec``'s slot bytes repeated ``(r + 1)/2`` times, with step ``u`` if
+    ``2u < r``, else backwards with step ``u - r`` from slot ``r(r - u)``.
+    """
+    r, off, bias = len(vec), 1 << (8 * width - 1), _bias(len(vec), width)
+    slots = [(c + off).to_bytes(width, "little") for c in vec] * ((r + 1) // 2)
+
+    def at(j: int) -> int:
+        if gcd(j, r) > 1:  # the indices j*m mod r merge
+            return _pack(_substitute(vec, j, r), width)
+        u = pow(j, -1, r)
+        data = slots[: r * u : u] if 2 * u < r else slots[r * (r - u) : 0 : u - r]
+        return int.from_bytes(b"".join(data), "little") - bias
+
+    return at
 
 
 def _rotate(value: int, k: int, r: int, width: int) -> int:

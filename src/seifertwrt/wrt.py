@@ -21,15 +21,13 @@ from math import gcd
 from .cyclotomic import (
     CyclotomicNumber,
     HypothesisViolated,
-    _bias,
     _binomial,
     _check_level,
     _gauss_vector,
-    _pack,
     _ring_mul,
     _rotate,
     _slot_width,
-    _substitute,
+    _substitutions,
     _unpack,
     euler_phi,
 )
@@ -82,18 +80,13 @@ class LegData:
         one is (and none when ``c | j``).
         """
         out = []
-        d = j - self.q_star
-        if d % self.c == 0:
-            e = -self.pc_prime * self.q * d * (d // self.c) - self.p_star * (
-                self.q_star - 2 * j
-            )
-            out.append((1, e))
-        d = j + self.q_star
-        if d % self.c == 0:
-            e = -self.pc_prime * self.q * d * (d // self.c) - self.p_star * (
-                self.q_star + 2 * j
-            )
-            out.append((-1, e))
+        for s in (1, -1):
+            d = j - s * self.q_star
+            if d % self.c == 0:
+                e = -self.pc_prime * self.q * d * (d // self.c) - self.p_star * (
+                    self.q_star - 2 * s * j
+                )
+                out.append((s, e))
         return tuple(out)
 
 
@@ -157,7 +150,7 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     ``T_j D(x^j) + (-1)^n T_j D(x^-j) = T_j D~(x^j)`` with
     ``D~ = D + (-1)^n D(x^-1)``, so the sum over one color of each pair
     ``{j, r - j}`` against ``D~`` is the full sum, exactly in ``Z[C_r]``.
-    Since ``D~(x^-1) = (-1)^n D~``, either color of a pair may stand for it.
+    As ``D~(x^-1) = (-1)^n D~``, the color ``j < r/2`` stands for its pair.
     The leg factors of :func:`xi_closed_form` satisfy the precondition leg
     by leg: under ``j -> r - j`` the branch ``d = j - q_star`` becomes
     ``r - d``, the other branch at ``r - j``, and ``c | d`` iff
@@ -168,17 +161,11 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     restatement (``xi_all_coprime`` in ``tests/test_wrt.py``) the quadratic
     factor is even and the ``n`` leg binomials are odd.
 
-    The sum is accumulated as one Kronecker-packed integer.  For a unit
-    ``j`` with inverse ``u``, ``D~(x^j)`` holds ``D~[u k]`` at index ``k``;
-    the pair's representative is the color whose ``u`` is at most ``r/2``,
-    and its packed bytes are the slice with step ``u`` of ``D~``'s slot
-    bytes repeated ``(r - 1)/2`` times, a list of ``r(r - 1)/2`` references
-    built once per call.  For a non-unit ``j`` the indices ``j*m mod r``
-    merge and the vector is packed anew.  A factor
-    ``s_0 x^(e_0) (1 + sum_i s_i s_0 x^(e_i - e_0))`` adds the packed value
-    shifted by ``e_i - e_0`` slots for each further monomial, and its sign
-    and leading shift are applied once per color.  A slot of the folded sum
-    receives one entry of some ``D~(x^j)`` per monomial, so the monomial
+    The sum is one packed integer (:func:`_substitutions` packs ``D~(x^j)``).
+    A factor ``s_0 x^(e_0) (1 + sum_i s_i s_0 x^(e_i - e_0))`` adds the packed
+    value shifted by ``e_i - e_0`` slots for each further monomial, and its
+    sign and leading shift are applied once per color.  A slot of the folded
+    sum receives one entry of some ``D~(x^j)`` per monomial, so the monomial
     count times ``sum|D~|`` bounds it.  A color costs ``O(1)`` interpreted
     steps for the gather, and at most ``2n`` big-integer operations of
     ``O(n r)`` slots for ``n`` two-monomial factors.
@@ -190,27 +177,15 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     central = _ring_mul([1] + [0] * (r - 1), *[base] * power)
     parity = (-1) ** n
     sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
-    colors = []
-    for u in range(1, (r + 1) // 2):
-        if gcd(u, r) > 1:
-            j, u = u, 0
-        else:
-            j = pow(u, -1, r)
-        fs = factors(j)
-        if all(fs):
-            colors.append((j, u, fs))
+    colors = [(j, fs) for j in range(1, (r + 1) // 2) if all(fs := factors(j))]
     if not colors:
         return [0] * r, den
-    count = sum(math.prod(map(len, fs)) for _, _, fs in colors)
+    count = sum(math.prod(map(len, fs)) for _, fs in colors)
     width = _slot_width(count * sum(map(abs, sym)))
-    off, bias = 1 << (8 * width - 1), _bias(r, width)
-    repeated = [(c + off).to_bytes(width, "little") for c in sym] * (r // 2)
+    at = _substitutions(sym, width)
     acc = 0
-    for j, u, fs in colors:
-        if u:
-            packed = int.from_bytes(b"".join(repeated[: r * u : u]), "little") - bias
-        else:
-            packed = _pack(_substitute(sym, j, r), width)
+    for j, fs in colors:
+        packed = at(j)
         sign, shift = 1, 0
         for (s0, e0), *rest in fs:
             sign *= s0

@@ -411,20 +411,61 @@ def test_usage_error_names_the_given_value(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "floor"),
     [
-        ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--precision", "0"),
-        ("tau", "X(2/1,3/1,5/1)", "--r", "5", "--jobs", "0"),
-        ("selftest", "--trials", "0"),
-        ("selftest", "--budget", "0"),
-        ("selftest", "--budget", "-5"),
+        (("tau", "X(2/1,3/1,5/1)", "--r", "5", "--precision", "0"), 15),
+        (("tau", "X(2/1,3/1,5/1)", "--r", "5", "--jobs", "0"), 1),
+        (("selftest", "--trials", "0"), 1),
+        (("selftest", "--budget", "0"), 1),
+        (("selftest", "--budget", "-5"), 1),
     ],
 )
-def test_vacuous_counts_exit_two(capsys, argv):
+def test_vacuous_counts_exit_two(capsys, argv, floor):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert f"must be >= {floor}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tau", "tref-table", "integrality-scan"])
+@pytest.mark.parametrize("digits", ["3", "14"])
+def test_precision_below_a_double_exits_two(capsys, command, digits):
+    # Fewer than 15 digits would report tau' less accurately than a float.
+    manifold = [] if command == "tref-table" else ["X(2/1,3/1,7/1)"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *manifold, "--r", "11", "--precision", digits])
+    assert exc.value.code == 2
+    assert f"must be >= 15, got {digits}" in capsys.readouterr().err
+
+
+def test_precision_of_a_double_is_accepted(capsys):
+    code, out, err = run_cli(
+        capsys, "tau", "X(2/1,3/1,7/1)", "--r", "11", "--precision", "15",
+        "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tau_re"] == 5.178621332438829
+
+
+@pytest.mark.parametrize(
+    ("target", "check", "failures"),
+    [("b_counts_closed_form", "inertia closed form", 3),
+     ("xi_statesum_brute", "joint brute force", 2)],
+)
+def test_selftest_names_each_failed_check(capsys, monkeypatch, target, check,
+                                          failures):
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: None)
+    code, out, _ = run_cli(capsys, "selftest", "--trials", "3")
+    assert code == 1
+    assert f"selftest trial 2: {check} FAIL\n" in out
+    assert out.endswith(f"selftest: 11 checks, {failures} failures, 1 skipped "
+                        "(brute force over --budget)\n")
+
+
+def test_selftest_reports_skipped_brute_force(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "--trials", "3", "--budget", "1")
+    assert code == 0
+    assert out.endswith(
+        "selftest: 9 checks, 0 failures, 3 skipped (brute force over --budget)\n")
 
 
 def test_parser_help_smoke():

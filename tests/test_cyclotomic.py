@@ -19,7 +19,10 @@ from seifertwrt.cyclotomic import (
     _binomial,
     _divmod_monic,
     _gauss_vector,
+    _pack,
     _reduce_int_vector,
+    _substitute,
+    _substitutions,
     cyclotomic_polynomial,
     euler_phi,
     gauss_sum,
@@ -236,6 +239,29 @@ def test_gauss_vector_is_the_twisted_gauss_sum(r):
 def test_binomial_is_the_difference_of_roots(r, a):
     expected = root_power(r, a) - root_power(r, -a)
     assert CyclotomicNumber(r, _binomial(r, a)) == expected
+
+
+@st.composite
+def substitution_cases(draw):
+    r = draw(st.integers(1, 22)) * 2 + 1  # odd levels 3..45, composites too
+    width = draw(st.integers(1, 3))
+    half = 1 << (8 * width - 1)
+    # Coefficients up to X/2 - 1 fit every unit substitution, which permutes
+    # them; the smaller range also fits the merged sums of non-unit ones.
+    top = draw(st.sampled_from([half - 1, (half - 1) // r]))
+    vec = draw(st.lists(st.integers(-top, top), min_size=r, max_size=r))
+    return r, width, vec
+
+
+@given(substitution_cases())
+@settings(deadline=None, max_examples=200)
+def test_substitutions_match_packed_substitute(case):
+    r, width, vec = case
+    at = _substitutions(vec, width)
+    for j in range(1, r):  # units on both sides of r/2, and non-units
+        expected = _substitute(vec, j, r)
+        if max(map(abs, expected)) < 1 << (8 * width - 1):
+            assert at(j) == _pack(expected, width), j
 
 
 @given(levels, st.integers(-30, 30))

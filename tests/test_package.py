@@ -26,6 +26,7 @@ GROUP_RING_HELPERS = {
     "_rotate",
     "_slot_width",
     "_substitute",
+    "_substitutions",
     "_unpack",
 }
 
@@ -59,3 +60,20 @@ def test_only_cyclotomic_defines_group_ring_helpers():
             assert GROUP_RING_HELPERS <= defined
         else:
             assert not defined & GROUP_RING_HELPERS, name
+
+
+def test_only_cyclotomic_handles_slot_bytes():
+    # A packed slot's byte layout is known in ``seifertwrt.cyclotomic`` alone.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("to_bytes", "from_bytes")
+        }
+        if path.stem == "cyclotomic":
+            assert calls == {"to_bytes", "from_bytes"}
+        else:
+            assert not calls, path.name
