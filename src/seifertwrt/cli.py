@@ -15,10 +15,8 @@ Output formats: human ``text`` (default), ``json`` (one object per line),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import random
 import sys
 from math import gcd
 from time import perf_counter
@@ -49,6 +47,7 @@ from .wrt import (
 
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
+MAX_PRECISION = 1000  # the most --precision digits
 FAULT_NAMES = ("flip-oracle-sign",)
 # Seconds a ``tau`` request runs in this process before ``--jobs`` hands the
 # rest of its records to child processes.  Starting a child costs the fork,
@@ -239,6 +238,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         return
     check_names = sorted({name for rec in records for name in rec["checks"]})
     if fmt == "csv":
+        import csv  # here: only CSV output needs it, and start-up would pay
+
         writer = csv.writer(out)
         writer.writerow([*CSV_COLUMNS, *(f"check_{name}" for name in check_names)])
         for rec in records:
@@ -307,7 +308,8 @@ RECORD_COMMANDS = {
 }
 
 
-def _random_manifold(rng: random.Random) -> SeifertData:
+def _random_manifold(rng) -> SeifertData:
+    """A manifold of 1 to 3 small legs drawn from the ``random.Random`` ``rng``."""
     n = rng.randint(1, 3)
     legs = []
     for _ in range(n):
@@ -321,6 +323,8 @@ def _random_manifold(rng: random.Random) -> SeifertData:
 
 
 def _cmd_selftest(args, out) -> int:
+    import random  # here: only selftest needs it, and start-up would pay
+
     rng = random.Random(args.seed)
     results = []  # one per check: True, False, or None when skipped
     for trial in range(args.trials):
@@ -354,13 +358,15 @@ def _cmd_selftest(args, out) -> int:
     return 1 if failures else 0
 
 
-def _int_at_least(floor: int) -> Callable[[str], int]:
-    """An argparse type: an integer of at least ``floor``."""
+def _int_range(floor: int, ceiling: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``floor`` (and at most ``ceiling``)."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
         return value
 
     return integer
@@ -382,10 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inclusive range A:B of odd levels")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         # 15 digits are the 53 bits of a double: fewer would report tau'
-        # less accurately than the default float path.
-        p.add_argument("--precision", type=_int_at_least(15), default=None,
-                       help="mpmath decimal digits (>= 15) for numerics "
-                       "(default float)")
+        # less accurately than the default float path.  The ceiling bounds a
+        # record's run time: X(2,3,7) at r = 101 takes 0.15 s at 1000 digits,
+        # and a minute at 20000.
+        p.add_argument("--precision", type=_int_range(15, MAX_PRECISION),
+                       default=None,
+                       help=f"mpmath decimal digits (15..{MAX_PRECISION}) for "
+                       "numerics (default float)")
 
     p_tau = sub.add_parser("tau", help="invariants of given manifolds")
     add_common(p_tau, manifolds=True)
@@ -395,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the plumbing state sum")
     p_tau.add_argument("--rozansky", action="store_true",
                        help="cross-check tau' against the numerical residue form")
-    p_tau.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p_tau.add_argument("--jobs", type=_int_range(1), default=1,
                        help="processes that compute records, this one included, "
                        "at most one per record and one per usable CPU; child "
                        "processes start only once the request has run for "
@@ -413,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized consistency drill")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=_int_at_least(1), default=8)
-    p_self.add_argument("--budget", type=_int_at_least(1), default=20000,
+    p_self.add_argument("--trials", type=_int_range(1), default=8)
+    p_self.add_argument("--budget", type=_int_range(1), default=20000,
                         help="joint brute-force term budget")
     p_self.add_argument("--inject-fault", choices=FAULT_NAMES, default=None,
                         help="deliberately break a route to prove detection")

@@ -9,10 +9,10 @@ the Bezout-type data read off from their partial numerators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 class NonInvertible(ValueError):
@@ -106,8 +106,7 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class GoodExpansion:
+class GoodExpansion(NamedTuple):
     """A rational ``p/q`` written as a negative continued fraction.
 
     ``ms`` stores the entries high-first: ``ms = (m_l, ..., m_1)`` with
@@ -185,8 +184,7 @@ def partial_numerator(e: GoodExpansion, j: int, i: int) -> int:
     return prev1
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(NamedTuple):
     """Integers ``(a_star, b_star)`` with ``p*b_star + q*a_star = 1`` for a leg ``p/q``."""
 
     a_star: int

@@ -12,9 +12,9 @@ the framing-anomaly correction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .numtheory import NotCoprime, good_expansion, sign
 
@@ -27,8 +27,7 @@ class ParseError(ValueError):
     """Raised when a manifold description string fails to parse."""
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(NamedTuple):
     """Normalized surgery data: legs ``(p_k, q_k)`` with ``q_k >= 1``, coprime."""
 
     legs: tuple[tuple[int, int], ...]
@@ -85,8 +84,7 @@ def parse_manifold(text: str) -> SeifertData:
     return parse_normalize(pairs)
 
 
-@dataclass(frozen=True)
-class TopInvariants:
+class TopInvariants(NamedTuple):
     """Numerical invariants of the fibration read off the surgery data.
 
     ``P`` is the product of the ``p_k``; ``H = P * sum(q_k / p_k)`` is the
@@ -117,8 +115,7 @@ def top_invariants(M: SeifertData) -> TopInvariants:
     )
 
 
-@dataclass(frozen=True)
-class PlumbingPresentation:
+class PlumbingPresentation(NamedTuple):
     """Star-shaped plumbing: one central vertex (framing 0) and n chains.
 
     Each chain lists vertex framings from the free end inward; the last entry

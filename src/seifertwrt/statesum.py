@@ -11,10 +11,9 @@ evaluators is therefore a genuine two-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -34,8 +33,7 @@ class BudgetExceeded(RuntimeError):
     """Raised when a brute-force enumeration would exceed its term budget."""
 
 
-@dataclass(frozen=True)
-class LegSumTable:
+class LegSumTable(NamedTuple):
     """Exact values ``S(j)`` of one contracted leg, indexed by ``j mod r``."""
 
     r: int

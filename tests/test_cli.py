@@ -7,8 +7,6 @@ import json
 import multiprocessing
 import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -289,22 +287,6 @@ def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, manifolds,
     assert len(started) == children
 
 
-def test_cli_import_loads_no_processes_or_mpmath():
-    # Serial runs and the set-up probe of the benchmark pay for none of these.
-    probe = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import seifertwrt.cli\n"
-        "seifertwrt.cli.build_parser()\n"
-        "print([m for m in ('multiprocessing', 'concurrent.futures', 'mpmath')"
-        " if m in sys.modules])\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-c", probe, str(src)],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
-
-
 def test_tau_rozansky_skip_marker(capsys):
     # Hypotheses unmet (7 divides a numerator at r = 7): reported as a skip,
     # not a failure.
@@ -438,12 +420,24 @@ def test_precision_below_a_double_exits_two(capsys, command, digits):
     assert f"must be >= 15, got {digits}" in capsys.readouterr().err
 
 
-def test_precision_of_a_double_is_accepted(capsys):
+@pytest.mark.parametrize("command", ["tau", "tref-table", "integrality-scan"])
+def test_precision_above_the_ceiling_exits_two(capsys, command):
+    # The ceiling bounds a record's run time; 20000 digits took a minute.
+    manifold = [] if command == "tref-table" else ["X(2/1,3/1,7/1)"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *manifold, "--r", "11", "--precision", "1001"])
+    assert exc.value.code == 2
+    assert "must be <= 1000, got 1001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("digits", "tau_re"),
+                         [("15", 5.178621332438829), ("1000", 5.178621332438828)])
+def test_precision_in_range_is_accepted(capsys, digits, tau_re):
     code, out, err = run_cli(
-        capsys, "tau", "X(2/1,3/1,7/1)", "--r", "11", "--precision", "15",
+        capsys, "tau", "X(2/1,3/1,7/1)", "--r", "11", "--precision", digits,
         "--format", "json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["tau_re"] == 5.178621332438829
+    assert json.loads(out)["tau_re"] == tau_re
 
 
 @pytest.mark.parametrize(

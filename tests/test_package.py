@@ -1,5 +1,6 @@
-"""Package-level guards: the public namespace, the oldest supported Python, and
-the one home of ``Z[C_r]``."""
+"""Package-level guards: the public namespace, the oldest supported Python, the
+one home of ``Z[C_r]``, the CLI's start-up imports and the records' value
+semantics."""
 
 from __future__ import annotations
 
@@ -7,11 +8,22 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import seifertwrt
+from seifertwrt.numtheory import GoodExpansion, good_expansion, star_pair
+from seifertwrt.seifert import (
+    PlumbingPresentation,
+    parse_manifold,
+    plumbing,
+    top_invariants,
+)
+from seifertwrt.statesum import leg_sum_dp
+from seifertwrt.wrt import leg_data, tau_prime
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seifertwrt"
 # Builders and the packed product of group-ring vectors; only
@@ -77,3 +89,72 @@ def test_only_cyclotomic_handles_slot_bytes():
             assert calls == {"to_bytes", "from_bytes"}
         else:
             assert not calls, path.name
+
+
+def test_cli_start_up_imports_no_rarely_used_module():
+    # ``import seifertwrt.cli`` and ``build_parser()`` are what every
+    # invocation pays before its first record.  ``-S`` keeps ``site`` from
+    # loading modules of its own; pytest itself imports ``dataclasses``.
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import seifertwrt.cli\n"
+        "seifertwrt.cli.build_parser()\n"
+        "print([m for m in ('dataclasses', 'inspect', 'csv', 'random',"
+        " 'multiprocessing', 'concurrent.futures', 'mpmath') if m in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    # Importing ``dataclasses`` (and the ``inspect`` it pulls in) costs a
+    # fresh interpreter about 10 ms; the records are ``NamedTuple`` classes.
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+
+
+X237 = parse_manifold("X(2,3,7)")
+# Each record type: a builder of a fresh instance, and its fields in order
+# (``LegData.chi_terms`` unpacks its record by position).
+RECORDS = {
+    "GoodExpansion": (lambda: GoodExpansion(5, 2, (3, 2)), ("p", "q", "ms")),
+    "BezoutPair": (lambda: star_pair(good_expansion(5, 2)), ("a_star", "b_star")),
+    "SeifertData": (lambda: parse_manifold("X(2,3,7)"), ("legs",)),
+    "TopInvariants": (lambda: top_invariants(X237),
+                      ("P", "H", "nu", "sign_P", "sign_H_abs", "sign_H_over_P")),
+    "PlumbingPresentation": (lambda: plumbing(X237), ("chains", "central_framing")),
+    "LegSumTable": (lambda: leg_sum_dp((2, 3), 5), ("r", "t", "framings", "values")),
+    "LegData": (lambda: leg_data(5, 2, 7),
+                ("p", "q", "r", "c", "l", "ms", "q_star", "p_star", "pc_prime",
+                 "sf", "jac", "exponent_const")),
+    "InvariantResult": (lambda: tau_prime(X237, 5),
+                        ("manifold", "r", "t", "xi", "nu", "b_plus", "b_minus",
+                         "tau", "xi_is_integral", "theta_is_integral")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    build, fields = RECORDS[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert type(a)._fields == fields
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+
+
+def test_record_text_and_defaults():
+    M = parse_manifold("X(2, -3/2, 7)")
+    assert str(M) == f"{M}" == "X(2/1,-3/2,7/1)"
+    assert repr(M) == "SeifertData(legs=((2, 1), (-3, 2), (7, 1)))"
+    assert PlumbingPresentation(chains=((2,),)).central_framing == 0
