@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import gcd
 from time import perf_counter
@@ -372,8 +373,16 @@ def _int_range(floor: int, ceiling: int | None = None) -> Callable[[str], int]:
     return integer
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-3:5`` in ``--r-range -3:5`` as a value: no option is ``-<digit>``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seifertwrt",
         description="Exact SO(3) quantum invariants of Seifert fibered spaces.",
     )

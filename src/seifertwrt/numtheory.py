@@ -80,19 +80,13 @@ def jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    """The periodic Bernoulli function ((x)): 0 at integers, else x - floor(x) - 1/2."""
-    if x.denominator == 1:
-        return Fraction(0)
-    floor = x.numerator // x.denominator
-    return x - floor - Fraction(1, 2)
-
-
 def dedekind_sum(q: int, p: int) -> Fraction:
     """Dedekind sum ``s(q, p)`` for coprime ``q, p`` with ``p != 0``.
 
-    Uses the convention ``s(q, p) = s(q * sign(p), |p|)`` for negative ``p``,
-    and the direct defining sum over residues (exact, O(|p|)).
+    Uses the convention ``s(q, p) = s(q * sign(p), |p|)`` for negative ``p``.
+    The integer ``D(a, n) = 12 n s(a, n)`` depends on ``a mod n`` only, and
+    reciprocity gives ``a D(a, n) = a^2 + n^2 + 1 - 3an - n D(n mod a, a)``
+    for coprime ``0 < a < n``: Euclid's steps, down to ``D(0, 1) = 0``.
     """
     if p == 0:
         raise ZeroNumerator("Dedekind sum needs p != 0")
@@ -100,10 +94,14 @@ def dedekind_sum(q: int, p: int) -> Fraction:
         raise NotCoprime(f"Dedekind sum needs gcd(q, p) = 1, got ({q}, {p})")
     if p < 0:
         q, p = -q, -p
-    total = Fraction(0)
-    for k in range(1, p):
-        total += _sawtooth(Fraction(k, p)) * _sawtooth(Fraction(q * k, p))
-    return total
+    steps, a, n = [], q % p, p
+    while n > 1:
+        steps.append((a, n))
+        a, n = n % a, a
+    d = 0
+    for a, n in reversed(steps):
+        d = (a * a + n * n + 1 - 3 * a * n - n * d) // a
+    return Fraction(d, 12 * p)
 
 
 class GoodExpansion(NamedTuple):
@@ -209,14 +207,10 @@ def star_pair(e: GoodExpansion) -> BezoutPair:
 def s_surd_residue(p: int, q: int, r: int) -> int:
     """The residue ``-12 s^surd(q, p) mod r`` entering the fibered-sum exponent.
 
-    Computed from the good expansion of ``p/q`` as
-    ``3(l - 1 + sign p) - sum(ms) - p' * (q_star + q) (mod r)`` where
-    ``p'`` is the inverse of ``p`` mod ``r``.  Requires ``gcd(p, r) = 1``
-    and odd ``r >= 3``.
+    Computed as ``-(12 p s(q, p)) * p^-1 (mod r)``; ``12 p s(q, p)`` is an
+    integer.  Requires ``gcd(p, q) = gcd(p, r) = 1`` and odd ``r >= 3``.
     """
     if r < 3 or r % 2 == 0:
         raise InvalidModulus(f"level must be odd and >= 3, got {r}")
-    e = good_expansion(p, q)
-    q_star = star_pair(e).a_star
-    p_prime = mod_inverse(p, r)
-    return (3 * (e.l - 1 + sign(p)) - sum(e.ms) - p_prime * (q_star + q)) % r
+    p_prime, s = mod_inverse(p, r), dedekind_sum(q, p)
+    return -(12 * p * s.numerator // s.denominator) * p_prime % r

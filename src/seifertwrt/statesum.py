@@ -12,7 +12,7 @@ evaluators is therefore a genuine two-route check.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
@@ -20,9 +20,14 @@ from .cyclotomic import (
     _binomial,
     _check_level,
     _fold,
+    _reduce_int_vector,
+    _ring_mul,
     _rotate,
     _slot_width,
+    _substitute,
+    _substitutions,
     _unpack,
+    _widen,
     gauss_sum,
     root_power,
 )
@@ -34,15 +39,14 @@ class BudgetExceeded(RuntimeError):
 
 
 class LegSumTable(NamedTuple):
-    """Exact values ``S(j)`` of one contracted leg, indexed by ``j mod r``."""
+    """One contracted leg: ``S(j) = 2^len * rows[j - 1]`` for ``0 < j < r/2``, each
+    row packed in ``Z[C_r]`` at ``width`` bytes per slot; ``S(-j) = -S(j)``."""
 
     r: int
     t: int
     framings: tuple[int, ...]
-    values: tuple[CyclotomicNumber, ...]
-
-    def value(self, j: int) -> CyclotomicNumber:
-        return self.values[j % self.r]
+    width: int
+    rows: tuple[int, ...]
 
 
 def _chi(r: int, t: int) -> list[CyclotomicNumber]:
@@ -72,24 +76,27 @@ def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
     return term * chi[(prev * j) % r]
 
 
-def _close(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
-    """``xi`` from the color sum ``total``: normalization and framing correction.
+def _close(total: list[int], den: int, pres, r: int, t: int, c_inv=None):
+    """``xi`` from ``total / den`` in ``Z[C_r]``: normalization and framing correction.
 
     With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
     are ``s_+ = -2 zeta^(-3t) g / c`` and ``s_- = conj(s_+) = 2 zeta^(3t)
     conj(g) / c`` (``conj(c) = -c``).  Since ``b_+ + b_- + b_0`` is the
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
-    s_+^-b_+ s_-^-b_-`` is the single quotient
-    ``zeta^(t(3(b_+ - b_-) - framing_total)) / (c^(b_0+1) g^b_+ conj(g)^b_-
-    (-2)^b_+ 2^b_-)``.
+    s_+^-b_+ s_-^-b_-`` is ``zeta^(t(3(b_+ - b_-) - framing_total))`` times
+    ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``: one :func:`_ring_mul`
+    and one reduction, after inverting ``c`` (unless given) and ``g``.
     """
     b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
-    c = CyclotomicNumber(r, _binomial(r, 2 * t))
-    g = gauss_sum(r, r).galois(t)
-    den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
-    den = den * ((-2) ** b_plus * 2**b_minus)
-    phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
-    return total * phase / den
+    if c_inv is None:
+        c_inv = CyclotomicNumber(r, _binomial(r, 2 * t)).inverse()
+    g_inv = gauss_sum(r, r).galois(t).inverse()
+    factors = [c_inv] * (b_zero + 1) + [g_inv] * b_plus + [g_inv.conjugate()] * b_minus
+    nums, dens = zip(*(f.integer_coefficients() for f in factors))
+    shift = t * (3 * (b_plus - b_minus) - pres.framing_total) % r
+    num = _ring_mul(total[-shift:] + total[:-shift], *nums)  # times zeta^shift
+    den *= (-2) ** b_plus * 2**b_minus * prod(dens)
+    return CyclotomicNumber._raw(r, _reduce_int_vector(r, num), den)
 
 
 def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
@@ -103,10 +110,10 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
     Every step keeps ``state[-y] = -state[y]`` (the phase is even in ``y``,
     the edge weight odd), so only the rows ``0 < y < r/2`` are stored; the
     colors ``y`` and ``-y`` contribute equally to each new row, so the sum
-    runs over ``y < r/2`` and the factor 2 per step is applied at the end.
+    runs over ``y < r/2`` and the factor 2 per step is left to the table.
     ``sum|state[y]|`` starts at 2 and each step multiplies it by at most
-    ``r - 1``, so ``2(r-1)^len`` bounds every coefficient.  Exact, with
-    ``len * (r-1)^2 / 2`` rotations.
+    ``r - 1``, so ``2(r-1)^len`` bounds every row's ``sum|.|``.  Exact, with
+    ``len * (r-1)^2 / 2`` rotations; the rows stay packed, unreduced.
     """
     t = _check_level(r, t)
     framings = tuple(int(m) for m in framings)
@@ -122,42 +129,50 @@ def leg_sum_dp(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
                       for phase, s, row in edges), r, width)
             for x in half
         ]
-    scale = 2 ** len(framings)
-    rows = [CyclotomicNumber(r, [scale * a for a in _unpack(row, r, width)])
-            for row in state]
-    values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
-    return LegSumTable(r=r, t=t, framings=framings, values=values)
+    rows = tuple(_fold(row, r, width) for row in state)
+    return LegSumTable(r=r, t=t, framings=framings, width=width, rows=rows)
 
 
 def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     """``xi_r(M)`` at ``zeta**t`` via plumbing contraction (the oracle route).
 
-    Each distinct chain is contracted once per call.
-
-    Since ``S(-j) = -S(j)`` for every leg and ``chi[-j] = -chi[j]``, the
-    colors ``j`` and ``-j`` contribute equally: the sum runs over
-    ``j < r/2`` and is doubled.  The central power of color ``j = d*u``
-    (``d = gcd(j, r)``, ``u`` a unit) is the Galois twist ``sigma_u`` of the
-    power at ``d``, so ``n >= 3`` legs take one inverse per divisor ``d``.
+    Each distinct chain is contracted once per call.  As ``S(-j) = -S(j)`` and
+    ``chi[-j] = -chi[j]``, the colors ``j < r/2`` are summed and doubled.  The
+    central power of ``j = d*u`` (``d = gcd(j, r)``, ``u`` a unit) is
+    ``sigma_u(chi[d]^(2-n))``: ``n >= 3`` legs invert ``chi[d]`` once per
+    active ``d``.  The sum is taken in ``Z[C_r]`` at one slot width, from the
+    bound ``prod_k 2(r-1)^len_k`` (:func:`leg_sum_dp`) on ``sum|.|`` of the
+    rows' product; it is unpacked once and reduced once, in :func:`_close`,
+    which reuses ``chi[1]^-1``.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
     tables = {chain: leg_sum_dp(chain, r, t) for chain in set(pres.chains)}
-    central: dict[int, CyclotomicNumber] = {}  # chi[d] ** (2 - n) per divisor d
-    total = CyclotomicNumber.zero(r)
-    for j in range(1, (r + 1) // 2):
-        term = CyclotomicNumber.one(r)
-        for chain in pres.chains:
-            term = term * tables[chain].value(j)
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
+    colors = [j for j in range(1, (r + 1) // 2)
+              if all(tables[chain].rows[j - 1] for chain in pres.chains)]
+    inverse, central = {}, {}  # chi[d]^-1, and chi[d]^(2-n) as (num, den)
+    for d in {gcd(j, r) for j in colors}:
+        chi = CyclotomicNumber(r, _binomial(r, 2 * t * d))
+        if M.n > 2:
+            inverse[d] = chi = chi.inverse()
+        central[d] = (chi ** abs(2 - M.n)).integer_coefficients()
+    den = lcm(*(q for _, q in central.values()))
+    scale = 2 ** (1 + sum(map(len, pres.chains)))  # the colors -j; 2 per DP step
+    central = {d: _substitute([scale * den // q * a for a in num], 1, r)
+               for d, (num, q) in central.items()}
+    width = _slot_width(len(colors) * prod(2 * (r - 1) ** len(c) for c in pres.chains)
+                        * max((sum(map(abs, v)) for v in central.values()), default=0))
+    packed = {chain: [_widen(table.rows[j - 1], r, table.width, width) for j in colors]
+              for chain, table in tables.items()}
+    twists = {d: _substitutions(num, width) for d, num in central.items()}
+    total = 0
+    for i, j in enumerate(colors):
         d, u = _unit_lift(j, r)
-        if d not in central:
-            central[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d)) ** (2 - M.n)
-        total = total + term * central[d].galois(u)
-    return _close(2 * total, pres, r, t)
+        value = twists[d](u)
+        for chain in pres.chains:
+            value = _fold(value * packed[chain][i], r, width)
+        total += value
+    return _close(_unpack(total, r, width), den, pres, r, t, inverse.get(1))
 
 
 def xi_statesum_brute(
@@ -193,4 +208,5 @@ def xi_statesum_brute(
             for chain, (lo, hi) in zip(pres.chains, slices):
                 term = _chain_term(term, chain, colors[lo:hi], j, chi, r, t)
             total = total + term
-    return _close(total, pres, r, t)
+    num, den = total.integer_coefficients()
+    return _close(_substitute(num, 1, r), den, pres, r, t)

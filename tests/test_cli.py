@@ -393,6 +393,21 @@ def test_usage_error_names_the_given_value(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    ("spaced", "joined", "message"),
+    [
+        (("--r-range", "-3:5"), ("--r-range=-3:5",), "got 1"),
+        (("--r", "-3,5"), ("--r=-3,5",), "got -3"),
+    ],
+)
+def test_negative_level_start_in_both_forms(capsys, spaced, joined, message):
+    # A value after a space that starts with "-" and a digit is a value, not
+    # an unknown option: both forms reach the level check.
+    expected = (2, "", f"error: level must be odd and >= 3, {message}\n")
+    assert run_cli(capsys, "tau", "X(2/1)", *spaced) == expected
+    assert run_cli(capsys, "tau", "X(2/1)", *joined) == expected
+
+
+@pytest.mark.parametrize(
     ("argv", "floor"),
     [
         (("tau", "X(2/1,3/1,5/1)", "--r", "5", "--precision", "0"), 15),

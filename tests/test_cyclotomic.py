@@ -7,7 +7,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifertwrt.cyclotomic import (
@@ -23,6 +23,7 @@ from seifertwrt.cyclotomic import (
     _reduce_int_vector,
     _substitute,
     _substitutions,
+    _widen,
     cyclotomic_polynomial,
     euler_phi,
     gauss_sum,
@@ -264,6 +265,17 @@ def test_substitutions_match_packed_substitute(case):
             assert at(j) == _pack(expected, width), j
 
 
+@given(substitution_cases(), st.integers(0, 3), st.integers(-2, 2))
+@settings(deadline=None, max_examples=100)
+def test_widen_matches_packing_at_the_wider_width(case, extra, turns):
+    # Any representative modulo X^r - 1 of the packed vector widens to the
+    # vector packed at the wider width.
+    r, width, vec = case
+    wider = width + extra
+    value = _pack(vec, width) + turns * ((1 << 8 * width * r) - 1)
+    assert _widen(value, r, width, wider) == _pack(vec, wider)
+
+
 @given(levels, st.integers(-30, 30))
 def test_root_power_folding(r, k):
     assert root_power(r, k) == root_power(r, k % r)
@@ -300,6 +312,69 @@ def test_inverse_and_division(xy):
     else:
         with pytest.raises(DivisionByZero):
             x.inverse()
+
+
+def schoolbook_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
+    """``a * b`` by the coefficient-by-coefficient product, folded by ``x^r = 1``
+    and reduced modulo ``Phi_r``."""
+    (x, dx), (y, dy) = a.integer_coefficients(), b.integer_coefficients()
+    conv = [0] * a.r
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    conv[(i + j) % a.r] += xi * yj
+    return CyclotomicNumber(a.r, conv, dx * dy)
+
+
+def inverse_by_conjugates(a: CyclotomicNumber) -> CyclotomicNumber:
+    """``1/a = rest / N(a)``, with ``rest`` the product of the conjugates
+    ``sigma_u(a)``, ``u != 1``, taken one by one through :func:`schoolbook_mul`."""
+    rest = CyclotomicNumber.one(a.r)
+    for u in range(2, a.r):
+        if gcd(u, a.r) == 1:
+            rest = schoolbook_mul(rest, a.galois(u))
+    norm = schoolbook_mul(a, rest).as_rational()
+    return schoolbook_mul(rest, CyclotomicNumber.from_rational(a.r, 1 / norm))
+
+
+WIDE_LEVELS = st.sampled_from([3, 5, 7, 9, 15, 21, 45, 63, 75])
+
+
+@st.composite
+def invertible_elements(draw, r=None):
+    r = draw(WIDE_LEVELS) if r is None else r
+    top = 2 ** draw(st.sampled_from([1, 8, 64, 600]))
+    vec = [0] * r
+    if draw(st.booleans()):  # sparse: at most three terms
+        terms = st.tuples(st.integers(0, r - 1), st.integers(-top, top))
+        for k, c in draw(st.lists(terms, min_size=1, max_size=3)):
+            vec[k] += c
+    else:
+        vec = draw(st.lists(st.integers(-top, top), min_size=r, max_size=r))
+    a = CyclotomicNumber(r, vec, draw(st.integers(1, top)))
+    assume(not a.is_zero())
+    return a
+
+
+@given(WIDE_LEVELS.flatmap(lambda r: st.tuples(invertible_elements(r),
+                                                invertible_elements(r))))
+@settings(deadline=None, max_examples=60)
+def test_product_matches_schoolbook_product(ab):
+    # One packed product and one reduction against the coefficient loop, at
+    # composite levels, sparse and dense, with coefficients up to 2^600.
+    a, b = ab
+    assert a * b == schoolbook_mul(a, b)
+
+
+@given(invertible_elements())
+@settings(deadline=None, max_examples=30)
+def test_inverse_matches_conjugate_by_conjugate_inverse(a):
+    # The blocked product tree in Z[C_r] against the product of reduced
+    # conjugates, at composite levels, with coefficients up to 2^600.
+    inv = a.inverse()
+    assert a * inv == 1
+    assert inv == inverse_by_conjugates(a)
 
 
 @pytest.mark.parametrize("r", [21, 25, 27, 45, 61])

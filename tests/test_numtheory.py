@@ -101,7 +101,35 @@ def test_jacobi_rejects_even_modulus():
     ],
 )
 def test_dedekind_values(q, p, value):
-    assert dedekind_sum(q, p) == value
+    assert dedekind_sum(q, p) == dedekind_sum_by_definition(q, p) == value
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    """The periodic Bernoulli function ((x)): 0 at integers, else x - floor(x) - 1/2."""
+    if x.denominator == 1:
+        return Fraction(0)
+    floor = x.numerator // x.denominator
+    return x - floor - Fraction(1, 2)
+
+
+def dedekind_sum_by_definition(q: int, p: int) -> Fraction:
+    """:func:`dedekind_sum` by the defining sum over residues (O(|p|))."""
+    if p < 0:
+        q, p = -q, -p
+    total = Fraction(0)
+    for k in range(1, p):
+        total += _sawtooth(Fraction(k, p)) * _sawtooth(Fraction(q * k, p))
+    return total
+
+
+@given(coprime_pairs)
+@settings(deadline=None)
+def test_dedekind_sum_matches_the_defining_sum(pq):
+    # Euclid's steps of the reciprocity law against the sum over residues,
+    # both signs of p and any q, reduced or not.
+    p, q = pq
+    for qq in (q, -q, q + 3 * p):
+        assert dedekind_sum(qq, p) == dedekind_sum_by_definition(qq, p), (qq, p)
 
 
 @given(coprime_pairs)
@@ -247,10 +275,24 @@ def test_s_surd_residue_frozen(p, q, r, value):
     assert s_surd_residue(p, q, r) == value
 
 
-@given(coprime_pairs, st.sampled_from([3, 5, 7, 9, 11, 13, 15]))
+def s_surd_residue_expansion(p: int, q: int, r: int) -> int:
+    """:func:`s_surd_residue` from the good expansion of ``p/q``.
+
+    ``3(l - 1 + sign p) - sum(ms) - p' * (q_star + q) (mod r)``, where ``p'``
+    is the inverse of ``p`` mod ``r`` (see
+    :func:`test_expansion_dedekind_identity`).
+    """
+    e = good_expansion(p, q)
+    q_star = star_pair(e).a_star
+    p_prime = mod_inverse(p, r)
+    return (3 * (e.l - 1 + sign(p)) - sum(e.ms) - p_prime * (q_star + q)) % r
+
+
+@given(coprime_pairs, st.sampled_from([3, 5, 7, 9, 11, 13, 15, 45, 101]))
 @settings(deadline=None)
 def test_s_surd_residue_dual_route(pq, r):
-    # Independent route: -(12 p s(q,p)) * p^{-1} mod r; 12 p s(q,p) is an
+    # The reciprocity route in integers against the good expansion and the
+    # defining sum: -(12 p s(q,p)) * p^{-1} mod r, where 12 p s(q,p) is an
     # integer for every coprime pair.
     p, q = pq
     if gcd(p, r) != 1:
@@ -258,7 +300,15 @@ def test_s_surd_residue_dual_route(pq, r):
     twelve_ps = 12 * p * dedekind_sum(q, p)
     assert twelve_ps.denominator == 1
     expected = (-int(twelve_ps) * mod_inverse(p, r)) % r
-    assert s_surd_residue(p, q, r) == expected
+    assert s_surd_residue(p, q, r) == s_surd_residue_expansion(p, q, r) == expected
+
+
+@pytest.mark.parametrize("p,q", [(354224848179261915075, 218922995834555169026),
+                                 (-(2**89 - 1), 3**40)])
+def test_s_surd_residue_of_large_legs(p, q):
+    # Euclid's steps, not the O(p) defining sum: legs of any size.
+    for r in (7, 13, 103):
+        assert s_surd_residue(p, q, r) == s_surd_residue_expansion(p, q, r)
 
 
 def test_s_surd_residue_domain():

@@ -40,6 +40,7 @@ GROUP_RING_HELPERS = {
     "_substitute",
     "_substitutions",
     "_unpack",
+    "_widen",
 }
 
 
@@ -130,7 +131,8 @@ RECORDS = {
     "TopInvariants": (lambda: top_invariants(X237),
                       ("P", "H", "nu", "sign_P", "sign_H_abs", "sign_H_over_P")),
     "PlumbingPresentation": (lambda: plumbing(X237), ("chains", "central_framing")),
-    "LegSumTable": (lambda: leg_sum_dp((2, 3), 5), ("r", "t", "framings", "values")),
+    "LegSumTable": (lambda: leg_sum_dp((2, 3), 5),
+                    ("r", "t", "framings", "width", "rows")),
     "LegData": (lambda: leg_data(5, 2, 7),
                 ("p", "q", "r", "c", "l", "ms", "q_star", "p_star", "pc_prime",
                  "sf", "jac", "exponent_const")),

@@ -14,13 +14,22 @@ from seifertwrt.cyclotomic import (
     _binomial,
     _check_level,
     _slot_width,
+    _unpack,
     gauss_sum,
+    root_power,
+)
+from seifertwrt.seifert import (
+    SeifertData,
+    linking_matrix,
+    plumbing,
+    signature_counts,
 )
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
     _chain_term,
     _chi,
+    _unit_lift,
     leg_sum_dp,
     xi_statesum,
     xi_statesum_brute,
@@ -35,8 +44,24 @@ from seifertwrt.wrt import (
 # -- reference routes: per-leg tables by lists, enumeration and Gauss sums ----
 
 
-def leg_sum_dp_lists(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable:
-    """The same table as :func:`leg_sum_dp`, by the DP over coefficient lists.
+def unpacked_rows(table: LegSumTable) -> list[list[int]]:
+    """The rows of ``table`` as integer vectors of ``Z[C_r]``."""
+    return [_unpack(row, table.r, table.width) for row in table.rows]
+
+
+def leg_values(table: LegSumTable) -> tuple[CyclotomicNumber, ...]:
+    """``S(j)`` for ``j = 0 .. r-1`` from the packed rows of ``table``."""
+    return values_from_rows(unpacked_rows(table), table.r, len(table.framings))
+
+
+def values_from_rows(rows, r: int, length: int) -> tuple[CyclotomicNumber, ...]:
+    """``S(j)`` for ``j = 0 .. r-1`` from the rows ``0 < j < r/2``."""
+    scaled = [CyclotomicNumber(r, [2**length * a for a in row]) for row in rows]
+    return (CyclotomicNumber.zero(r), *scaled, *(-v for v in reversed(scaled)))
+
+
+def leg_sum_dp_lists(framings: Sequence[int], r: int, t: int = 1) -> list[list[int]]:
+    """The rows of :func:`leg_sum_dp`, unpacked, by the DP over coefficient lists.
 
     The same recursion on the rows ``0 < y < r/2``, with each row a list of
     ``r`` integers and its rotation by ``k`` one slice of the row written
@@ -59,16 +84,14 @@ def leg_sum_dp_lists(framings: Sequence[int], r: int, t: int = 1) -> LegSumTable
                 acc = [a + p - q for a, p, q in zip(acc, plus_row, minus_row)]
             new_state.append(acc)
         state = new_state
-    scale = 2 ** len(framings)
-    rows = [CyclotomicNumber(r, [scale * a for a in row]) for row in state]
-    values = (CyclotomicNumber.zero(r), *rows, *(-row for row in reversed(rows)))
-    return LegSumTable(r=r, t=t, framings=framings, values=values)
+    return state
 
 
 def leg_sum_brute(
     framings: Sequence[int], r: int, t: int = 1, budget: int = 10**6
-) -> LegSumTable:
-    """The same table as :func:`leg_sum_dp`, by enumerating every coloring.
+) -> tuple[CyclotomicNumber, ...]:
+    """The values ``S(j)``, ``j = 0 .. r-1``, of :func:`leg_sum_dp` by
+    enumerating every coloring.
 
     Refuses to start when the state space ``r**(len+1)`` exceeds ``budget``.
     Colorings containing the vanishing color (``y = 0 mod r``) contribute
@@ -88,7 +111,7 @@ def leg_sum_brute(
                 CyclotomicNumber.one(r), framings, colors, j, chi, r, t
             )
         values.append(total)
-    return LegSumTable(r=r, t=t, framings=framings, values=tuple(values))
+    return tuple(values)
 
 
 def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
@@ -124,7 +147,7 @@ def test_dp_matches_brute_frozen_case():
     dp = leg_sum_dp((1, 4), 5, 1)
     brute = leg_sum_brute((1, 4), 5, 1)
     for j in range(5):
-        assert dp.value(j) == brute.value(j)
+        assert leg_values(dp)[j] == brute[j]
 
 
 @given(small_chains, st.sampled_from([3, 5, 7]), st.integers(1, 6))
@@ -135,7 +158,7 @@ def test_dp_matches_brute(chain, r, t):
     dp = leg_sum_dp(chain, r, t)
     brute = leg_sum_brute(chain, r, t)
     for j in range(r):
-        assert dp.value(j) == brute.value(j), (chain, r, t, j)
+        assert leg_values(dp)[j] == brute[j], (chain, r, t, j)
 
 
 @given(coprime_legs, st.sampled_from([5, 7, 9, 15]), st.sampled_from([1, 2, 4]))
@@ -149,9 +172,9 @@ def test_closed_leg_matches_dp(pq, r, t):
     from seifertwrt.numtheory import good_expansion
 
     chain = tuple(reversed(good_expansion(p, q).ms))
-    dp = leg_sum_dp(chain, r, t)
+    dp = leg_values(leg_sum_dp(chain, r, t))
     for j in range(r):
-        assert leg_sum_closed(leg, r, t, j) == dp.value(j), (p, q, r, t, j)
+        assert leg_sum_closed(leg, r, t, j) == dp[j], (p, q, r, t, j)
 
 
 def test_closed_leg_handles_single_vertex_chain():
@@ -172,17 +195,18 @@ def test_closed_leg_handles_single_vertex_chain():
             jac=1,
             exponent_const=3 * (1 - 1 + 1) - 1,
         )
-        dp = leg_sum_dp((1,), r, t)
+        dp = leg_values(leg_sum_dp((1,), r, t))
         for j in range(r):
-            assert leg_sum_closed(leg, r, t, j) == dp.value(j), (r, t, j)
+            assert leg_sum_closed(leg, r, t, j) == dp[j], (r, t, j)
 
 
-def test_leg_table_value_indexing():
+def test_leg_table_layout():
+    # One packed row per color 0 < j < r/2, at the DP's slot width; S(0) = 0
+    # and S(-j) = -S(j) give the other colors, as the enumeration finds them.
     table = leg_sum_dp((2,), 5, 1)
     assert isinstance(table, LegSumTable)
-    assert table.value(3) == table.value(8) == table.value(-2)
-    assert table.value(0) == table.value(5)
-    assert table.value(0).is_zero()
+    assert (len(table.rows), table.width) == (2, _slot_width(2 * 4))
+    assert leg_values(table) == leg_sum_brute((2,), 5, 1)
 
 
 @given(st.lists(st.integers(-7, 7), max_size=8), levels_and_units)
@@ -190,7 +214,7 @@ def test_leg_table_value_indexing():
 def test_packed_dp_matches_list_dp(chain, level):
     # Odd levels 3..45, composite ones included, at every unit t.
     r, t = level
-    assert leg_sum_dp(chain, r, t).values == leg_sum_dp_lists(chain, r, t).values
+    assert unpacked_rows(leg_sum_dp(chain, r, t)) == leg_sum_dp_lists(chain, r, t)
 
 
 @pytest.mark.parametrize(
@@ -202,12 +226,12 @@ def test_packed_dp_across_slot_widths(r, length, width):
     # slot width grows from one byte to two (the coefficients stay below 128).
     assert _slot_width(2 * (r - 1) ** length) == width
     for chain in ((0,) * length, (1,) * length, (-7, 3, 2, -1, 5, 7, -2, 4)[:length]):
-        assert leg_sum_dp(chain, r).values == leg_sum_dp_lists(chain, r).values
+        assert unpacked_rows(leg_sum_dp(chain, r)) == leg_sum_dp_lists(chain, r)
 
 
 def test_empty_chain_dp_matches_brute():
     # A chain with no vertex is the bare edge from color 1 to the center.
-    assert leg_sum_dp((), 5, 2).values == leg_sum_brute((), 5, 2).values
+    assert leg_values(leg_sum_dp((), 5, 2)) == leg_sum_brute((), 5, 2)
 
 
 def test_level_validation():
@@ -223,7 +247,7 @@ def test_brute_budget_guard():
     with pytest.raises(BudgetExceeded):
         leg_sum_brute((1, 2, 3), 25, 1, budget=10**5)
     # generous budgets admit the same call
-    assert leg_sum_brute((1,), 3, 1, budget=10**2).value(1) is not None
+    assert leg_sum_brute((1,), 3, 1, budget=10**2)[1] is not None
 
 
 def test_joint_brute_budget_guard():
@@ -258,7 +282,7 @@ def test_statesum_zero_color_column_is_zero():
         from seifertwrt.seifert import plumbing
 
         for chain in plumbing(M).chains:
-            assert leg_sum_dp(chain, r, 1).value(0).is_zero()
+            assert leg_values(leg_sum_dp(chain, r, 1))[0].is_zero()
 
 
 def test_s_matrix_entry_identities():
@@ -275,9 +299,10 @@ def test_s_matrix_entry_identities():
         assert g.inverse() == g.galois(-1) / r
 
 
-def test_statesum_closes_with_one_division(monkeypatch):
-    # Normalization and framing correction are a single quotient, and with at
-    # most two legs the per-color central power needs no inverse.
+def test_statesum_inverts_only_c_and_g(monkeypatch):
+    # The closing step inverts c = zeta^(2t) - zeta^(-2t) and the Gauss sum
+    # g_t, never their dense product; with at most two legs the per-color
+    # central power needs no inverse.
     calls = []
     inverse = CyclotomicNumber.inverse
 
@@ -286,8 +311,10 @@ def test_statesum_closes_with_one_division(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
-    xi_statesum(manifold("X(2/1,3/1)"), 7)
-    assert len(calls) == 1
+    r, t = 7, 2
+    xi_statesum(manifold("X(2/1,3/1)"), r, t)
+    c = CyclotomicNumber(r, _binomial(r, 2 * t))
+    assert calls == [c, gauss_sum(r, r).galois(t)]
 
 
 @pytest.mark.parametrize(
@@ -297,7 +324,7 @@ def test_statesum_closes_with_one_division(monkeypatch):
 def test_dp_matches_brute_composite_levels(chain, r, t):
     # Composite levels have non-unit colors, where the antisymmetric DP must
     # still agree with the enumeration at every color.
-    assert leg_sum_dp(chain, r, t).values == leg_sum_brute(chain, r, t).values
+    assert leg_values(leg_sum_dp(chain, r, t)) == leg_sum_brute(chain, r, t)
 
 
 @given(small_chains, st.sampled_from([3, 5, 7, 9]), st.integers(1, 8))
@@ -308,15 +335,52 @@ def test_leg_sum_is_odd_in_the_color(chain, r, t):
         return
     table = leg_sum_brute(chain, r, t)
     for j in range(r):
-        assert table.value(-j) == -table.value(j), (chain, r, t, j)
+        assert table[-j % r] == -table[j], (chain, r, t, j)
+
+
+def close_dense(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
+    """The closing step as one division by the dense
+    ``den = c^(b_0+1) g^b_+ conj(g)^b_- (-2)^b_+ 2^b_-`` (see ``statesum._close``)."""
+    b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
+    c = CyclotomicNumber(r, _binomial(r, 2 * t))
+    g = gauss_sum(r, r).galois(t)
+    den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
+    den = den * ((-2) ** b_plus * 2**b_minus)
+    phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
+    return total * phase / den
+
+
+def xi_statesum_per_color(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
+    """:func:`xi_statesum` by the list DP and one reduced product per color.
+
+    The colors ``j < r/2`` are summed as cyclotomic numbers, each color's
+    central power the Galois twist of ``chi[d]^(2-n)``, and the sum is closed
+    by :func:`close_dense`.
+    """
+    t = _check_level(r, t)
+    pres = plumbing(M)
+    tables = {
+        chain: values_from_rows(leg_sum_dp_lists(chain, r, t), r, len(chain))
+        for chain in set(pres.chains)
+    }
+    central: dict[int, CyclotomicNumber] = {}
+    total = CyclotomicNumber.zero(r)
+    for j in range(1, (r + 1) // 2):
+        term = CyclotomicNumber.one(r)
+        for chain in pres.chains:
+            term = term * tables[chain][j]
+        if term.is_zero():
+            continue
+        d, u = _unit_lift(j, r)
+        if d not in central:
+            central[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d)) ** (2 - M.n)
+        total = total + term * central[d].galois(u)
+    return close_dense(2 * total, pres, r, t)
 
 
 def _all_colors_statesum(M, r, t):
     """The oracle's color sum over every ``j`` with a per-color central power,
     from enumerated leg tables: no symmetry and no Galois twist."""
-    from seifertwrt.seifert import plumbing
-    from seifertwrt.statesum import _close
-
     pres = plumbing(M)
     tables = [leg_sum_brute(chain, r, t) for chain in pres.chains]
     chi = _chi(r, t)
@@ -324,9 +388,44 @@ def _all_colors_statesum(M, r, t):
     for j in range(1, r):
         term = chi[j] ** (2 - M.n)
         for table in tables:
-            term = term * table.value(j)
+            term = term * table[j]
         total = total + term
-    return _close(total, pres, r, t)
+    return close_dense(total, pres, r, t)
+
+
+composite_levels_and_units = st.sampled_from(
+    [(r, t) for r in (45, 63, 75) for t in range(1, r) if gcd(t, r) == 1]
+)
+short_legs = st.lists(
+    st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 3)).filter(
+        lambda pq: gcd(pq[0], pq[1]) == 1
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(short_legs, composite_levels_and_units)
+@settings(deadline=None, max_examples=12)
+def test_statesum_matches_per_color_reference(legs, level):
+    # The sum in Z[C_r] at one slot width, against reduced products per color
+    # and the dense division, at composite levels and any unit t.
+    r, t = level
+    M = SeifertData(tuple(legs))
+    assert xi_statesum(M, r, t) == xi_statesum_per_color(M, r, t)
+
+
+@pytest.mark.parametrize(
+    "spec,r,t",
+    [
+        ("X(2/1,3/1,7/1)", 31, 8),
+        ("X(5/2,-5/3,6/1,-7/2)", 43, 11),
+        ("X(3/1,4/3,5/2,-2/1)", 21, 16),
+    ],
+)
+def test_statesum_matches_per_color_reference_frozen(spec, r, t):
+    M = manifold(spec)
+    assert xi_statesum(M, r, t) == xi_statesum_per_color(M, r, t)
 
 
 @pytest.mark.parametrize("spec", ["X(2/1,5/2,-7/3)", "X(2/1,-2/1,5/2,4/1)"])
@@ -338,7 +437,7 @@ def test_statesum_matches_all_colors_at_composite_level(spec, t):
 
     M, r = manifold(spec), 9
     chains = plumbing(M).chains
-    assert all(not leg_sum_dp(c, r, t).value(3).is_zero() for c in chains)
+    assert all(not leg_values(leg_sum_dp(c, r, t))[3].is_zero() for c in chains)
     assert xi_statesum(M, r, t) == _all_colors_statesum(M, r, t)
 
 
@@ -353,7 +452,7 @@ def test_joint_brute_matches_statesum_at_composite_level(spec):
 
 def test_statesum_inverts_once_per_divisor(monkeypatch):
     # Three legs at r = 15: at most one inverse for each divisor 1, 3, 5 of
-    # the level and one for the closing step.
+    # the level (the closing step reuses that of 1) and one for g.
     calls = []
     inverse = CyclotomicNumber.inverse
 

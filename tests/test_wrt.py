@@ -300,6 +300,24 @@ def test_rozansky_matches_tau_prime():
                 assert abs(a - b) < mpmath.mpf(10) ** -30, (spec, r)
 
 
+def test_rozansky_route_expands_no_leg(monkeypatch):
+    # The residue form reads each leg through top_invariants and the Dedekind
+    # route of s_surd_residue: neither good_expansion nor plumbing runs, so a
+    # fault there cannot agree with itself through this check.
+    import seifertwrt.numtheory as numtheory
+    import seifertwrt.seifert as seifert
+
+    def refuse(*args):
+        raise AssertionError("the residue form expanded a leg")
+
+    M = manifold("X(5/2,-5/3,6/1,-7/2)")
+    expected = tau_rozansky_numeric(M, 11)
+    for module in (numtheory, seifert, wrt):
+        monkeypatch.setattr(module, "good_expansion", refuse)
+    monkeypatch.setattr(seifert, "plumbing", refuse)
+    assert tau_rozansky_numeric(M, 11) == expected
+
+
 def test_rozansky_float_path():
     a = tau_prime(manifold("X(2/1,3/1)"), 5).tau
     b = tau_rozansky_numeric(manifold("X(2/1,3/1)"), 5)
