@@ -19,7 +19,7 @@ import json
 import os
 import re
 import sys
-from math import gcd
+from math import gcd, isfinite
 from time import perf_counter
 from typing import Callable
 
@@ -33,22 +33,29 @@ from .seifert import (
     parse_normalize,
     plumbing,
     signature_counts,
+    top_invariants,
 )
 from .statesum import BudgetExceeded, xi_statesum, xi_statesum_brute
 from .wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
     InvariantResult,
+    _theta_is_integral,
     tau_from_xi,
     tau_prime,
     tau_rozansky_numeric,
-    tref_closed_form,
+    tref_xi_closed,
     xi_closed_form,
 )
 
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
+# The highest level.  A closed-form record costs about r^2 in time and memory:
+# X(2,3,7) took 0.7-0.9 s and 80 MB at r = 4001, 6.3 s and 406 MB at 10001 and
+# 24 s and 1.56 GB at 20001 (shared 2 vCPU, Python 3.11.7).
+MAX_LEVEL = 4001
+BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 FAULT_NAMES = ("flip-oracle-sign",)
 # Seconds a ``tau`` request runs in this process before ``--jobs`` hands the
 # rest of its records to child processes.  Starting a child costs the fork,
@@ -73,6 +80,9 @@ TEXT_LINE = ("{manifold} r={r} t={t}: tau'={tau_re:+.9f}{tau_im:+.9f}i nu={nu} "
 
 def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
     """One output record: the object a ``--format json`` line serializes."""
+    tau_re, tau_im = float(res.tau.real), float(res.tau.imag)
+    if not (isfinite(tau_re) and isfinite(tau_im)):
+        raise OverflowError(f"{res.manifold} at r={res.r}")
     return {
         "manifold": str(res.manifold),
         "r": res.r,
@@ -82,8 +92,8 @@ def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
         "b_minus": res.b_minus,
         "xi": _xi_pairs(res.xi),
         "xi_str": str(res.xi),
-        "tau_re": float(res.tau.real),
-        "tau_im": float(res.tau.imag),
+        "tau_re": tau_re,
+        "tau_im": tau_im,
         "xi_integral": res.xi_is_integral,
         "theta_integral": res.theta_is_integral,
         "checks": checks,
@@ -96,38 +106,58 @@ def _xi_pairs(xi: CyclotomicNumber) -> list[list[int]]:
     return [[n // g, den // g] for n in num for g in (gcd(n, den),)]
 
 
-def _tau_record(
-    spec: str,
-    r: int,
-    t: int | None,
-    want_oracle: bool,
-    want_rozansky: bool,
-    precision: int | None,
-) -> dict:
-    M = parse_manifold(spec)
-    checks: dict[str, bool | None] = {}
-    result = tau_prime(M, r, precision=precision, t=t)
-    xi = result.xi
-    if want_oracle:
-        checks["oracle"] = xi_statesum(M, r, result.t) == xi
-    if want_rozansky:
-        try:
-            import mpmath
+def _rozansky_agrees(M, r, t, xi, budget) -> bool:
+    """Whether ``tau'`` from ``xi`` matches the residue form to ``ROZANSKY_TOL_EXP``."""
+    import mpmath
 
-            with mpmath.workdps(ROZANSKY_DPS):
-                b = tau_rozansky_numeric(M, r, precision=ROZANSKY_DPS)
-                # tau' is xi at zeta^(1/4 mod r); twist xi there from zeta^t.
-                quarter = mod_inverse(4, r)
-                at_quarter = xi
-                if result.t != quarter:
-                    at_quarter = xi.galois(quarter * mod_inverse(result.t, r))
-                a = tau_from_xi(at_quarter, result.nu, precision=ROZANSKY_DPS)
-                checks["rozansky"] = bool(
-                    abs(a - b) < mpmath.mpf(10) ** ROZANSKY_TOL_EXP
-                )
-        except HypothesisViolated:
-            checks["rozansky"] = None
-    return _record(result, checks)
+    with mpmath.workdps(ROZANSKY_DPS):
+        b = tau_rozansky_numeric(M, r, precision=ROZANSKY_DPS)
+        # tau' is xi at zeta^(1/4 mod r); twist xi there from zeta^t.
+        quarter = mod_inverse(4, r)
+        if t != quarter:
+            xi = xi.galois(quarter * mod_inverse(t, r))
+        a = tau_from_xi(xi, top_invariants(M).nu, precision=ROZANSKY_DPS)
+        return bool(abs(a - b) < mpmath.mpf(10) ** ROZANSKY_TOL_EXP)
+
+
+def _integrality_holds(M, r, t, xi, budget) -> bool:
+    """Whether ``xi / 2**nu`` lies in ``Z[zeta_r]``, as the integrality theorem
+    says when ``r`` is coprime to at least ``n - 2`` of the ``p_k``.
+    """
+    if sum(1 for p, _ in M.legs if gcd(p, r) == 1) < M.n - 2:
+        raise HypothesisViolated(f"fewer than n - 2 legs are coprime to {r}")
+    return _theta_is_integral(xi, top_invariants(M).nu)
+
+
+# The checks of records and selftest trials, by name.  Each judges the exact
+# xi of M at zeta_r^t: True passes, False fails, and HypothesisViolated or
+# BudgetExceeded (over ``budget`` brute-force terms) skips.  Each calls its
+# route by module-global name, so a patched route is the one that runs.
+CHECKS: dict[str, Callable[..., bool]] = {
+    "oracle": lambda M, r, t, xi, budget: xi_statesum(M, r, t) == xi,
+    "brute": lambda M, r, t, xi, budget: xi_statesum_brute(M, r, t, budget) == xi,
+    "rozansky": _rozansky_agrees,
+    "integrality": _integrality_holds,
+    "closed_matches_general": lambda M, r, t, xi, budget: tref_xi_closed(r, t) == xi,
+}
+
+
+def _judge(names, M, r, t, xi, budget=BRUTE_BUDGET) -> dict[str, bool | None]:
+    """The ``CHECKS`` entries ``names`` run on ``xi``: True, False, or None (skip)."""
+    checks = {}
+    for name in names:
+        try:
+            checks[name] = CHECKS[name](M, r, t, xi, budget)
+        except (HypothesisViolated, BudgetExceeded):
+            checks[name] = None
+    return checks
+
+
+def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
+                precision: int | None) -> dict:
+    M = parse_manifold(spec)
+    result = tau_prime(M, r, precision=precision, t=t)
+    return _record(result, _judge(names, M, r, result.t, result.xi))
 
 
 def _run_share(tasks: list[tuple]) -> tuple[list[dict], Exception | None]:
@@ -206,15 +236,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _below_ceiling(top: int, given: str) -> None:
+    """Refuse ``given`` when its highest level ``top`` is above ``MAX_LEVEL``."""
+    if top > MAX_LEVEL:
+        raise ValueError(f"{given} reaches level {top}, above the highest level "
+                         f"{MAX_LEVEL}")
+
+
 def _parse_levels(args) -> list[int]:
     levels: set[int] = set()
     if args.r:
         try:
-            levels.update(int(chunk) for chunk in args.r.split(","))
+            given = [int(chunk) for chunk in args.r.split(",")]
         except ValueError as exc:
             raise ValueError(
                 f"bad --r {args.r!r}, expected comma-separated levels"
             ) from exc
+        _below_ceiling(max(given), f"--r {args.r!r}")
+        levels.update(given)
     if args.r_range:
         try:
             lo, hi = (int(x) for x in args.r_range.split(":"))
@@ -223,6 +262,7 @@ def _parse_levels(args) -> list[int]:
         odd = range(lo | 1, hi + 1, 2)
         if not odd:
             raise ValueError(f"--r-range {args.r_range!r} holds no odd level")
+        _below_ceiling(odd[-1], f"--r-range {args.r_range!r}")
         levels.update(odd)
     if not levels:
         raise ValueError("no levels given: use --r and/or --r-range")
@@ -257,11 +297,9 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
-    tasks = [
-        (spec, r, args.t, args.oracle, args.rozansky, args.precision)
-        for spec in args.manifolds
-        for r in levels
-    ]
+    names = tuple(dict.fromkeys(args.checks))
+    tasks = [(spec, r, args.t, names, args.precision)
+             for spec in args.manifolds for r in levels]
     max_jobs = min(args.jobs, _usable_cpus())
     records = []
     start = perf_counter()
@@ -275,37 +313,18 @@ def _cmd_tau(args) -> list[dict]:
 
 
 def _cmd_tref_table(args) -> list[dict]:
-    levels = _parse_levels(args)
-    records = []
-    for r in levels:
-        if r % 3 == 0:
-            continue  # the closed form needs gcd(r, 3) = 1
-        res = tref_closed_form(r, precision=args.precision)
-        general = xi_closed_form(TREFOIL_ZERO, r, res.t)
-        checks = {"closed_matches_general": res.xi == general}
-        records.append(_record(res, checks))
-    return records
-
-
-def _cmd_integrality_scan(args) -> list[dict]:
-    levels = _parse_levels(args)
-    records = []
-    for spec in args.manifolds:
-        M = parse_manifold(spec)
-        for r in levels:
-            coprime_legs = sum(1 for p, _ in M.legs if gcd(p, r) == 1)
-            hypothesis = coprime_legs >= M.n - 2
-            res = tau_prime(M, r, precision=args.precision)
-            required = res.theta_is_integral if res.nu else res.xi_is_integral
-            checks = {"integrality": required if hypothesis else None}
-            records.append(_record(res, checks))
-    return records
+    # The closed form needs gcd(r, 3) = 1: other levels are left out.
+    levels = [r for r in _parse_levels(args) if r % 3]
+    if not levels:
+        raise ValueError("tref-table needs a level r with gcd(r, 3) = 1")
+    return [_tau_record(str(TREFOIL_ZERO), r, None, ("closed_matches_general",),
+                        args.precision) for r in levels]
 
 
 RECORD_COMMANDS = {
     "tau": _cmd_tau,
     "tref-table": _cmd_tref_table,
-    "integrality-scan": _cmd_integrality_scan,
+    "integrality-scan": _cmd_tau,
 }
 
 
@@ -327,27 +346,22 @@ def _cmd_selftest(args, out) -> int:
     import random  # here: only selftest needs it, and start-up would pay
 
     rng = random.Random(args.seed)
+    flip = args.inject_fault == "flip-oracle-sign"
     results = []  # one per check: True, False, or None when skipped
     for trial in range(args.trials):
         M = _random_manifold(rng)
         r = rng.choice((3, 5, 7, 9))
         t = rng.choice([u for u in range(1, r) if gcd(u, r) == 1])
         xi = xi_closed_form(M, r, t)
-        oracle = xi_statesum(M, r, t)
-        if args.inject_fault == "flip-oracle-sign":
-            oracle = -oracle
-        ok = xi == oracle
+        ok = _judge(("oracle",), M, r, t, -xi if flip else xi)["oracle"]
         out.write(f"selftest trial {trial}: {M} r={r} t={t} formula-vs-oracle "
                   f"{'ok' if ok else 'FAIL'}\n")
         u = rng.choice([u for u in range(1, r) if gcd(u, r) == 1])
         inertia = signature_counts(linking_matrix(plumbing(M)))
-        brute = None  # skipped when its terms are over --budget
-        if r ** (1 + sum(map(len, plumbing(M).chains))) <= args.budget:
-            brute = xi_statesum_brute(M, r, t, budget=args.budget) == xi
         checks = {
             f"galois twist by {u}": xi_closed_form(M, r, (t * u) % r) == xi.galois(u),
             "inertia closed form": inertia == b_counts_closed_form(M),
-            "joint brute force": brute,
+            "joint brute force": _judge(("brute",), M, r, t, xi, args.budget)["brute"],
         }
         results += [ok, *checks.values()]
         for name, ok in checks.items():
@@ -409,9 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_tau, manifolds=True)
     p_tau.add_argument("--t", type=int, default=None,
                        help="evaluation exponent (default: the inverse of 4 mod r)")
-    p_tau.add_argument("--oracle", action="store_true",
+    p_tau.add_argument("--oracle", action="append_const", dest="checks",
+                       const="oracle", default=[],
                        help="cross-check against the plumbing state sum")
-    p_tau.add_argument("--rozansky", action="store_true",
+    p_tau.add_argument("--rozansky", action="append_const", dest="checks",
+                       const="rozansky",
                        help="cross-check tau' against the numerical residue form")
     p_tau.add_argument("--jobs", type=_int_range(1), default=1,
                        help="processes that compute records, this one included, "
@@ -428,11 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("integrality-scan",
                             help="algebraic-integrality check over levels")
     add_common(p_scan, manifolds=True)
+    p_scan.set_defaults(checks=["integrality"], t=None, jobs=1)
 
     p_self = sub.add_parser("selftest", help="randomized consistency drill")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--trials", type=_int_range(1), default=8)
-    p_self.add_argument("--budget", type=_int_range(1), default=20000,
+    p_self.add_argument("--budget", type=_int_range(1), default=BRUTE_BUDGET,
                         help="joint brute-force term budget")
     p_self.add_argument("--inject-fault", choices=FAULT_NAMES, default=None,
                         help="deliberately break a route to prove detection")
@@ -447,8 +464,11 @@ def main(argv=None) -> int:
             return _cmd_selftest(args, out)
         records = RECORD_COMMANDS[args.command](args)
         _emit(records, args.format, out)
-    except (ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # from the float embedding or from _record
+        print(f"error: tau' is outside the double range ({exc})", file=sys.stderr)
         return 2
     failed = any(value is False for rec in records for value in rec["checks"].values())
     return 1 if failed else 0

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifertwrt import cli
+from seifertwrt import cli, wrt
 from seifertwrt.cli import _xi_pairs, build_parser, main
 from seifertwrt.cyclotomic import CyclotomicNumber
+from seifertwrt.numtheory import mod_inverse
+from seifertwrt.seifert import parse_manifold
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -311,6 +313,12 @@ def test_tref_table(capsys):
     assert vanishing[5]["tau_re"] == pytest.approx(-0.5877852522924731, abs=1e-9)
 
 
+@pytest.mark.parametrize("levels", ["9", "3,9,15"])
+def test_tref_table_without_a_level_prime_to_three_exits_two(capsys, levels):
+    assert run_cli(capsys, "tref-table", "--r", levels) == (
+        2, "", "error: tref-table needs a level r with gcd(r, 3) = 1\n")
+
+
 def test_integrality_scan(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -386,6 +394,11 @@ def test_usage_errors_exit_two(capsys, argv):
         (("--r-range", "9:3"), "--r-range '9:3' holds no odd level"),
         (("--r-range", "4:4"), "--r-range '4:4' holds no odd level"),
         (("--r", "5", "--r-range", "9:3"), "--r-range '9:3' holds no odd level"),
+        # The level ceiling is checked before any level is listed.
+        (("--r", "5,4003"), "--r '5,4003' reaches level 4003, above the highest "
+                            "level 4001"),
+        (("--r-range", "3:1000000000000"), "--r-range '3:1000000000000' reaches "
+         "level 999999999999, above the highest level 4001"),
     ],
 )
 def test_usage_error_names_the_given_value(capsys, argv, message):
@@ -456,13 +469,16 @@ def test_precision_in_range_is_accepted(capsys, digits, tau_re):
 
 
 @pytest.mark.parametrize(
-    ("target", "check", "failures"),
-    [("b_counts_closed_form", "inertia closed form", 3),
-     ("xi_statesum_brute", "joint brute force", 2)],
+    ("target", "fake", "check", "failures"),
+    [("b_counts_closed_form", lambda real: lambda *a, **k: None,
+      "inertia closed form", 3),
+     # A wrong sum that keeps the real refusal over --budget.
+     ("xi_statesum_brute", lambda real: lambda *a, **k: real(*a, **k) + 1,
+      "joint brute force", 2)],
 )
-def test_selftest_names_each_failed_check(capsys, monkeypatch, target, check,
-                                          failures):
-    monkeypatch.setattr(cli, target, lambda *args, **kwargs: None)
+def test_selftest_names_each_failed_check(capsys, monkeypatch, target, fake,
+                                          check, failures):
+    monkeypatch.setattr(cli, target, fake(getattr(cli, target)))
     code, out, _ = run_cli(capsys, "selftest", "--trials", "3")
     assert code == 1
     assert f"selftest trial 2: {check} FAIL\n" in out
@@ -475,6 +491,60 @@ def test_selftest_reports_skipped_brute_force(capsys):
     assert code == 0
     assert out.endswith(
         "selftest: 9 checks, 0 failures, 3 skipped (brute force over --budget)\n")
+
+
+def test_level_ceiling_admits_the_checked_levels_up_to_151(capsys):
+    assert cli.MAX_LEVEL >= 151
+    code, out, _ = run_cli(capsys, "tau", "X(2/1)", "--r", "151", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("X(2/1),151,")
+
+
+@pytest.mark.parametrize(("precision", "reason"), [
+    ((), "int too large to convert to float"),
+    (("--precision", "30"), "X(2/1,3/1) at r=5"),
+])
+def test_tau_beyond_a_double_exits_two(capsys, monkeypatch, precision, reason):
+    # An xi far outside the double range: the float embedding overflows, and
+    # the mpmath one gives a tau' that no double holds.
+    def huge(M, r, precision=None, t=None):
+        return wrt._result(M, r, 4, CyclotomicNumber(r, [10**400]), precision)
+
+    monkeypatch.setattr(cli, "tau_prime", huge)
+    for fmt in ("json", "csv", "text"):
+        assert run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5", *precision,
+                       "--format", fmt) == (
+            2, "", f"error: tau' is outside the double range ({reason})\n")
+
+
+# One passing and one skipped case per CHECKS entry: (name, manifold, level,
+# budget, negate xi, result).  The oracle has no hypothesis to skip on, so it
+# gets a failing case instead.  X(2/1,3/1) at r = 5 has 5**3 joint colorings.
+CHECK_CASES = [
+    ("oracle", "X(2/1,3/1,7/1)", 5, 1, False, True),
+    ("oracle", "X(2/1,3/1,7/1)", 5, 1, True, False),
+    ("brute", "X(2/1,3/1)", 5, 10**4, False, True),
+    ("brute", "X(2/1,3/1)", 5, 124, False, None),
+    ("rozansky", "X(2/1,3/1,7/1)", 5, 1, False, True),
+    ("rozansky", "X(2/1,3/1,7/1)", 7, 1, False, None),
+    ("integrality", "X(2/1,3/1,5/1)", 5, 1, False, True),
+    ("integrality", "X(3/1,3/1,6/1,9/1)", 3, 1, False, None),
+    ("closed_matches_general", "X(-2/1,3/1,6/1)", 5, 1, False, True),
+    ("closed_matches_general", "X(-2/1,3/1,6/1)", 9, 1, False, None),
+]
+
+
+def test_check_cases_cover_every_entry():
+    assert {case[0] for case in CHECK_CASES} == set(cli.CHECKS)
+
+
+@pytest.mark.parametrize(("name", "spec", "r", "budget", "negate", "expected"),
+                         CHECK_CASES)
+def test_check_entry(name, spec, r, budget, negate, expected):
+    M, t = parse_manifold(spec), mod_inverse(4, r)
+    xi = wrt.xi_closed_form(M, r, t)
+    judged = cli._judge((name,), M, r, t, -xi if negate else xi, budget)
+    assert judged == {name: expected}
 
 
 def test_parser_help_smoke():
