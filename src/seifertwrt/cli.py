@@ -55,6 +55,20 @@ MAX_PRECISION = 1000  # the most --precision digits
 # X(2,3,7) took 0.7-0.9 s and 80 MB at r = 4001, 6.3 s and 406 MB at 10001 and
 # 24 s and 1.56 GB at 20001 (shared 2 vCPU, Python 3.11.7).
 MAX_LEVEL = 4001
+# The most legs of a manifold.  A CLI call for one record of n legs of 2 took
+# 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
+# 14 s for n = 128 (same machine): the closed formula's time grows about as
+# n^2.8 there.  Legs and level are not bounded jointly: 16 legs took 42 s at
+# r = 4001.
+MAX_LEGS = 64
+# The most plumbing vertices a manifold may expand into, bounded before any
+# expansion by the sum of q_k + 1 over its legs (the good expansion of p/q
+# has at most q + 1 entries, as its remainders fall strictly below q).  A
+# record expands every leg for its inertia, and the expansions stay cached:
+# X(1/99999) took 20 ms and 1.6 MB, X(1/999999) 0.2 s and 16 MB (same
+# machine).  The oracle's leg DP is not bounded by it: X(1/10000) --oracle
+# took 28 s and 1.5 GB at r = 5.
+MAX_CHAIN_VERTICES = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 FAULT_NAMES = ("flip-oracle-sign",)
 # Seconds a ``tau`` request runs in this process before ``--jobs`` hands the
@@ -81,8 +95,6 @@ TEXT_LINE = ("{manifold} r={r} t={t}: tau'={tau_re:+.9f}{tau_im:+.9f}i nu={nu} "
 def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
     """One output record: the object a ``--format json`` line serializes."""
     tau_re, tau_im = float(res.tau.real), float(res.tau.imag)
-    if not (isfinite(tau_re) and isfinite(tau_im)):
-        raise OverflowError(f"{res.manifold} at r={res.r}")
     return {
         "manifold": str(res.manifold),
         "r": res.r,
@@ -156,8 +168,34 @@ def _judge(names, M, r, t, xi, budget=BRUTE_BUDGET) -> dict[str, bool | None]:
 def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
                 precision: int | None) -> dict:
     M = parse_manifold(spec)
-    result = tau_prime(M, r, precision=precision, t=t)
+    try:
+        result = tau_prime(M, r, precision=precision, t=t)
+        if not (isfinite(result.tau.real) and isfinite(result.tau.imag)):
+            raise OverflowError
+    except OverflowError:  # a tau' no double holds, on either numeric path
+        raise OverflowError(f"{M} at r={r}") from None
     return _record(result, _judge(names, M, r, result.t, result.xi))
+
+
+def _within_ceilings(spec: str) -> None:
+    """Refuse the manifold ``spec`` when it has more than ``MAX_LEGS`` legs or
+    may expand into more than ``MAX_CHAIN_VERTICES`` plumbing vertices.
+
+    A ``spec`` that does not parse passes: its first record raises the parse
+    error, in task order, as it would without the ceilings.
+    """
+    try:
+        M = parse_manifold(spec)
+    except ValueError:
+        return
+    if M.n > MAX_LEGS:
+        raise ValueError(f"{spec!r} has {M.n} legs, above the ceiling of "
+                         f"{MAX_LEGS} legs")
+    bound = sum(q + 1 for _, q in M.legs)
+    if bound > MAX_CHAIN_VERTICES:
+        raise ValueError(f"{spec!r} may expand into {bound} plumbing vertices "
+                         f"(q + 1 per leg p/q), above the ceiling of "
+                         f"{MAX_CHAIN_VERTICES}")
 
 
 def _run_share(tasks: list[tuple]) -> tuple[list[dict], Exception | None]:
@@ -297,6 +335,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
+    for spec in args.manifolds:
+        _within_ceilings(spec)
     names = tuple(dict.fromkeys(args.checks))
     tasks = [(spec, r, args.t, names, args.precision)
              for spec in args.manifolds for r in levels]
@@ -467,7 +507,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # from the float embedding or from _record
+    except OverflowError as exc:  # from _tau_record
         print(f"error: tau' is outside the double range ({exc})", file=sys.stderr)
         return 2
     failed = any(value is False for rec in records for value in rec["checks"].values())

@@ -2,9 +2,9 @@
 
 Everything here is exact: big integers, ``fractions.Fraction``, and small
 combinatorial recursions.  These are the primitives the rest of the package
-is assembled from -- modular inverses, Jacobi symbols, Dedekind sums, and
-negative continued-fraction ("good") expansions of rationals together with
-the Bezout-type data read off from their partial numerators.
+is assembled from -- modular inverses, Jacobi symbols, Dedekind sums in
+integers, and the negative continued-fraction ("good") expansions of
+rationals that the plumbing chains are made of.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class NotCoprime(ValueError):
 
 class ZeroNumerator(ValueError):
     """Raised when a rational that must be nonzero has numerator zero."""
-
-
-class IndexOutOfRange(ValueError):
-    """Raised when a recursion index lies outside its documented range."""
 
 
 def sign(x: int | Fraction) -> int:
@@ -80,28 +76,32 @@ def jacobi(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum ``s(q, p)`` for coprime ``q, p`` with ``p != 0``.
+def dedekind_integer(q: int, p: int) -> int:
+    """The integer ``12 p s(q, p)`` for coprime ``q, p`` with ``p != 0``.
 
-    Uses the convention ``s(q, p) = s(q * sign(p), |p|)`` for negative ``p``.
-    The integer ``D(a, n) = 12 n s(a, n)`` depends on ``a mod n`` only, and
-    reciprocity gives ``a D(a, n) = a^2 + n^2 + 1 - 3an - n D(n mod a, a)``
+    ``s`` is the Dedekind sum, with ``s(q, p) = s(q * sign(p), |p|)`` for
+    negative ``p``.  ``D(a, n) = 12 n s(a, n)`` depends on ``a mod n`` only,
+    and reciprocity gives ``a D(a, n) = a^2 + n^2 + 1 - 3an - n D(n mod a, a)``
     for coprime ``0 < a < n``: Euclid's steps, down to ``D(0, 1) = 0``.
     """
     if p == 0:
         raise ZeroNumerator("Dedekind sum needs p != 0")
     if gcd(q, p) != 1:
         raise NotCoprime(f"Dedekind sum needs gcd(q, p) = 1, got ({q}, {p})")
-    if p < 0:
-        q, p = -q, -p
-    steps, a, n = [], q % p, p
+    flip = -1 if p < 0 else 1
+    steps, a, n = [], flip * q % abs(p), abs(p)
     while n > 1:
         steps.append((a, n))
         a, n = n % a, a
     d = 0
     for a, n in reversed(steps):
         d = (a * a + n * n + 1 - 3 * a * n - n * d) // a
-    return Fraction(d, 12 * p)
+    return flip * d
+
+
+def dedekind_sum(q: int, p: int) -> Fraction:
+    """Dedekind sum ``s(q, p)``, as :func:`dedekind_integer` over ``12 p``."""
+    return Fraction(dedekind_integer(q, p), 12 * p)
 
 
 class GoodExpansion(NamedTuple):
@@ -124,12 +124,6 @@ class GoodExpansion(NamedTuple):
     @property
     def l(self) -> int:  # noqa: E743 - matches the standard name for the length
         return len(self.ms)
-
-    def entry(self, i: int) -> int:
-        """Entry ``m_i`` with ``i = 1`` the innermost, ``i = l`` the outermost."""
-        if not 1 <= i <= self.l:
-            raise IndexOutOfRange(f"entry index {i} outside 1..{self.l}")
-        return self.ms[self.l - i]
 
     def value(self) -> Fraction:
         """Evaluate the continued fraction back to a rational (self-check)."""
@@ -167,50 +161,13 @@ def good_expansion(p: int, q: int) -> GoodExpansion:
     return GoodExpansion(p, q, tuple(ms))
 
 
-def partial_numerator(e: GoodExpansion, j: int, i: int) -> int:
-    """Continuant ``N_{j,i}`` of entries ``m_j, m_{j-1}, ..., m_i``.
-
-    Defined by ``N_{i-2,i} = 0``, ``N_{i-1,i} = 1`` and
-    ``N_{j,i} = m_j * N_{j-1,i} - N_{j-2,i}``.  Requires ``1 <= i`` and
-    ``i - 1 <= j <= l``.
-    """
-    if i < 1 or j < i - 1 or j > e.l:
-        raise IndexOutOfRange(f"(j, i) = ({j}, {i}) outside range for l = {e.l}")
-    prev2, prev1 = 0, 1  # N_{i-2,i}, N_{i-1,i}
-    for k in range(i, j + 1):
-        prev2, prev1 = prev1, e.entry(k) * prev1 - prev2
-    return prev1
-
-
-class BezoutPair(NamedTuple):
-    """Integers ``(a_star, b_star)`` with ``p*b_star + q*a_star = 1`` for a leg ``p/q``."""
-
-    a_star: int
-    b_star: int
-
-
-def star_pair(e: GoodExpansion) -> BezoutPair:
-    """The Bezout pair ``(q_star, p_star)`` read off the partial numerators.
-
-    With ``q_star = N_{l,2}`` and ``p_star = -N_{l-1,2}``, the continuant
-    determinant identity ``N_{l,1}*N_{l-1,2} - N_{l,2}*N_{l-1,1} = -1``
-    together with ``N_{l,1} = p``, ``N_{l-1,1} = q`` gives
-    ``p*p_star + q*q_star = 1``.  Requires ``l >= 2``.
-    """
-    if e.l < 2:
-        raise IndexOutOfRange("star pair needs an expansion of length >= 2")
-    q_star = partial_numerator(e, e.l, 2)
-    p_star = -partial_numerator(e, e.l - 1, 2)
-    return BezoutPair(q_star, p_star)
-
-
 def s_surd_residue(p: int, q: int, r: int) -> int:
     """The residue ``-12 s^surd(q, p) mod r`` entering the fibered-sum exponent.
 
-    Computed as ``-(12 p s(q, p)) * p^-1 (mod r)``; ``12 p s(q, p)`` is an
-    integer.  Requires ``gcd(p, q) = gcd(p, r) = 1`` and odd ``r >= 3``.
+    Computed as ``-(12 p s(q, p)) * p^-1 (mod r)`` (:func:`dedekind_integer`).
+    Requires ``gcd(p, q) = gcd(p, r) = 1`` and odd ``r >= 3``.
     """
     if r < 3 or r % 2 == 0:
         raise InvalidModulus(f"level must be odd and >= 3, got {r}")
-    p_prime, s = mod_inverse(p, r), dedekind_sum(q, p)
-    return -(12 * p * s.numerator // s.denominator) * p_prime % r
+    p_prime = mod_inverse(p, r)
+    return -dedekind_integer(q, p) * p_prime % r

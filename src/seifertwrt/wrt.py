@@ -2,9 +2,10 @@
 
 For odd ``r >= 3`` this module evaluates the SO(3) invariant ``xi_r`` of
 ``X(p_1/q_1, ..., p_n/q_n)`` exactly in ``Q(zeta_r)`` by a single sum of at
-most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)`` and
-integer exponents assembled from good expansions (no rational Dedekind sums
-appear at evaluation time), with its products taken in the group ring
+most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)``,
+Jacobi symbols, and per-leg Bezout pairs and integer exponents from modular
+inverses and the integers ``12 p s(q, p)`` of Dedekind sums (no continued
+fraction is expanded), with its products taken in the group ring
 ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On top of it sit the
 normalizations ``tau'_r`` and ``Theta_r``, a numerical evaluator in the shape
 of Rozansky's residue formula for cross-checks (mpmath only, at 30 digits by
@@ -31,14 +32,7 @@ from .cyclotomic import (
     _unpack,
     euler_phi,
 )
-from .numtheory import (
-    good_expansion,
-    jacobi,
-    mod_inverse,
-    s_surd_residue,
-    sign,
-    star_pair,
-)
+from .numtheory import dedekind_integer, jacobi, mod_inverse, s_surd_residue
 from .seifert import SeifertData, b_counts_closed_form, top_invariants
 
 
@@ -46,21 +40,21 @@ class LegData(NamedTuple):
     """Everything the evaluator needs about one leg ``p/q`` at level ``r``.
 
     ``c = gcd(r, |p|)``; ``(q_star, p_star)`` is the Bezout pair
-    ``p*p_star + q*q_star = 1`` read off the good expansion (optionally
-    perturbed by an integer ``shift``: ``q_star += shift*p``,
-    ``p_star -= shift*q``); ``pc_prime`` inverts ``p/c`` modulo ``r/c``
+    ``p*p_star + q*q_star = 1`` with ``q_star = (q^-1 mod |p|) + shift*p``
+    for an integer ``shift``; ``pc_prime`` inverts ``p/c`` modulo ``r/c``
     (zero when ``r = c``); ``sf`` and ``jac`` are the sign and Jacobi-symbol
     factors of the leg's closed Gauss-sum evaluation; ``exponent_const`` is
-    the leg's contribution ``3(l - 1 + sign p) - sum(ms) + shift`` to the global
-    root-of-unity exponent.
+    the leg's contribution ``(q + q_star)/p - 12 s(q, p)`` to the global
+    root-of-unity exponent, an integer that moves by ``shift`` with
+    ``q_star``.  (By the continued-fraction formula for Dedekind sums,
+    Hirzebruch-Zagier 1974, it is ``3(l - 1 + sign p) - sum(ms)`` for the
+    Bezout pair of the good expansion ``ms`` of ``p/q``, of length ``l``.)
     """
 
     p: int
     q: int
     r: int
     c: int
-    l: int  # noqa: E741 - the customary name for the expansion length
-    ms: tuple[int, ...]
     q_star: int
     p_star: int
     pc_prime: int
@@ -80,7 +74,7 @@ class LegData(NamedTuple):
         """
         # n (r-1)/2 calls per record: one unpack reads the fields faster than
         # by name, and the two branches written out beat a loop over signs.
-        _, q, _, c, _, _, q_star, p_star, pc_prime, _, _, _ = self
+        _, q, _, c, q_star, p_star, pc_prime, _, _, _ = self
         out = ()
         d = j - q_star
         if d % c == 0:
@@ -93,23 +87,20 @@ class LegData(NamedTuple):
 
 def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
     """Assemble :class:`LegData` for leg ``p/q`` at level ``r``."""
+    twelve_ps = dedekind_integer(q, p)  # validates p != 0 and gcd(p, q) = 1
     c = gcd(r, abs(p))
-    e = good_expansion(p, q)
-    bez = star_pair(e)
-    q_star = bez.a_star + shift * p
-    p_star = bez.b_star - shift * q
+    q_star = mod_inverse(q, abs(p)) + shift * p
+    p_star = (1 - q * q_star) // p
     rc = r // c
     pc_prime = 0 if rc == 1 else mod_inverse(p // c, rc)
     sf = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = jacobi(p // c, rc) * jacobi(q, c)
-    exponent_const = 3 * (e.l - 1 + sign(p)) - sum(e.ms) + shift
+    exponent_const = (q + q_star - twelve_ps) // p
     return LegData(
         p=p,
         q=q,
         r=r,
         c=c,
-        l=e.l,
-        ms=e.ms,
         q_star=q_star,
         p_star=p_star,
         pc_prime=pc_prime,
@@ -246,9 +237,9 @@ def xi_closed_form(
 ) -> CyclotomicNumber:
     """Exact ``xi_r(M)`` evaluated at ``zeta_r**t``, by the closed formula.
 
-    ``star_shifts`` optionally perturbs each leg's Bezout pair; the result is
-    independent of it (property-tested), which exercises the built-in
-    compensating exponent.
+    ``star_shifts`` optionally moves each leg's ``q_star`` by ``shift * p``
+    (see :class:`LegData`); the leg's exponent moves with it, so the result
+    is independent of the shifts (property-tested).
     """
     t = _check_level(r, t)
     tops = top_invariants(M)
@@ -438,9 +429,3 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
     return _evaluate(r, t, -4, 2 * r, 0)
-
-
-def tref_closed_form(r: int, precision: int | None = None) -> InvariantResult:
-    """The trefoil-surgery invariants straight from the closed form."""
-    t = _check_level(r, None)
-    return _result(TREFOIL_ZERO, r, t, tref_xi_closed(r, t), precision)

@@ -39,7 +39,6 @@ from seifertwrt.wrt import (
     HypothesisViolated,
     tau_prime,
     tau_rozansky_numeric,
-    tref_closed_form,
     tref_xi_closed,
     xi_closed_form,
 )
@@ -199,7 +198,8 @@ def test_a7_trefoil_surgery(capsys):
             if r % 3 == 1:
                 assert closed.is_zero(), f"r={r}"
         for r in (5, 11, 17, 23):
-            res = tref_closed_form(r)
+            res = tau_prime(TREFOIL_ZERO, r)
+            assert res.xi == tref_xi_closed(r, res.t), f"r={r}"
             expected = (-sqrt(r) / (2 * sin(pi / r))) * complex(
                 cos(2 * pi / r), -sin(2 * pi / r)
             )

@@ -500,13 +500,10 @@ def test_level_ceiling_admits_the_checked_levels_up_to_151(capsys):
     assert out.splitlines()[1].startswith("X(2/1),151,")
 
 
-@pytest.mark.parametrize(("precision", "reason"), [
-    ((), "int too large to convert to float"),
-    (("--precision", "30"), "X(2/1,3/1) at r=5"),
-])
-def test_tau_beyond_a_double_exits_two(capsys, monkeypatch, precision, reason):
+@pytest.mark.parametrize("precision", [(), ("--precision", "30")])
+def test_tau_beyond_a_double_exits_two(capsys, monkeypatch, precision):
     # An xi far outside the double range: the float embedding overflows, and
-    # the mpmath one gives a tau' that no double holds.
+    # the mpmath one gives a tau' that no double holds.  Both name the record.
     def huge(M, r, precision=None, t=None):
         return wrt._result(M, r, 4, CyclotomicNumber(r, [10**400]), precision)
 
@@ -514,7 +511,45 @@ def test_tau_beyond_a_double_exits_two(capsys, monkeypatch, precision, reason):
     for fmt in ("json", "csv", "text"):
         assert run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5", *precision,
                        "--format", fmt) == (
-            2, "", f"error: tau' is outside the double range ({reason})\n")
+            2, "", "error: tau' is outside the double range (X(2/1,3/1) at r=5)\n")
+
+
+def legs_of_two(n: int) -> str:
+    return "X(" + ",".join(["2"] * n) + ")"
+
+
+@pytest.mark.parametrize("command", ["tau", "integrality-scan"])
+@pytest.mark.parametrize(("spec", "message"), [
+    (legs_of_two(cli.MAX_LEGS), None),
+    (legs_of_two(cli.MAX_LEGS + 1),
+     f"{legs_of_two(cli.MAX_LEGS + 1)!r} has {cli.MAX_LEGS + 1} legs, above the "
+     f"ceiling of {cli.MAX_LEGS} legs"),
+    (f"X(1/{cli.MAX_CHAIN_VERTICES - 1})", None),
+    (f"X(1/{cli.MAX_CHAIN_VERTICES})",
+     f"'X(1/{cli.MAX_CHAIN_VERTICES})' may expand into "
+     f"{cli.MAX_CHAIN_VERTICES + 1} plumbing vertices (q + 1 per leg p/q), above "
+     f"the ceiling of {cli.MAX_CHAIN_VERTICES}"),
+    # The bound is a sum over the legs: 50001 + 50000 vertices.
+    ("X(1/50000,-1/49999)",
+     "'X(1/50000,-1/49999)' may expand into 100001 plumbing vertices (q + 1 per "
+     "leg p/q), above the ceiling of 100000"),
+])
+def test_leg_ceilings(capsys, command, spec, message):
+    code, out, err = run_cli(capsys, command, spec, "--r", "3", "--format", "csv")
+    if message is None:
+        assert (code, err, len(out.splitlines())) == (0, "", 2)
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_leg_ceilings_refuse_before_any_record(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(cli, "tau_prime", refuse)
+    code, out, err = run_cli(capsys, "tau", "X(2/1)", legs_of_two(345), "--r", "31")
+    assert (code, out) == (2, "")
+    assert err.endswith("has 345 legs, above the ceiling of 64 legs\n")
 
 
 # One passing and one skipped case per CHECKS entry: (name, manifold, level,

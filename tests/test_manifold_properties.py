@@ -2,9 +2,9 @@
 
 Each relation maps a manifold to another presentation of the same manifold
 (or of its mirror image), so it tests the closed formula and the state-sum
-oracle without comparing them with each other: a fault in the shared
-``good_expansion``/``plumbing`` code or in the oracle's closing step shows up
-as a broken relation on one route.
+oracle without comparing them with each other: a fault in the code they
+share (``cyclotomic``), in the oracle's ``good_expansion``/``plumbing`` chains
+or in its closing step shows up as a broken relation on one route.
 """
 
 from __future__ import annotations

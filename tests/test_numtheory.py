@@ -4,26 +4,23 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifertwrt.numtheory import (
-    BezoutPair,
-    GoodExpansion,
-    IndexOutOfRange,
     InvalidModulus,
     NonInvertible,
     NotCoprime,
     ZeroNumerator,
+    dedekind_integer,
     dedekind_sum,
     good_expansion,
     jacobi,
     mod_inverse,
-    partial_numerator,
     s_surd_residue,
     sign,
-    star_pair,
 )
+from seifertwrt.wrt import leg_data
 
 coprime_pairs = st.tuples(
     st.integers(min_value=-40, max_value=40).filter(lambda p: p != 0),
@@ -130,6 +127,7 @@ def test_dedekind_sum_matches_the_defining_sum(pq):
     p, q = pq
     for qq in (q, -q, q + 3 * p):
         assert dedekind_sum(qq, p) == dedekind_sum_by_definition(qq, p), (qq, p)
+        assert dedekind_integer(qq, p) == 12 * p * dedekind_sum_by_definition(qq, p)
 
 
 @given(coprime_pairs)
@@ -152,10 +150,11 @@ def test_dedekind_negative_convention():
 
 
 def test_dedekind_errors():
-    with pytest.raises(ZeroNumerator):
-        dedekind_sum(1, 0)
-    with pytest.raises(NotCoprime):
-        dedekind_sum(2, 4)
+    for f in (dedekind_sum, dedekind_integer):
+        with pytest.raises(ZeroNumerator):
+            f(1, 0)
+        with pytest.raises(NotCoprime):
+            f(2, 4)
 
 
 @pytest.mark.parametrize(
@@ -202,58 +201,34 @@ def test_good_expansion_errors():
         good_expansion(3, -1)
 
 
-def test_entry_indexing():
-    e = good_expansion(-5, 3)  # ms = (-1, 2, 2), outermost first
-    assert e.entry(3) == -1
-    assert e.entry(2) == 2
-    assert e.entry(1) == 2
-    with pytest.raises(IndexOutOfRange):
-        e.entry(0)
-    with pytest.raises(IndexOutOfRange):
-        e.entry(4)
+def expansion_star_pair(p: int, q: int) -> tuple[int, int]:
+    """The Bezout pair ``(q_star, p_star)`` of the good expansion of ``p/q``.
+
+    The convergents ``h_i / k_i`` of ``m_l - 1/(m_{l-1} - ...)``, taken from
+    the outermost entry in, satisfy ``h_i = m h_(i-1) - h_(i-2)`` (and the
+    same for ``k``) with ``h_i k_(i-1) - h_(i-1) k_i = -1``.  The last one is
+    ``p/q``, so the penultimate one is ``q_star / -p_star`` with
+    ``p*p_star + q*q_star = 1``.
+    """
+    (h, h_prev), (k, k_prev) = (1, 0), (0, -1)
+    for m in good_expansion(p, q).ms[:-1]:
+        h, h_prev = m * h - h_prev, h
+        k, k_prev = m * k - k_prev, k
+    return h, -k
 
 
-def test_partial_numerator_base_cases():
-    e = good_expansion(7, 5)  # ms = (2, 2, 3)
-    assert partial_numerator(e, 0, 1) == 1  # empty product N_{i-1,i}
-    assert partial_numerator(e, 1, 2) == 1  # likewise, one level up
-    assert partial_numerator(e, 1, 1) == e.entry(1)
-    assert partial_numerator(e, 3, 1) == 7  # the full numerator
-    assert partial_numerator(e, 2, 1) == 5  # the full denominator
-    with pytest.raises(IndexOutOfRange):
-        partial_numerator(e, 4, 1)
-    with pytest.raises(IndexOutOfRange):
-        partial_numerator(e, 0, 2)
-    with pytest.raises(IndexOutOfRange):
-        partial_numerator(e, 1, 0)
+def test_expansion_star_pair_frozen():
+    assert expansion_star_pair(3, 1) == (4, -1)
+    assert expansion_star_pair(-2, 1) == (-1, -1)
+    assert expansion_star_pair(7, 5) == (3, -2)
 
 
 @given(coprime_pairs)
 @settings(deadline=None)
-def test_partial_numerator_full_value(pq):
+def test_expansion_star_pair_bezout_identity(pq):
     p, q = pq
-    e = good_expansion(p, q)
-    assert partial_numerator(e, e.l, 1) == p
-    assert partial_numerator(e, e.l - 1, 1) == q
-
-
-def test_star_pair_frozen():
-    assert star_pair(good_expansion(3, 1)) == BezoutPair(4, -1)
-    assert star_pair(good_expansion(-2, 1)) == BezoutPair(-1, -1)
-
-
-@given(coprime_pairs)
-@settings(deadline=None)
-def test_star_pair_bezout_identity(pq):
-    p, q = pq
-    bez = star_pair(good_expansion(p, q))
-    assert p * bez.b_star + q * bez.a_star == 1
-
-
-def test_star_pair_needs_length_two():
-    short = GoodExpansion(1, 1, (1,))
-    with pytest.raises(IndexOutOfRange):
-        star_pair(short)
+    q_star, p_star = expansion_star_pair(p, q)
+    assert p * p_star + q * q_star == 1
 
 
 @given(coprime_pairs)
@@ -262,9 +237,27 @@ def test_expansion_dedekind_identity(pq):
     # -12 s(q,p) + (q + q_star)/p = 3(l - 1 + sign p) - sum(ms), exactly.
     p, q = pq
     e = good_expansion(p, q)
-    q_star = star_pair(e).a_star
+    q_star, _ = expansion_star_pair(p, q)
     lhs = -12 * dedekind_sum(q, p) + Fraction(q + q_star, p)
     assert lhs == 3 * (e.l - 1 + sign(p)) - sum(e.ms)
+
+
+@given(st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4))
+@settings(deadline=None)
+def test_leg_data_reads_no_expansion(p, q):
+    # leg_data's q_star = q^-1 mod |p| + shift*p and its exponent
+    # (q + q_star - 12 p s(q, p))/p against the good expansion: the exponent
+    # is 3(l - 1 + sign p) - sum(ms) moved by k, where q_star lies k*p from
+    # the expansion's own pair.
+    assume(gcd(p, q) == 1)
+    e = good_expansion(p, q)
+    q_star_exp, _ = expansion_star_pair(p, q)
+    for shift in range(-3, 4):
+        leg = leg_data(p, q, 15, shift)
+        assert p * leg.p_star + q * leg.q_star == 1, shift
+        k, rest = divmod(leg.q_star - q_star_exp, p)
+        assert rest == 0
+        assert leg.exponent_const == 3 * (e.l - 1 + sign(p)) - sum(e.ms) + k, shift
 
 
 @pytest.mark.parametrize(
@@ -283,7 +276,7 @@ def s_surd_residue_expansion(p: int, q: int, r: int) -> int:
     :func:`test_expansion_dedekind_identity`).
     """
     e = good_expansion(p, q)
-    q_star = star_pair(e).a_star
+    q_star, _ = expansion_star_pair(p, q)
     p_prime = mod_inverse(p, r)
     return (3 * (e.l - 1 + sign(p)) - sum(e.ms) - p_prime * (q_star + q)) % r
 

@@ -1,6 +1,6 @@
 """Package-level guards: the public namespace, the oldest supported Python, the
-one home of ``Z[C_r]``, the CLI's start-up imports and the records' value
-semantics."""
+one home of ``Z[C_r]``, the CLI's start-up imports, the records' value
+semantics and the suite's own warning filters."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import seifertwrt
-from seifertwrt.numtheory import GoodExpansion, good_expansion, star_pair
+from seifertwrt.numtheory import GoodExpansion
 from seifertwrt.seifert import (
     PlumbingPresentation,
     parse_manifold,
@@ -26,6 +26,7 @@ from seifertwrt.statesum import leg_sum_dp
 from seifertwrt.wrt import leg_data, tau_prime
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seifertwrt"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 # Builders and the packed product of group-ring vectors; only
 # ``seifertwrt.cyclotomic`` may define them.
 GROUP_RING_HELPERS = {
@@ -126,7 +127,6 @@ X237 = parse_manifold("X(2,3,7)")
 # (``LegData.chi_terms`` unpacks its record by position).
 RECORDS = {
     "GoodExpansion": (lambda: GoodExpansion(5, 2, (3, 2)), ("p", "q", "ms")),
-    "BezoutPair": (lambda: star_pair(good_expansion(5, 2)), ("a_star", "b_star")),
     "SeifertData": (lambda: parse_manifold("X(2,3,7)"), ("legs",)),
     "TopInvariants": (lambda: top_invariants(X237),
                       ("P", "H", "nu", "sign_P", "sign_H_abs", "sign_H_over_P")),
@@ -134,8 +134,8 @@ RECORDS = {
     "LegSumTable": (lambda: leg_sum_dp((2, 3), 5),
                     ("r", "t", "framings", "width", "rows")),
     "LegData": (lambda: leg_data(5, 2, 7),
-                ("p", "q", "r", "c", "l", "ms", "q_star", "p_star", "pc_prime",
-                 "sf", "jac", "exponent_const")),
+                ("p", "q", "r", "c", "q_star", "p_star", "pc_prime", "sf", "jac",
+                 "exponent_const")),
     "InvariantResult": (lambda: tau_prime(X237, 5),
                         ("manifold", "r", "t", "xi", "nu", "b_plus", "b_minus",
                          "tau", "xi_is_integral", "theta_is_integral")),
@@ -160,3 +160,34 @@ def test_record_text_and_defaults():
     assert str(M) == f"{M}" == "X(2/1,-3/2,7/1)"
     assert repr(M) == "SeifertData(legs=((2, 1), (-3, 2), (7, 1)))"
     assert PlumbingPresentation(chains=((2,),)).central_framing == 0
+
+
+FALSIFIED_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_falsified(x):
+    assert x < 5
+
+
+@given(st.integers(0, 10))
+def test_holds(x):
+    assert x >= 0
+"""
+
+
+def test_a_falsified_hypothesis_test_is_reported(tmp_path):
+    # Under the suite's warning filters a failing ``@given`` test must print
+    # its falsifying example and let the tests after it run, not abort the
+    # session with an INTERNALERROR raised inside Hypothesis' report.
+    (tmp_path / "test_probe.py").write_text(FALSIFIED_PROBE)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = done.stdout + done.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_falsified(" in output
+    assert "1 failed, 1 passed" in output
+    assert done.returncode == 1

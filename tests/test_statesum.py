@@ -114,20 +114,27 @@ def leg_sum_brute(
     return tuple(values)
 
 
-def leg_sum_closed(leg: LegData, r: int, t: int, j: int) -> CyclotomicNumber:
-    """Closed Gauss-sum evaluation of one leg's ``S(j)``.
+def leg_sum_closed(
+    leg: LegData, chain: tuple[int, ...], r: int, t: int, j: int
+) -> CyclotomicNumber:
+    """Closed Gauss-sum evaluation of one leg's ``S(j)`` for the chain ``chain``.
 
-    ``S(j) = (-2 g_t(r))**l * sf * jac * g_t(c) * F(j)`` where ``g_t`` is the
-    Galois twist by ``t`` of the quadratic Gauss sum and ``F(j)`` collects
-    the (at most two) active branch exponents of the leg.
+    ``S(j) = (-2 g_t(r))**l * sf * jac * g_t(c) * F(j) * zeta^(t (E - E0))``
+    where ``g_t`` is the Galois twist by ``t`` of the quadratic Gauss sum,
+    ``F(j)`` collects the (at most two) active branch exponents of the leg,
+    ``l`` is the chain's length and ``E0 = 3(l - 1 + sign p) - sum(chain)``.
+    ``F`` alone is ``S(j)`` for the Bezout pair of the chain's own expansion,
+    whose exponent ``E = leg.exponent_const`` is ``E0``; another pair moves
+    ``F`` and ``E`` together, and the phase moves ``F`` back.
     """
     t = _check_level(r, t)
-    unit = ((-2) * gauss_sum(r, r).galois(t)) ** leg.l
+    unit = ((-2) * gauss_sum(r, r).galois(t)) ** len(chain)
     unit = unit * (leg.sf * leg.jac)
     unit = unit * gauss_sum(r, leg.c).galois(t)
+    e0 = 3 * (len(chain) - 1 + (1 if leg.p > 0 else -1)) - sum(chain)
     vec = [0] * r
     for s, e in leg.chi_terms(j):
-        vec[(t * e) % r] += s
+        vec[(t * (e + leg.exponent_const - e0)) % r] += s
     return unit * CyclotomicNumber(r, vec)
 
 
@@ -169,12 +176,10 @@ def test_closed_leg_matches_dp(pq, r, t):
         return
     p, q = pq
     leg = leg_data(p, q, r)
-    from seifertwrt.numtheory import good_expansion
-
-    chain = tuple(reversed(good_expansion(p, q).ms))
+    (chain,) = plumbing(SeifertData(((p, q),))).chains
     dp = leg_values(leg_sum_dp(chain, r, t))
     for j in range(r):
-        assert leg_sum_closed(leg, r, t, j) == dp[j], (p, q, r, t, j)
+        assert leg_sum_closed(leg, chain, r, t, j) == dp[j], (p, q, r, t, j)
 
 
 def test_closed_leg_handles_single_vertex_chain():
@@ -186,8 +191,6 @@ def test_closed_leg_handles_single_vertex_chain():
             q=1,
             r=r,
             c=1,
-            l=1,
-            ms=(1,),
             q_star=1,
             p_star=0,
             pc_prime=1,
@@ -197,7 +200,7 @@ def test_closed_leg_handles_single_vertex_chain():
         )
         dp = leg_values(leg_sum_dp((1,), r, t))
         for j in range(r):
-            assert leg_sum_closed(leg, r, t, j) == dp[j], (r, t, j)
+            assert leg_sum_closed(leg, (1,), r, t, j) == dp[j], (r, t, j)
 
 
 def test_leg_table_layout():

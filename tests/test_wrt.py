@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _corpus import SAMPLE_SPECS, get_xi_formula, get_xi_oracle, manifold
+from _corpus import (
+    CORPUS_SPECS,
+    SAMPLE_SPECS,
+    get_xi_formula,
+    get_xi_oracle,
+    manifold,
+)
 from seifertwrt import wrt
 from seifertwrt.cyclotomic import CyclotomicNumber, _check_level, _ring_mul, root_power
 from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
@@ -25,7 +31,6 @@ from seifertwrt.wrt import (
     leg_data,
     tau_prime,
     tau_rozansky_numeric,
-    tref_closed_form,
     tref_xi_closed,
     xi_closed_form,
 )
@@ -198,15 +203,20 @@ def test_level_validation():
         with pytest.raises(HypothesisViolated, match="level must be odd"):
             xi_all_coprime(M, bad_r)
         with pytest.raises(HypothesisViolated, match="level must be odd"):
-            tref_closed_form(bad_r)
+            tref_xi_closed(bad_r)
     with pytest.raises(HypothesisViolated):
         xi_closed_form(M, 9, 3)  # t not a unit
 
 
 def test_leg_data_fields():
+    # q_star = q^-1 mod |p|, p_star = (1 - q*q_star)/p and the exponent
+    # (q + q_star - 12 p s(q, p))/p.
     leg = leg_data(3, 1, 5)
-    assert (leg.c, leg.l, leg.q_star, leg.p_star) == (1, 2, 4, -1)
+    assert (leg.c, leg.q_star, leg.p_star, leg.exponent_const) == (1, 1, 0, 0)
     assert leg.jac == -1 and leg.sf == 1
+    # (q_star, p_star, pc_prime, sf, jac, exponent_const)
+    assert leg_data(-5, 3, 7)[4:] == (2, 1, 4, 1, 1, -1)
+    assert leg_data(7, 5, 9)[4:] == (3, -2, 4, 1, 1, 2)
     leg9 = leg_data(6, 1, 9)
     assert leg9.c == 3
     assert (leg9.pc_prime * 2) % 3 == 1
@@ -215,7 +225,7 @@ def test_leg_data_fields():
 def test_chi_terms_activity_pattern():
     # For c = gcd(r, p) > 1, at most one branch is active, and none when
     # c divides j.
-    leg = leg_data(6, 1, 9)  # c = 3, q_star = 7
+    leg = leg_data(6, 1, 9)  # c = 3, q_star = 1
     for j in range(1, 9):
         terms = leg.chi_terms(j)
         if j % 3 == 0:
@@ -229,9 +239,11 @@ def test_chi_terms_activity_pattern():
 
 
 def test_shifted_leg_keeps_bezout_identity():
+    base = leg_data(5, 2, 7)
     for shift in (-2, 0, 3):
         leg = leg_data(5, 2, 7, shift=shift)
         assert leg.p * leg.p_star + leg.q * leg.q_star == 1
+        assert leg.exponent_const == base.exponent_const + shift
 
 
 def test_invariant_result_bundle():
@@ -312,10 +324,27 @@ def test_rozansky_route_expands_no_leg(monkeypatch):
 
     M = manifold("X(5/2,-5/3,6/1,-7/2)")
     expected = tau_rozansky_numeric(M, 11)
-    for module in (numtheory, seifert, wrt):
+    for module in (numtheory, seifert):
         monkeypatch.setattr(module, "good_expansion", refuse)
     monkeypatch.setattr(seifert, "plumbing", refuse)
     assert tau_rozansky_numeric(M, 11) == expected
+
+
+def test_closed_formula_expands_no_leg(monkeypatch):
+    # Each leg's Bezout pair is a modular inverse and its exponent comes from
+    # a Dedekind sum: the formula shares neither good_expansion nor plumbing
+    # with the oracle, so formula-equals-oracle checks the oracle's chains.
+    import seifertwrt.numtheory as numtheory
+    import seifertwrt.seifert as seifert
+
+    def refuse(*args):
+        raise AssertionError("the closed formula expanded a leg")
+
+    expected = [xi_closed_form(manifold(spec), 15, 1) for spec in CORPUS_SPECS]
+    for module in (numtheory, seifert):
+        monkeypatch.setattr(module, "good_expansion", refuse)
+    monkeypatch.setattr(seifert, "plumbing", refuse)
+    assert [xi_closed_form(manifold(spec), 15, 1) for spec in CORPUS_SPECS] == expected
 
 
 def test_rozansky_float_path():
@@ -372,26 +401,16 @@ def test_trefoil_vanishing_pattern():
 def test_trefoil_tau_closed_numeric():
     # For r = -1 (mod 3): tau' = -(sqrt(r) / (2 sin(pi/r))) e^{-2 pi i / r}.
     for r in (5, 11, 17, 23):
-        res = tref_closed_form(r)
+        res = tau_prime(TREFOIL_ZERO, r)
+        assert res.xi == tref_xi_closed(r, res.t), r
         want = -(math.sqrt(r) / (2 * math.sin(math.pi / r))) * complex(
             math.cos(2 * math.pi / r), -math.sin(2 * math.pi / r)
         )
         assert abs(res.tau - want) < 1e-9, r
-    res5 = tref_closed_form(5)
+        assert (res.b_plus, res.b_minus, res.nu) == (5, 1, 1)
+    res5 = tau_prime(TREFOIL_ZERO, 5)
     assert abs(res5.tau - (-0.587785252292 + 1.809016994375j)) < 1e-9
-    assert (res5.b_plus, res5.b_minus, res5.nu) == (5, 1, 1)
     assert res5.theta_is_integral
-
-
-@pytest.mark.parametrize("r", [5, 7, 11])
-def test_trefoil_closed_form_counts_match_tau_prime(r):
-    closed = tref_closed_form(r)
-    general = tau_prime(TREFOIL_ZERO, r)
-    assert (closed.nu, closed.b_plus, closed.b_minus) == (
-        general.nu,
-        general.b_plus,
-        general.b_minus,
-    )
 
 
 def test_trefoil_invariants_against_topology():
