@@ -28,7 +28,6 @@ from .numtheory import mod_inverse
 from .seifert import (
     SeifertData,
     b_counts_closed_form,
-    linking_matrix,
     parse_manifold,
     parse_normalize,
     plumbing,
@@ -64,10 +63,11 @@ MAX_LEGS = 64
 # The most plumbing vertices a manifold may expand into, bounded before any
 # expansion by the sum of q_k + 1 over its legs (the good expansion of p/q
 # has at most q + 1 entries, as its remainders fall strictly below q).  A
-# record expands every leg for its inertia, and the expansions stay cached:
-# X(1/99999) took 20 ms and 1.6 MB, X(1/999999) 0.2 s and 16 MB (same
-# machine).  The oracle's leg DP is not bounded by it: X(1/10000) --oracle
-# took 28 s and 1.5 GB at r = 5.
+# record expands every leg for its inertia: X(1/99999) took 20 ms and 1.6 MB,
+# X(1/999999) 0.2 s and 16 MB (same machine).  The oracle's leg DP stays
+# slow below it, as its slot width grows with the chain: at r = 5,
+# X(1/5000) --oracle took 3.9 s and X(1/10000) 14 s, both in 17 MB, growing
+# about quadratically in the chain length.
 MAX_CHAIN_VERTICES = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 FAULT_NAMES = ("flip-oracle-sign",)
@@ -397,7 +397,7 @@ def _cmd_selftest(args, out) -> int:
         out.write(f"selftest trial {trial}: {M} r={r} t={t} formula-vs-oracle "
                   f"{'ok' if ok else 'FAIL'}\n")
         u = rng.choice([u for u in range(1, r) if gcd(u, r) == 1])
-        inertia = signature_counts(linking_matrix(plumbing(M)))
+        inertia = signature_counts(plumbing(M))
         checks = {
             f"galois twist by {u}": xi_closed_form(M, r, (t * u) % r) == xi.galois(u),
             "inertia closed form": inertia == b_counts_closed_form(M),

@@ -133,7 +133,13 @@ class GoodExpansion(NamedTuple):
         return acc
 
 
-@lru_cache(maxsize=None)
+# The most expansions kept.  A long leg's expansion is as long as its chain
+# (X(1/99999) keeps about 0.8 MB), so the cache is bounded; the perfbench
+# workloads expand at most 53 distinct legs, so 128 keeps every reuse.
+EXPANSION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
 def good_expansion(p: int, q: int) -> GoodExpansion:
     """Canonical good expansion of ``p/q`` for ``q >= 1``, ``gcd(p, q) = 1``.
 

@@ -5,8 +5,8 @@ an unknotted circle with framing 0 together with ``n`` meridian circles with
 rational framings ``p_k/q_k``.  This module parses and normalizes that data,
 computes the numerical topological invariants (``P``, ``H``, the orientation
 signs, the count of null directions), expands each leg into an integral
-plumbing chain, and builds the integer linking matrix whose signature feeds
-the framing-anomaly correction.
+plumbing chain, and reads the inertia of the plumbing's linking matrix, which
+feeds the framing-anomaly correction, off the chains in one pass.
 """
 
 from __future__ import annotations
@@ -123,15 +123,10 @@ class PlumbingPresentation(NamedTuple):
     """
 
     chains: tuple[tuple[int, ...], ...]
-    central_framing: int = 0
-
-    @property
-    def component_count(self) -> int:
-        return 1 + sum(len(c) for c in self.chains)
 
     @property
     def framing_total(self) -> int:
-        return self.central_framing + sum(sum(c) for c in self.chains)
+        return sum(sum(c) for c in self.chains)
 
 
 def plumbing(M: SeifertData) -> PlumbingPresentation:
@@ -145,78 +140,42 @@ def plumbing(M: SeifertData) -> PlumbingPresentation:
     return PlumbingPresentation(chains=chains)
 
 
-def linking_matrix(pres: PlumbingPresentation) -> tuple[tuple[int, ...], ...]:
-    """Integer linking matrix of the plumbing graph.
+def signature_counts(pres: PlumbingPresentation) -> tuple[int, int, int]:
+    """Exact inertia ``(b_plus, b_minus, b_zero)`` of the plumbing's linking matrix.
 
-    Vertex order: the chains in sequence (free end first within each chain),
-    then the central vertex last.  Framings sit on the diagonal; each edge
-    contributes a symmetric pair of ones.
+    The matrix has the framings on its diagonal and a symmetric pair of ones
+    per edge.  Each chain is eliminated from its free end: a vertex's pivot
+    is its framing minus ``1/(previous pivot)`` and counts by its sign.  A
+    zero pivot and the next vertex span a hyperbolic plane (one ``+``, one
+    ``-``), after which the chain starts afresh at the next framing; a chain
+    paired up to its last vertex no longer meets the center.  A last pivot
+    ``x != 0`` moves the central framing by ``-1/x``.  The first chain whose
+    last pivot is zero pairs with the center, and every further one is a null
+    direction; without one, the center's remaining framing is a pivot, null
+    if zero.  Congruence preserves inertia, so this is exact.
     """
-    size = pres.component_count
-    a = [[0] * size for _ in range(size)]
-    center = size - 1
-    a[center][center] = pres.central_framing
-    idx = 0
+    b_plus = b_minus = zero_ends = 0
+    center = Fraction(0)
     for chain in pres.chains:
-        for offset, framing in enumerate(chain):
-            a[idx][idx] = framing
-            if offset > 0:
-                a[idx][idx - 1] = a[idx - 1][idx] = 1
-            idx += 1
-        a[idx - 1][center] = a[center][idx - 1] = 1
-    return tuple(tuple(row) for row in a)
-
-
-def signature_counts(matrix) -> tuple[int, int, int]:
-    """Exact inertia ``(b_plus, b_minus, b_zero)`` of a symmetric matrix.
-
-    Symmetric congruence elimination: pivot on a nonzero diagonal entry when
-    one exists; otherwise repair a hyperbolic block by the symmetric shear
-    ``row_i += row_j``, ``col_i += col_j`` (which makes the diagonal entry
-    ``2*a[i][j]`` nonzero); rows that are entirely zero count as null
-    directions.  Congruence preserves inertia, so this is exact.  Elimination
-    visits only the nonzero entries of the pivot row and column, and entries
-    stay integers until a division makes them fractions.
-    """
-    a = [list(row) for row in matrix]
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    remaining = list(range(n))
-    b_plus = b_minus = b_zero = 0
-    while remaining:
-        pivot = next((i for i in remaining if a[i][i] != 0), None)
-        if pivot is None:
-            pair = next(
-                ((i, j) for i in remaining for j in remaining if a[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                b_zero += len(remaining)
-                break
-            i, j = pair
-            for k in remaining:
-                a[i][k] += a[j][k]
-            for k in remaining:
-                a[k][i] += a[k][j]
-            continue
-        p = a[pivot][pivot]
-        if p > 0:
-            b_plus += 1
-        else:
-            b_minus += 1
-        remaining.remove(pivot)
-        pivot_row = a[pivot]
-        support = [k for k in remaining if pivot_row[k]]
-        for i in remaining:
-            x = a[i][pivot]
-            if x:
-                factor = x // p if x % p == 0 else Fraction(x, p)
-                row = a[i]
-                for k in support:
-                    row[k] -= factor * pivot_row[k]
-    return b_plus, b_minus, b_zero
+        pivot = None  # the previous vertex's; None at the free end and after a pair
+        for m in chain:
+            if pivot == 0:  # this vertex completes a hyperbolic pair
+                b_plus += 1
+                b_minus += 1
+                pivot = None
+            else:
+                pivot = Fraction(m) if pivot is None else m - 1 / pivot
+                if pivot > 0:
+                    b_plus += 1
+                elif pivot < 0:
+                    b_minus += 1
+        if pivot == 0:
+            zero_ends += 1
+        elif pivot is not None:
+            center -= 1 / pivot
+    if zero_ends:
+        return b_plus + 1, b_minus + 1, zero_ends - 1
+    return b_plus + (center > 0), b_minus + (center < 0), int(center == 0)
 
 
 def b_counts_closed_form(M: SeifertData) -> tuple[int, int, int]:

@@ -4,9 +4,10 @@ This is the package's oracle: it never touches the closed formulas.  Each leg
 chain is contracted by a transfer-matrix dynamic program over packed
 elements of the group ring ``Z[C_r]`` (or, in the brute variant, by literally
 enumerating every coloring of the joint state space), the central vertex is
-summed, and the framing anomaly is corrected by the exact signature of the
-integer linking matrix.  Agreement of :func:`xi_statesum` with the closed
-evaluators is therefore a genuine two-route check.
+summed, and the framing anomaly is corrected by the exact inertia of the
+plumbing's linking matrix, read off the chains by one elimination pass.
+Agreement of :func:`xi_statesum` with the closed evaluators is therefore a
+genuine two-route check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cyclotomic import (
     gauss_sum,
     root_power,
 )
-from .seifert import SeifertData, linking_matrix, plumbing, signature_counts
+from .seifert import SeifertData, plumbing, signature_counts
 
 
 class BudgetExceeded(RuntimeError):
@@ -87,7 +88,7 @@ def _close(total: list[int], den: int, pres, r: int, t: int, c_inv=None):
     ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``: one :func:`_ring_mul`
     and one reduction, after inverting ``c`` (unless given) and ``g``.
     """
-    b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
+    b_plus, b_minus, b_zero = signature_counts(pres)
     if c_inv is None:
         c_inv = CyclotomicNumber(r, _binomial(r, 2 * t)).inverse()
     g_inv = gauss_sum(r, r).galois(t).inverse()

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifertwrt.numtheory import (
+    EXPANSION_CACHE_SIZE,
     InvalidModulus,
     NonInvertible,
     NotCoprime,
@@ -199,6 +200,15 @@ def test_good_expansion_errors():
         good_expansion(3, 0)
     with pytest.raises(InvalidModulus):
         good_expansion(3, -1)
+
+
+def test_good_expansion_cache_is_bounded():
+    # More distinct legs than the bound: the cache keeps the bound, no more.
+    for q in range(1, EXPANSION_CACHE_SIZE + 20):
+        good_expansion(1, q)
+    info = good_expansion.cache_info()
+    assert info.maxsize == EXPANSION_CACHE_SIZE
+    assert info.currsize == EXPANSION_CACHE_SIZE
 
 
 def expansion_star_pair(p: int, q: int) -> tuple[int, int]:

@@ -130,7 +130,7 @@ RECORDS = {
     "SeifertData": (lambda: parse_manifold("X(2,3,7)"), ("legs",)),
     "TopInvariants": (lambda: top_invariants(X237),
                       ("P", "H", "nu", "sign_P", "sign_H_abs", "sign_H_over_P")),
-    "PlumbingPresentation": (lambda: plumbing(X237), ("chains", "central_framing")),
+    "PlumbingPresentation": (lambda: plumbing(X237), ("chains",)),
     "LegSumTable": (lambda: leg_sum_dp((2, 3), 5),
                     ("r", "t", "framings", "width", "rows")),
     "LegData": (lambda: leg_data(5, 2, 7),
@@ -159,7 +159,7 @@ def test_record_text_and_defaults():
     M = parse_manifold("X(2, -3/2, 7)")
     assert str(M) == f"{M}" == "X(2/1,-3/2,7/1)"
     assert repr(M) == "SeifertData(legs=((2, 1), (-3, 2), (7, 1)))"
-    assert PlumbingPresentation(chains=((2,),)).central_framing == 0
+    assert PlumbingPresentation(chains=((2,),)).framing_total == 2
 
 
 FALSIFIED_PROBE = """

@@ -10,10 +10,10 @@ from _corpus import CORPUS_SPECS, H_ZERO_SPECS, manifold
 from seifertwrt.numtheory import NotCoprime
 from seifertwrt.seifert import (
     ParseError,
+    PlumbingPresentation,
     SeifertData,
     ZeroEntry,
     b_counts_closed_form,
-    linking_matrix,
     parse_manifold,
     parse_normalize,
     plumbing,
@@ -86,9 +86,70 @@ def test_plumbing_chains():
     pres = plumbing(parse_manifold("X(3/1,7/5)"))
     # 3/1 expands as <4,1>, 7/5 as <2,2,3>; chains run free end inward.
     assert pres.chains == ((1, 4), (3, 2, 2))
-    assert pres.central_framing == 0
-    assert pres.component_count == 6
     assert pres.framing_total == 12
+
+
+def linking_matrix(pres: PlumbingPresentation) -> tuple[tuple[int, ...], ...]:
+    """Reference: the plumbing's integer linking matrix, one row per vertex.
+
+    Vertex order: the chains in sequence (free end first within each chain),
+    then the 0-framed central vertex last.  Framings sit on the diagonal;
+    each edge contributes a symmetric pair of ones.
+    """
+    size = 1 + sum(map(len, pres.chains))
+    a = [[0] * size for _ in range(size)]
+    center = size - 1
+    idx = 0
+    for chain in pres.chains:
+        for offset, framing in enumerate(chain):
+            a[idx][idx] = framing
+            if offset > 0:
+                a[idx][idx - 1] = a[idx - 1][idx] = 1
+            idx += 1
+        a[idx - 1][center] = a[center][idx - 1] = 1
+    return tuple(tuple(row) for row in a)
+
+
+def _dense_signature_counts(matrix) -> tuple[int, int, int]:
+    """Reference: inertia of any symmetric matrix by congruence elimination
+    over ``Fraction``, every entry visited.
+
+    Pivot on a nonzero diagonal entry when one exists; otherwise repair a
+    hyperbolic block by the shear ``row_i += row_j``, ``col_i += col_j``
+    (which makes the diagonal entry ``2*a[i][j]`` nonzero); rows that are
+    entirely zero count as null directions.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    remaining = list(range(len(a)))
+    b_plus = b_minus = b_zero = 0
+    while remaining:
+        pivot = next((i for i in remaining if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in remaining for j in remaining if a[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                b_zero += len(remaining)
+                break
+            i, j = pair
+            for k in remaining:
+                a[i][k] += a[j][k]
+            for k in remaining:
+                a[k][i] += a[k][j]
+            continue
+        p = a[pivot][pivot]
+        if p > 0:
+            b_plus += 1
+        else:
+            b_minus += 1
+        remaining.remove(pivot)
+        for i in remaining:
+            factor = a[i][pivot] / p
+            if factor:
+                for k in remaining:
+                    a[i][k] -= factor * a[pivot][k]
+    return b_plus, b_minus, b_zero
 
 
 def test_linking_matrix_frozen():
@@ -122,8 +183,8 @@ def test_linking_matrix_two_legs():
         (((1, 1, 0), (1, 4, 1), (0, 1, 0)), (2, 1, 0)),
     ],
 )
-def test_signature_counts_frozen(matrix, counts):
-    assert signature_counts(matrix) == counts
+def test_dense_signature_counts_frozen(matrix, counts):
+    assert _dense_signature_counts(matrix) == counts
 
 
 def _det(rows) -> Fraction:
@@ -161,14 +222,14 @@ symmetric_matrices = st.integers(1, 5).flatmap(
 
 @given(symmetric_matrices)
 @settings(deadline=None, max_examples=80)
-def test_signature_counts_total(matrix):
-    bp, bm, bz = signature_counts(matrix)
+def test_dense_signature_counts_total(matrix):
+    bp, bm, bz = _dense_signature_counts(matrix)
     assert bp + bm + bz == len(matrix)
 
 
 @given(symmetric_matrices)
 @settings(deadline=None, max_examples=80)
-def test_signature_matches_jacobi_minor_rule(matrix):
+def test_dense_signature_matches_jacobi_minor_rule(matrix):
     # When every leading principal minor is nonzero, the number of negative
     # squares equals the number of sign changes in 1, D1, D2, ..., Dn.
     n = len(matrix)
@@ -176,7 +237,7 @@ def test_signature_matches_jacobi_minor_rule(matrix):
     assume(all(m != 0 for m in minors))
     seq = [Fraction(1)] + minors
     changes = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
-    bp, bm, bz = signature_counts(matrix)
+    bp, bm, bz = _dense_signature_counts(matrix)
     assert bz == 0
     assert bm == changes
     assert bp == n - changes
@@ -184,7 +245,7 @@ def test_signature_matches_jacobi_minor_rule(matrix):
 
 @given(symmetric_matrices, st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
-def test_signature_congruence_invariance(matrix, seed):
+def test_dense_signature_congruence_invariance(matrix, seed):
     # P^T A P with unimodular P has the same inertia.
     import random
 
@@ -201,71 +262,53 @@ def test_signature_congruence_invariance(matrix, seed):
     a = [list(row) for row in matrix]
     ap = [[sum(a[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     pap = [[sum(p[k][i] * ap[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert signature_counts(pap) == signature_counts(matrix)
+    assert _dense_signature_counts(pap) == _dense_signature_counts(matrix)
 
 
-def _dense_signature_counts(matrix) -> tuple[int, int, int]:
-    """Reference: the same elimination over ``Fraction``, every entry visited."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    remaining = list(range(len(a)))
-    b_plus = b_minus = b_zero = 0
-    while remaining:
-        pivot = next((i for i in remaining if a[i][i] != 0), None)
-        if pivot is None:
-            pair = next(
-                ((i, j) for i in remaining for j in remaining if a[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                b_zero += len(remaining)
-                break
-            i, j = pair
-            for k in remaining:
-                a[i][k] += a[j][k]
-            for k in remaining:
-                a[k][i] += a[k][j]
-            continue
-        p = a[pivot][pivot]
-        if p > 0:
-            b_plus += 1
-        else:
-            b_minus += 1
-        remaining.remove(pivot)
-        for i in remaining:
-            factor = a[i][pivot] / p
-            if factor:
-                for k in remaining:
-                    a[i][k] -= factor * a[pivot][k]
-    return b_plus, b_minus, b_zero
+star_plumbings = st.lists(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(tuple),
+    min_size=1,
+    max_size=5,
+).map(lambda chains: PlumbingPresentation(tuple(chains)))
 
 
-@st.composite
-def sparse_symmetric_matrices(draw):
-    """Symmetric integer matrices up to 9x9, mostly zero, some with zero
-    diagonals (only the shear can start) and some with zero rows."""
-    n = draw(st.integers(1, 9))
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
-    upper = [[draw(entry) for _ in range(n - i)] for i in range(n)]
-    a = [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
-    if draw(st.booleans()):
-        for i in range(n):
-            a[i][i] = 0
-    for z in draw(st.sets(st.integers(0, n - 1), max_size=n)):
-        for k in range(n):
-            a[z][k] = a[k][z] = 0
-    return tuple(tuple(row) for row in a)
+@given(star_plumbings)
+@settings(deadline=None, max_examples=400)
+def test_signature_counts_matches_dense_elimination(pres):
+    assert signature_counts(pres) == _dense_signature_counts(linking_matrix(pres))
 
 
-@given(sparse_symmetric_matrices())
-@settings(deadline=None, max_examples=300)
-def test_signature_counts_matches_dense_elimination(matrix):
-    assert signature_counts(matrix) == _dense_signature_counts(matrix)
+@pytest.mark.parametrize(
+    "chains,counts",
+    [
+        # an inner zero pivot: 1, 1 - 1/1 = 0 pairs with 5; 2 starts afresh
+        (((1, 1, 5, 2),), (3, 2, 0)),
+        # a cut at the last vertex: the first chain no longer meets the center
+        (((1, 1, 5), (3,)), (3, 2, 0)),
+        # one zero end, which pairs with the center
+        (((1, 1), (2,)), (3, 1, 0)),
+        # two zero ends: the second is a null direction
+        (((1, 1), (0,), (3,)), (3, 1, 1)),
+        # a zero center: pivots 1, 2 and 1, -2 move it by -1/2 + 1/2
+        (((1, 3), (1, -1)), (3, 1, 1)),
+    ],
+)
+def test_signature_counts_branches(chains, counts):
+    pres = PlumbingPresentation(chains)
+    assert _dense_signature_counts(linking_matrix(pres)) == counts
+    assert signature_counts(pres) == counts
+
+
+def test_signature_counts_on_a_long_chain():
+    # 100001 vertices: a dense matrix of them would hold 10^10 entries.
+    M = parse_manifold("X(1/99999)")
+    assert signature_counts(plumbing(M)) == b_counts_closed_form(M)
 
 
 def test_b_counts_closed_form_matches_exact_signature():
     for spec in CORPUS_SPECS:
         M = manifold(spec)
-        exact = signature_counts(linking_matrix(plumbing(M)))
+        exact = signature_counts(plumbing(M))
         assert b_counts_closed_form(M) == exact, spec
 
 

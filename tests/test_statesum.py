@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import manifold
+from test_seifert import _dense_signature_counts, linking_matrix
 from seifertwrt.cyclotomic import (
     CyclotomicNumber,
     _binomial,
@@ -18,12 +19,7 @@ from seifertwrt.cyclotomic import (
     gauss_sum,
     root_power,
 )
-from seifertwrt.seifert import (
-    SeifertData,
-    linking_matrix,
-    plumbing,
-    signature_counts,
-)
+from seifertwrt.seifert import SeifertData, plumbing
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
@@ -343,8 +339,9 @@ def test_leg_sum_is_odd_in_the_color(chain, r, t):
 
 def close_dense(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
     """The closing step as one division by the dense
-    ``den = c^(b_0+1) g^b_+ conj(g)^b_- (-2)^b_+ 2^b_-`` (see ``statesum._close``)."""
-    b_plus, b_minus, b_zero = signature_counts(linking_matrix(pres))
+    ``den = c^(b_0+1) g^b_+ conj(g)^b_- (-2)^b_+ 2^b_-`` (see ``statesum._close``),
+    with the inertia from the dense linking matrix."""
+    b_plus, b_minus, b_zero = _dense_signature_counts(linking_matrix(pres))
     c = CyclotomicNumber(r, _binomial(r, 2 * t))
     g = gauss_sum(r, r).galois(t)
     den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus

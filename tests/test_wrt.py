@@ -416,14 +416,13 @@ def test_trefoil_tau_closed_numeric():
 def test_trefoil_invariants_against_topology():
     from seifertwrt.seifert import (
         b_counts_closed_form,
-        linking_matrix,
         plumbing,
         signature_counts,
     )
 
     assert top_invariants(TREFOIL_ZERO).H == 0
     assert b_counts_closed_form(TREFOIL_ZERO) == (5, 1, 1)
-    assert signature_counts(linking_matrix(plumbing(TREFOIL_ZERO))) == (5, 1, 1)
+    assert signature_counts(plumbing(TREFOIL_ZERO)) == (5, 1, 1)
 
 
 def test_integrality_on_sample():
