@@ -66,8 +66,8 @@ MAX_LEGS = 64
 # record expands every leg for its inertia: X(1/99999) took 20 ms and 1.6 MB,
 # X(1/999999) 0.2 s and 16 MB (same machine).  The oracle's leg DP stays
 # slow below it, as its slot width grows with the chain: at r = 5,
-# X(1/5000) --oracle took 3.9 s and X(1/10000) 14 s, both in 17 MB, growing
-# about quadratically in the chain length.
+# X(1/5000) --oracle took 0.5 s and X(1/10000) 1.2-1.6 s, both in 18 MB,
+# growing about quadratically in the chain length.
 MAX_CHAIN_VERTICES = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 FAULT_NAMES = ("flip-oracle-sign",)

@@ -77,7 +77,7 @@ def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
     return term * chi[(prev * j) % r]
 
 
-def _close(total: list[int], den: int, pres, r: int, t: int, c_inv=None):
+def _close(total: list[int], den: int, pres, r: int, t: int):
     """``xi`` from ``total / den`` in ``Z[C_r]``: normalization and framing correction.
 
     With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
@@ -85,18 +85,20 @@ def _close(total: list[int], den: int, pres, r: int, t: int, c_inv=None):
     conj(g) / c`` (``conj(c) = -c``).  Since ``b_+ + b_- + b_0`` is the
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
     s_+^-b_+ s_-^-b_-`` is ``zeta^(t(3(b_+ - b_-) - framing_total))`` times
-    ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``: one :func:`_ring_mul`
-    and one reduction, after inverting ``c`` (unless given) and ``g``.
+    ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``.  Only ``c`` is inverted:
+    ``g^-b = g^(b mod 2) / (g^2)^ceil(b/2)`` with the integer ``g^2 = conj(g)^2``
+    computed, so one :func:`_ring_mul` takes at most ``b_0 + 4`` vectors.
     """
     b_plus, b_minus, b_zero = signature_counts(pres)
-    if c_inv is None:
-        c_inv = CyclotomicNumber(r, _binomial(r, 2 * t)).inverse()
-    g_inv = gauss_sum(r, r).galois(t).inverse()
-    factors = [c_inv] * (b_zero + 1) + [g_inv] * b_plus + [g_inv.conjugate()] * b_minus
+    c_inv = CyclotomicNumber(r, _binomial(r, 2 * t)).inverse()
+    g = gauss_sum(r, r).galois(t)
+    factors = ([c_inv] * (b_zero + 1) + [g] * (b_plus % 2)
+               + [g.conjugate()] * (b_minus % 2))
     nums, dens = zip(*(f.integer_coefficients() for f in factors))
     shift = t * (3 * (b_plus - b_minus) - pres.framing_total) % r
     num = _ring_mul(total[-shift:] + total[:-shift], *nums)  # times zeta^shift
     den *= (-2) ** b_plus * 2**b_minus * prod(dens)
+    den *= int((g * g).as_rational()) ** ((b_plus + 1) // 2 + (b_minus + 1) // 2)
     return CyclotomicNumber._raw(r, _reduce_int_vector(r, num), den)
 
 
@@ -143,20 +145,17 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     ``sigma_u(chi[d]^(2-n))``: ``n >= 3`` legs invert ``chi[d]`` once per
     active ``d``.  The sum is taken in ``Z[C_r]`` at one slot width, from the
     bound ``prod_k 2(r-1)^len_k`` (:func:`leg_sum_dp`) on ``sum|.|`` of the
-    rows' product; it is unpacked once and reduced once, in :func:`_close`,
-    which reuses ``chi[1]^-1``.
+    rows' product; it is unpacked once and reduced once, in :func:`_close`.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
     tables = {chain: leg_sum_dp(chain, r, t) for chain in set(pres.chains)}
     colors = [j for j in range(1, (r + 1) // 2)
               if all(tables[chain].rows[j - 1] for chain in pres.chains)]
-    inverse, central = {}, {}  # chi[d]^-1, and chi[d]^(2-n) as (num, den)
+    central = {}  # chi[d]^(2-n) as (num, den)
     for d in {gcd(j, r) for j in colors}:
         chi = CyclotomicNumber(r, _binomial(r, 2 * t * d))
-        if M.n > 2:
-            inverse[d] = chi = chi.inverse()
-        central[d] = (chi ** abs(2 - M.n)).integer_coefficients()
+        central[d] = (chi ** (2 - M.n)).integer_coefficients()
     den = lcm(*(q for _, q in central.values()))
     scale = 2 ** (1 + sum(map(len, pres.chains)))  # the colors -j; 2 per DP step
     central = {d: _substitute([scale * den // q * a for a in num], 1, r)
@@ -173,7 +172,7 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
         for chain in pres.chains:
             value = _fold(value * packed[chain][i], r, width)
         total += value
-    return _close(_unpack(total, r, width), den, pres, r, t, inverse.get(1))
+    return _close(_unpack(total, r, width), den, pres, r, t)
 
 
 def xi_statesum_brute(

@@ -4,7 +4,8 @@
 high_level request (levels 3 to 101), each checked against the plumbing state
 sum when the file was written.  Rerunning ``tau --format json`` on all of them
 keeps the records byte-identical from change to change.  The file is read,
-never written.
+never written.  The traced run's span recorder is checked to still reach
+every layer that ``BENCHMARK.json`` reports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import seifertwrt.cli as cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _harness(monkeypatch):
@@ -58,3 +60,26 @@ def test_cli_reproduces_every_reference_record(monkeypatch):
             if not abs(rec[name] - ref[name]) <= bound
         ]
     assert not problems, problems[:10]
+
+
+def test_traced_benchmark_reaches_every_layer(tmp_path):
+    # perfbench/spans.py wraps the package's functions by name, so a renamed
+    # function would silently drop its layer from the traced metrics.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(tmp_path)
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["tau", "X(2/1,3/1,5/1)", "X(5/2,-7/3)", "--r", "5,7",
+                             "--oracle", "--rozansky", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    layer = spans.layer_metrics(tracer.collect(), 4)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {m["name"] for m in declared} - {"tracing.overhead_s"} - set(layer)
+    assert not missing, missing
+    assert layer["statesum.leg_sum_dp.calls"] > 0
+    assert layer["seifert.signature_counts.self_s"] > 0

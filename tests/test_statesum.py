@@ -298,10 +298,10 @@ def test_s_matrix_entry_identities():
         assert g.inverse() == g.galois(-1) / r
 
 
-def test_statesum_inverts_only_c_and_g(monkeypatch):
-    # The closing step inverts c = zeta^(2t) - zeta^(-2t) and the Gauss sum
-    # g_t, never their dense product; with at most two legs the per-color
-    # central power needs no inverse.
+def test_statesum_inverts_only_c(monkeypatch):
+    # The closing step inverts c = zeta^(2t) - zeta^(-2t) only: the Gauss sum
+    # g_t enters through g^2, which is rational; with at most two legs the
+    # per-color central power needs no inverse.
     calls = []
     inverse = CyclotomicNumber.inverse
 
@@ -312,8 +312,42 @@ def test_statesum_inverts_only_c_and_g(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
     r, t = 7, 2
     xi_statesum(manifold("X(2/1,3/1)"), r, t)
-    c = CyclotomicNumber(r, _binomial(r, 2 * t))
-    assert calls == [c, gauss_sum(r, r).galois(t)]
+    assert calls == [CyclotomicNumber(r, _binomial(r, 2 * t))]
+
+
+def test_statesum_closing_product_does_not_grow_with_the_chain(monkeypatch):
+    # The closing product takes the color sum, b_0 + 1 copies of c^-1 and at
+    # most one g and one conj(g), whatever the number of plumbing vertices.
+    import seifertwrt.statesum as statesum
+
+    counts = []
+    ring_mul = statesum._ring_mul
+
+    def counted(*vectors):
+        counts.append(len(vectors))
+        return ring_mul(*vectors)
+
+    monkeypatch.setattr(statesum, "_ring_mul", counted)
+    for spec in ("X(1/10)", "X(1/2000)"):
+        xi_statesum(manifold(spec), 5)
+    assert len(counts) == 2 and max(counts) <= 4
+
+
+@pytest.mark.parametrize("r", range(3, 62, 2))
+def test_gauss_sum_squares_to_a_signed_level(r):
+    # g_t^2 = (-1)^((r-1)/2) r at every odd level, prime or not, and every
+    # unit t: the closing step divides by it instead of inverting g.
+    for t in (t for t in range(1, r) if gcd(t, r) == 1):
+        g = gauss_sum(r, r).galois(t)
+        assert (g * g).as_rational() == (-1) ** ((r - 1) // 2) * r
+
+
+@pytest.mark.parametrize("spec,r", [("X(1/5000)", 5), ("X(-7/3000,5/2,3/1)", 7)])
+def test_statesum_matches_closed_form_on_long_chains(spec, r):
+    from seifertwrt.wrt import xi_closed_form
+
+    M = manifold(spec)
+    assert xi_statesum(M, r) == xi_closed_form(M, r)
 
 
 @pytest.mark.parametrize(
@@ -451,8 +485,8 @@ def test_joint_brute_matches_statesum_at_composite_level(spec):
 
 
 def test_statesum_inverts_once_per_divisor(monkeypatch):
-    # Three legs at r = 15: at most one inverse for each divisor 1, 3, 5 of
-    # the level (the closing step reuses that of 1) and one for g.
+    # Three legs at r = 15: at most one inverse for each active divisor 1, 3,
+    # 5 of the level, plus the closing step's inverse of c.
     calls = []
     inverse = CyclotomicNumber.inverse
 
