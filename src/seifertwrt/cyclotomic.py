@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress
 from math import gcd, prod
 from typing import Callable, Iterable, Sequence
@@ -20,11 +20,6 @@ from typing import Callable, Iterable, Sequence
 from .numtheory import NonInvertible, mod_inverse
 
 Rational = int | Fraction
-
-# Packed bytes up to which :meth:`CyclotomicNumber.inverse` multiplies conjugates one
-# by one: at r = 15..61 that beat the pairwise tree up to 330 bytes, lost from 350.
-FLAT_BYTES = 384
-
 
 class HypothesisViolated(ValueError):
     """Raised when input data violates a formula's standing hypotheses."""
@@ -257,27 +252,16 @@ class CyclotomicNumber:
         The norm ``N(a) = prod_u sigma_u(a)`` over the units ``u mod r`` is a
         nonzero rational for ``a != 0``, so ``1/a = rest / N(a)`` with
         ``rest = prod_{u != 1} sigma_u(a)``: the vectors ``a(x^u)`` of ``Z[C_r]``
-        (a unit ``u`` keeps multiples of ``Phi_r``), packed and multiplied in
-        blocks of at most :data:`FLAT_BYTES` bytes, then pairwise, each at the
-        slot width that ``sum|a|^m`` gives ``m`` conjugates; reduced once.
+        (a unit ``u`` keeps multiples of ``Phi_r``), multiplied pairwise by
+        :func:`_ring_mul` and reduced once.
         """
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
         r, vec = self.r, _substitute(self._num, 1, self.r)
-        bound, units = sum(map(abs, vec)), [u for u in range(2, r) if gcd(u, r) == 1]
-        group = 2  # nodes per product: at first as many as FLAT_BYTES allows
-        while group < len(units) and r * _slot_width(bound**group * bound) <= FLAT_BYTES:
-            group += 1
-        size = min(group, len(units))  # conjugates in the first, largest node
-        width = _slot_width(bound**size)
-        layer = list(map(_substitutions(vec, width), units))
+        layer = [_substitute(vec, u, r) for u in range(2, r) if gcd(u, r) == 1]
         while len(layer) > 1:
-            layer = [reduce(lambda a, b: _fold(a * b, r, width), layer[i : i + group])
-                     for i in range(0, len(layer), group)]
-            size, group = min(2 * size, len(units)), 2
-            wider = _slot_width(bound**size)
-            layer, width = [_widen(v, r, width, wider) for v in layer], wider
-        rest = _reduce_int_vector(r, _unpack(layer[0], r, width))
+            layer = [_ring_mul(*layer[i : i + 2]) for i in range(0, len(layer), 2)]
+        rest = _reduce_int_vector(r, layer[0])
         norm = _reduce_int_vector(r, _ring_mul(_substitute(rest, 1, r), vec))[0]
         return CyclotomicNumber._raw(r, [n * self._den for n in rest], norm)
 

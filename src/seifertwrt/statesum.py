@@ -13,7 +13,7 @@ genuine two-route check.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm, prod
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import (
@@ -55,13 +55,28 @@ def _chi(r: int, t: int) -> list[CyclotomicNumber]:
     return [CyclotomicNumber(r, _binomial(r, 2 * t * a)) for a in range(r)]
 
 
-def _unit_lift(j: int, r: int) -> tuple[int, int]:
-    """``d = gcd(j, r)`` and a unit ``u`` mod ``r`` with ``j = d*u (mod r)``."""
-    d = gcd(j, r)
-    u = j // d
-    while gcd(u, r) != 1:
-        u += r // d
-    return d, u
+def _edge_inverse(r: int, t: int) -> list[int]:
+    """``E`` in ``Z[C_r]`` with ``E(zeta^j) = r / chi[j]`` at every ``j != 0 (mod r)``.
+
+    ``E = sum_k k x^(2t(1+2k))``; with ``w = x^(4t)`` this is ``x^(2t) sum_k k
+    w^k``, and ``sum_{k<r} k w^k = r / (w - 1)`` at every ``w != 1`` with
+    ``w^r = 1``, whether or not ``j`` is a unit.
+    """
+    vec = [0] * r
+    for k in range(r):
+        vec[2 * t * (1 + 2 * k) % r] = k
+    return vec
+
+
+def _central_power(n: int, r: int, t: int) -> tuple[list[int], int]:
+    """``D`` in ``Z[C_r]`` and ``den`` with ``D(zeta^j) / den = chi[j]^(2-n)`` at
+    every ``j != 0 (mod r)``: ``x^(2t) - x^(-2t)``, ``1``, or ``E^(n-2)`` over
+    ``r^(n-2)`` (:func:`_edge_inverse`).  ``D`` stays modulo ``x^r - 1`` only,
+    as ``x -> x^j`` does not respect ``Phi_r`` at a non-unit ``j``.
+    """
+    if n <= 2:
+        return (_binomial(r, 2 * t) if n == 1 else [1] + [0] * (r - 1)), 1
+    return _ring_mul(*[_edge_inverse(r, t)] * (n - 2)), r ** (n - 2)
 
 
 def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
@@ -85,19 +100,19 @@ def _close(total: list[int], den: int, pres, r: int, t: int):
     conj(g) / c`` (``conj(c) = -c``).  Since ``b_+ + b_- + b_0`` is the
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
     s_+^-b_+ s_-^-b_-`` is ``zeta^(t(3(b_+ - b_-) - framing_total))`` times
-    ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``.  Only ``c`` is inverted:
-    ``g^-b = g^(b mod 2) / (g^2)^ceil(b/2)`` with the integer ``g^2 = conj(g)^2``
-    computed, so one :func:`_ring_mul` takes at most ``b_0 + 4`` vectors.
+    ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``, with ``c^-1 = E / r``
+    (:func:`_edge_inverse`) and ``g^-b = g^(b mod 2) / (g^2)^ceil(b/2)`` for the
+    integer ``g^2 = conj(g)^2``: one :func:`_ring_mul` of at most ``b_0 + 4``
+    vectors.
     """
     b_plus, b_minus, b_zero = signature_counts(pres)
-    c_inv = CyclotomicNumber(r, _binomial(r, 2 * t)).inverse()
     g = gauss_sum(r, r).galois(t)
-    factors = ([c_inv] * (b_zero + 1) + [g] * (b_plus % 2)
-               + [g.conjugate()] * (b_minus % 2))
-    nums, dens = zip(*(f.integer_coefficients() for f in factors))
+    g_vec = g.integer_coefficients()[0]  # over the denominator 1
+    nums = ([_edge_inverse(r, t)] * (b_zero + 1) + [g_vec] * (b_plus % 2)
+            + [_substitute(g_vec, -1, r)] * (b_minus % 2))  # conj(g) = g(x^-1)
     shift = t * (3 * (b_plus - b_minus) - pres.framing_total) % r
     num = _ring_mul(total[-shift:] + total[:-shift], *nums)  # times zeta^shift
-    den *= (-2) ** b_plus * 2**b_minus * prod(dens)
+    den *= (-2) ** b_plus * 2**b_minus * r ** (b_zero + 1)
     den *= int((g * g).as_rational()) ** ((b_plus + 1) // 2 + (b_minus + 1) // 2)
     return CyclotomicNumber._raw(r, _reduce_int_vector(r, num), den)
 
@@ -141,34 +156,28 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
 
     Each distinct chain is contracted once per call.  As ``S(-j) = -S(j)`` and
     ``chi[-j] = -chi[j]``, the colors ``j < r/2`` are summed and doubled.  The
-    central power of ``j = d*u`` (``d = gcd(j, r)``, ``u`` a unit) is
-    ``sigma_u(chi[d]^(2-n))``: ``n >= 3`` legs invert ``chi[d]`` once per
-    active ``d``.  The sum is taken in ``Z[C_r]`` at one slot width, from the
-    bound ``prod_k 2(r-1)^len_k`` (:func:`leg_sum_dp`) on ``sum|.|`` of the
-    rows' product; it is unpacked once and reduced once, in :func:`_close`.
+    central power of every color ``j`` is ``D(zeta^j) / den`` for the one ``D``
+    of :func:`_central_power`.  The sum is taken in ``Z[C_r]`` at one slot
+    width, from the bound ``prod_k 2(r-1)^len_k`` (:func:`leg_sum_dp`) on
+    ``sum|.|`` of the rows' product; it is unpacked once and reduced once, in
+    :func:`_close`.  With no active color the width must still hold ``D``.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
     tables = {chain: leg_sum_dp(chain, r, t) for chain in set(pres.chains)}
     colors = [j for j in range(1, (r + 1) // 2)
               if all(tables[chain].rows[j - 1] for chain in pres.chains)]
-    central = {}  # chi[d]^(2-n) as (num, den)
-    for d in {gcd(j, r) for j in colors}:
-        chi = CyclotomicNumber(r, _binomial(r, 2 * t * d))
-        central[d] = (chi ** (2 - M.n)).integer_coefficients()
-    den = lcm(*(q for _, q in central.values()))
+    central, den = _central_power(M.n, r, t)
     scale = 2 ** (1 + sum(map(len, pres.chains)))  # the colors -j; 2 per DP step
-    central = {d: _substitute([scale * den // q * a for a in num], 1, r)
-               for d, (num, q) in central.items()}
-    width = _slot_width(len(colors) * prod(2 * (r - 1) ** len(c) for c in pres.chains)
-                        * max((sum(map(abs, v)) for v in central.values()), default=0))
+    central = [scale * a for a in central]
+    width = _slot_width(max(len(colors), 1) * sum(map(abs, central))
+                        * prod(2 * (r - 1) ** len(c) for c in pres.chains))
     packed = {chain: [_widen(table.rows[j - 1], r, table.width, width) for j in colors]
               for chain, table in tables.items()}
-    twists = {d: _substitutions(num, width) for d, num in central.items()}
+    at = _substitutions(central, width)
     total = 0
     for i, j in enumerate(colors):
-        d, u = _unit_lift(j, r)
-        value = twists[d](u)
+        value = at(j)
         for chain in pres.chains:
             value = _fold(value * packed[chain][i], r, width)
         total += value

@@ -370,7 +370,7 @@ def test_product_matches_schoolbook_product(ab):
 @given(invertible_elements())
 @settings(deadline=None, max_examples=30)
 def test_inverse_matches_conjugate_by_conjugate_inverse(a):
-    # The blocked product tree in Z[C_r] against the product of reduced
+    # The pairwise product tree in Z[C_r] against the product of reduced
     # conjugates, at composite levels, with coefficients up to 2^600.
     inv = a.inverse()
     assert a * inv == 1

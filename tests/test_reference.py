@@ -83,3 +83,4 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     assert not missing, missing
     assert layer["statesum.leg_sum_dp.calls"] > 0
     assert layer["seifert.signature_counts.self_s"] > 0
+    assert layer["cyclotomic.inverse.calls"] == 0  # the oracle inverts nothing

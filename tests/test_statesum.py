@@ -15,6 +15,7 @@ from seifertwrt.cyclotomic import (
     _binomial,
     _check_level,
     _slot_width,
+    _substitute,
     _unpack,
     gauss_sum,
     root_power,
@@ -23,9 +24,8 @@ from seifertwrt.seifert import SeifertData, plumbing
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
-    _chain_term,
+    _central_power,
     _chi,
-    _unit_lift,
     leg_sum_dp,
     xi_statesum,
     xi_statesum_brute,
@@ -89,25 +89,58 @@ def leg_sum_brute(
     """The values ``S(j)``, ``j = 0 .. r-1``, of :func:`leg_sum_dp` by
     enumerating every coloring.
 
-    Refuses to start when the state space ``r**(len+1)`` exceeds ``budget``.
-    Colorings containing the vanishing color (``y = 0 mod r``) contribute
-    exactly zero and are skipped.
+    A coloring ``y`` of the chain, walked from color 1 at the free end to the
+    central color ``j``, weighs ``x^(t sum_i m_i y_i^2)`` times one edge
+    weight ``x^(2ta) - x^(-2ta)`` per edge ``a = y_(i-1) y_i``: its
+    ``2^(len+1)`` signed monomials are added into one integer vector of
+    ``Z[C_r]`` per color.  Refuses to start when the state space
+    ``r**(len+1)`` exceeds ``budget``.  Colorings containing the vanishing
+    color (``y = 0 mod r``) contribute exactly zero and are skipped.
     """
     t = _check_level(r, t)
     framings = tuple(int(m) for m in framings)
     l = len(framings)  # noqa: E741
     if r ** (l + 1) > budget:
         raise BudgetExceeded(f"{r}**{l + 1} states exceed the budget {budget}")
-    chi = _chi(r, t)
     values = []
     for j in range(r):
-        total = CyclotomicNumber.zero(r)
+        vec = [0] * r
         for colors in product(range(1, r), repeat=l):
-            total = total + _chain_term(
-                CyclotomicNumber.one(r), framings, colors, j, chi, r, t
-            )
-        values.append(total)
+            walk = (1, *colors, j)
+            terms = [(t * sum(m * y * y for m, y in zip(framings, colors)), 1)]
+            for a in (y * z for y, z in zip(walk, walk[1:])):
+                terms = [(e + k, s * sign) for e, s in terms
+                         for k, sign in ((2 * t * a, 1), (-2 * t * a, -1))]
+            for e, s in terms:
+                vec[e % r] += s
+        values.append(CyclotomicNumber(r, vec))
     return tuple(values)
+
+
+def _unit_lift(j: int, r: int) -> tuple[int, int]:
+    """``d = gcd(j, r)`` and a unit ``u`` mod ``r`` with ``j = d*u (mod r)``."""
+    d = gcd(j, r)
+    u = j // d
+    while gcd(u, r) != 1:
+        u += r // d
+    return d, u
+
+
+def central_powers_by_unit_lift(n: int, r: int, t: int) -> list[CyclotomicNumber]:
+    """``chi[j]^(2-n)`` for ``j = 0 .. r-1`` (``None`` at 0) by the generic inverse.
+
+    The power at ``j = d*u`` (``d = gcd(j, r)``, ``u`` a unit) is the Galois
+    twist ``sigma_u`` of the power at ``d``, so ``n >= 3`` legs invert once per
+    divisor ``d`` of ``r``.
+    """
+    at_divisor: dict[int, CyclotomicNumber] = {}
+    powers = [None]
+    for j in range(1, r):
+        d, u = _unit_lift(j, r)
+        if d not in at_divisor:
+            at_divisor[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d)) ** (2 - n)
+        powers.append(at_divisor[d].galois(u))
+    return powers
 
 
 def leg_sum_closed(
@@ -298,10 +331,10 @@ def test_s_matrix_entry_identities():
         assert g.inverse() == g.galois(-1) / r
 
 
-def test_statesum_inverts_only_c(monkeypatch):
-    # The closing step inverts c = zeta^(2t) - zeta^(-2t) only: the Gauss sum
-    # g_t enters through g^2, which is rational; with at most two legs the
-    # per-color central power needs no inverse.
+@pytest.mark.parametrize("r", [7, 9, 15, 45])
+def test_statesum_takes_no_inverse(monkeypatch, r):
+    # The central power at every color, unit or not, and the closing step's
+    # c^-1 are read off E; the Gauss sum g_t enters through the rational g^2.
     calls = []
     inverse = CyclotomicNumber.inverse
 
@@ -310,9 +343,20 @@ def test_statesum_inverts_only_c(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
-    r, t = 7, 2
-    xi_statesum(manifold("X(2/1,3/1)"), r, t)
-    assert calls == [CyclotomicNumber(r, _binomial(r, 2 * t))]
+    for spec in ("X(5/2)", "X(2/1,3/1)", "X(2/1,3/1,5/1)", "X(3/1,4/3,5/2,-2/1)"):
+        xi_statesum(manifold(spec), r, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", range(3, 46, 2))
+def test_central_power_matches_generic_inverse_at_every_color(r):
+    # D(zeta^j) / den against chi[j]^(2-n) by the generic inverse, at every
+    # color j, the non-units of composite levels included.
+    for n in range(1, 6):
+        D, den = _central_power(n, r, 2)
+        expected = central_powers_by_unit_lift(n, r, 2)
+        for j in range(1, r):
+            assert CyclotomicNumber(r, _substitute(D, j, r), den) == expected[j], (n, j)
 
 
 def test_statesum_closing_product_does_not_grow_with_the_chain(monkeypatch):
@@ -388,8 +432,8 @@ def xi_statesum_per_color(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumbe
     """:func:`xi_statesum` by the list DP and one reduced product per color.
 
     The colors ``j < r/2`` are summed as cyclotomic numbers, each color's
-    central power the Galois twist of ``chi[d]^(2-n)``, and the sum is closed
-    by :func:`close_dense`.
+    central power from :func:`central_powers_by_unit_lift`, and the sum is
+    closed by :func:`close_dense`.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
@@ -397,18 +441,13 @@ def xi_statesum_per_color(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumbe
         chain: values_from_rows(leg_sum_dp_lists(chain, r, t), r, len(chain))
         for chain in set(pres.chains)
     }
-    central: dict[int, CyclotomicNumber] = {}
+    central = central_powers_by_unit_lift(M.n, r, t)
     total = CyclotomicNumber.zero(r)
     for j in range(1, (r + 1) // 2):
         term = CyclotomicNumber.one(r)
         for chain in pres.chains:
             term = term * tables[chain][j]
-        if term.is_zero():
-            continue
-        d, u = _unit_lift(j, r)
-        if d not in central:
-            central[d] = CyclotomicNumber(r, _binomial(r, 2 * t * d)) ** (2 - M.n)
-        total = total + term * central[d].galois(u)
+        total = total + term * central[j]
     return close_dense(2 * total, pres, r, t)
 
 
@@ -466,7 +505,7 @@ def test_statesum_matches_per_color_reference_frozen(spec, r, t):
 @pytest.mark.parametrize("t", [1, 2])
 def test_statesum_matches_all_colors_at_composite_level(spec, t):
     # At r = 9 the colors 3 and 6 are non-units; they must be active here so
-    # that the central power goes through the divisor d = 3 and a twist.
+    # that the central power is read at a non-unit color.
     from seifertwrt.seifert import plumbing
 
     M, r = manifold(spec), 9
@@ -482,21 +521,6 @@ def test_joint_brute_matches_statesum_at_composite_level(spec):
     M = manifold(spec)
     for t in (1, 4):
         assert xi_statesum_brute(M, 9, t) == xi_statesum(M, 9, t)
-
-
-def test_statesum_inverts_once_per_divisor(monkeypatch):
-    # Three legs at r = 15: at most one inverse for each active divisor 1, 3,
-    # 5 of the level, plus the closing step's inverse of c.
-    calls = []
-    inverse = CyclotomicNumber.inverse
-
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(CyclotomicNumber, "inverse", counted)
-    xi_statesum(manifold("X(2/1,3/1,5/1)"), 15)
-    assert len(calls) <= 4
 
 
 def test_statesum_contracts_each_distinct_chain_once(monkeypatch):
@@ -558,7 +582,8 @@ def test_statesum_twists_its_own_gauss_sum():
 
 @pytest.mark.parametrize("spec,r", [("X(2/1,5/2,-7/3)", 9), ("X(3/1,5/2,-7/3)", 15)])
 def test_statesum_builds_only_the_edge_weights_it_reads(monkeypatch, spec, r):
-    # The central sum reads chi[1] and chi[d] for the active divisors d only.
+    # The oracle builds no table of edge weights: its central power and the
+    # closing step's c^-1 come from one vector E of Z[C_r].
     from seifertwrt import statesum
     from seifertwrt.wrt import xi_closed_form
 

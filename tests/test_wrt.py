@@ -20,7 +20,7 @@ from seifertwrt import wrt
 from seifertwrt.cyclotomic import CyclotomicNumber, _check_level, _ring_mul, root_power
 from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
 from seifertwrt.seifert import SeifertData, top_invariants
-from seifertwrt.statesum import xi_statesum
+from seifertwrt.statesum import _edge_inverse, xi_statesum
 from seifertwrt.wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
@@ -109,12 +109,15 @@ def test_three_sphere_is_normalized():
         assert abs(res.tau - 1) < 1e-12
 
 
+@pytest.mark.parametrize("central_inverse", [_central_inverse, _edge_inverse],
+                         ids=["wrt", "statesum"])
 @pytest.mark.parametrize("r", range(3, 64, 2))
-def test_central_inverse_identity_at_every_color(r):
+def test_central_inverse_identity_at_every_color(central_inverse, r):
     # E(zeta^j) * (zeta^(2tj) - zeta^(-2tj)) = r for every j != 0 mod r,
-    # including the non-units j that share a factor with r.
+    # including the non-units j that share a factor with r.  The formula and
+    # the oracle each keep their own copy of E.
     t = mod_inverse(4, r)
-    E = _central_inverse(r, t)
+    E = central_inverse(r, t)
     for j in range(1, r):
         vec = [0] * r
         for m, c in enumerate(E):
