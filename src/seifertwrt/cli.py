@@ -57,9 +57,17 @@ MAX_LEVEL = 4001
 # The most legs of a manifold.  A CLI call for one record of n legs of 2 took
 # 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
 # 14 s for n = 128 (same machine): the closed formula's time grows about as
-# n^2.8 there.  Legs and level are not bounded jointly: 16 legs took 42 s at
-# r = 4001.
+# n^2.8 there.
 MAX_LEGS = 64
+# The highest estimated cost n^3 r^2 of one closed-form record of n legs at
+# level r, which bounds legs and level jointly.  In-process, a record of n
+# legs of 2 took 0.66 s at n = 3 and r = 4001 (cost 4.3e8), 3.5 s at 8 and
+# 4001 (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10),
+# 8.8 s at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10) (same
+# machine); 16 legs at r = 4001 (2.6e11) took 42 s before this ceiling.  Over
+# those records the time grows about as n^2.2 r^1.9, so n^3 r^2 errs towards
+# refusing many legs, and every manifold of at most 8 legs runs at MAX_LEVEL.
+MAX_RECORD_COST = 10**10
 # The most plumbing vertices a manifold may expand into, bounded before any
 # expansion by the sum of q_k + 1 over its legs (the good expansion of p/q
 # has at most q + 1 entries, as its remainders fall strictly below q).  A
@@ -177,9 +185,11 @@ def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
     return _record(result, _judge(names, M, r, result.t, result.xi))
 
 
-def _within_ceilings(spec: str) -> None:
-    """Refuse the manifold ``spec`` when it has more than ``MAX_LEGS`` legs or
-    may expand into more than ``MAX_CHAIN_VERTICES`` plumbing vertices.
+def _within_ceilings(spec: str, top: int) -> None:
+    """Refuse the manifold ``spec`` when it has more than ``MAX_LEGS`` legs,
+    may expand into more than ``MAX_CHAIN_VERTICES`` plumbing vertices, or
+    has a record at the highest level ``top`` whose estimated cost is above
+    ``MAX_RECORD_COST``.
 
     A ``spec`` that does not parse passes: its first record raises the parse
     error, in task order, as it would without the ceilings.
@@ -196,6 +206,11 @@ def _within_ceilings(spec: str) -> None:
         raise ValueError(f"{spec!r} may expand into {bound} plumbing vertices "
                          f"(q + 1 per leg p/q), above the ceiling of "
                          f"{MAX_CHAIN_VERTICES}")
+    cost = M.n**3 * top**2
+    if cost > MAX_RECORD_COST:
+        raise ValueError(f"{spec!r} has {M.n} legs at level {top}, an estimated "
+                         f"cost n^3 r^2 = {cost} above the ceiling of "
+                         f"{MAX_RECORD_COST}")
 
 
 def _run_share(tasks: list[tuple]) -> tuple[list[dict], Exception | None]:
@@ -336,7 +351,7 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
     for spec in args.manifolds:
-        _within_ceilings(spec)
+        _within_ceilings(spec, levels[-1])
     names = tuple(dict.fromkeys(args.checks))
     tasks = [(spec, r, args.t, names, args.precision)
              for spec in args.manifolds for r in levels]

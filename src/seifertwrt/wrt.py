@@ -5,8 +5,8 @@ For odd ``r >= 3`` this module evaluates the SO(3) invariant ``xi_r`` of
 most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)``,
 Jacobi symbols, and per-leg Bezout pairs and integer exponents from modular
 inverses and the integers ``12 p s(q, p)`` of Dedekind sums (no continued
-fraction is expanded), with its products taken in the group ring
-``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On top of it sit the
+fraction is expanded), the sum and its prefactor taken as one product in
+the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On top of it sit the
 normalizations ``tau'_r`` and ``Theta_r``, a numerical evaluator in the shape
 of Rozansky's residue formula for cross-checks (mpmath only, at 30 digits by
 default), and the circle-bundle-over-the-trefoil-family closed form.
@@ -25,11 +25,14 @@ from .cyclotomic import (
     _binomial,
     _check_level,
     _gauss_vector,
+    _packed_product,
+    _reduce_int_vector,
     _ring_mul,
     _rotate,
     _slot_width,
     _substitutions,
     _unpack,
+    _widen,
     euler_phi,
 )
 from .numtheory import dedekind_integer, jacobi, mod_inverse, s_surd_residue
@@ -124,8 +127,9 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
-def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
-    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``.
+def _color_sum(r: int, t: int, n: int, factors, parts=()) -> tuple[list[int], int]:
+    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``,
+    times the product of the vectors ``parts``.
 
     Returns an integer vector and its denominator.  ``factors(j)`` lists the
     factors of ``F_j``, each a tuple of ``(sign, e)`` monomials
@@ -156,24 +160,35 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
     The sum is one packed integer (:func:`_substitutions` packs ``D~(x^j)``).
     A factor ``s_0 x^(e_0) (1 + sum_i s_i s_0 x^(e_i - e_0))`` adds the packed
     value shifted by ``e_i - e_0`` slots for each further monomial, and its
-    sign and leading shift are applied once per color.  A slot of the folded
-    sum receives one entry of some ``D~(x^j)`` per monomial, so the monomial
-    count times ``sum|D~|`` bounds it.  A color costs ``O(1)`` interpreted
-    steps for the gather, and at most ``2n`` big-integer operations of
-    ``O(n r)`` slots for ``n`` two-monomial factors.
+    sign and leading shift are applied once per color.  A color costs
+    ``O(1)`` interpreted steps for the gather, and at most ``2n`` big-integer
+    operations of ``O(n r)`` slots for ``n`` two-monomial factors.
+
+    A slot of the folded sum receives one entry of some ``D~(x^j)`` per
+    monomial, so the monomial count times ``sum|D~|`` bounds the sum's
+    coefficients and also their absolute sum; the colors run at that slot
+    width.  The absolute sum of a product in ``Z[C_r]`` is at most the
+    product of its factors', so that bound times ``sum|part|`` over the
+    ``parts`` bounds every coefficient of the whole product.  The packed sum
+    is widened once to that slot width (:func:`_widen`), multiplied by the
+    packed ``parts``, and the product is unpacked once.
     """
     if n > 2:
         base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
     else:
         base, power, den = _binomial(r, 2 * t), 2 - n, 1
-    central = _ring_mul([1] + [0] * (r - 1), *[base] * power)
+    if power > 1:
+        central = _ring_mul(*[base] * power)
+    else:  # one factor or none: no product to take
+        central = base if power else [1] + [0] * (r - 1)
     parity = (-1) ** n
     sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
     colors = [(j, fs) for j in range(1, (r + 1) // 2) if all(fs := factors(j))]
     if not colors:
         return [0] * r, den
     count = sum(math.prod(map(len, fs)) for _, fs in colors)
-    width = _slot_width(count * sum(map(abs, sym)))
+    bound = count * sum(map(abs, sym))
+    width = _slot_width(bound)
     at = _substitutions(sym, width)
     acc = 0
     for j, fs in colors:
@@ -189,44 +204,46 @@ def _color_sum(r: int, t: int, n: int, factors) -> tuple[list[int], int]:
             packed = value
         term = _rotate(packed, t * shift, r, width)
         acc = acc + term if sign > 0 else acc - term
-    return _unpack(acc, r, width), den
+    if not parts:
+        return _unpack(acc, r, width), den
+    wider = _slot_width(bound * math.prod(sum(map(abs, part)) for part in parts))
+    acc = _widen(acc, r, width, wider) * _packed_product(parts, wider)
+    return _unpack(acc, r, wider), den
 
 
-def _evaluate(
-    r: int,
-    t: int,
-    exponent: int,
-    scalar: int,
-    sign_H_abs: int,
-    conductors=(),
-    color_sum: tuple[list[int], int] | None = None,
-) -> CyclotomicNumber:
-    """The closed formula's value from its parts, in one pass through ``Z[C_r]``.
+def _prefactor(
+    r: int, t: int, sign_H_abs: int, conductors=()
+) -> tuple[list[list[int]], int, int]:
+    """The closed formula's Gauss-sum prefactor as ``(parts, sign, den)``.
 
-    The product of ``scalar * zeta^(t*exponent)``, of
-    ``(zeta^(2t) - zeta^(-2t))^(|sign H| - 2) = (E/r)^(2 - |sign H|)`` (see
-    :func:`_central_inverse`), for ``|sign H| = 1`` of
-    ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r`` for odd ``r``; at
-    ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``), of the Gauss sums
-    ``g_c`` at ``zeta^t`` of the ``conductors`` (``g_1 = 1``), and of the
-    optional ``color_sum`` vector and denominator.  The factors are packed
-    at one slot width and multiplied as integers over one integer
-    denominator (:func:`_ring_mul`), the product is unpacked once, and the
-    result is reduced modulo ``Phi_r`` once, by the one
-    :class:`CyclotomicNumber` it builds.
+    The prefactor is ``sign / den`` times the product of the vectors
+    ``parts`` of ``Z[C_r]``: ``(zeta^(2t) - zeta^(-2t))^(|sign H| - 2) =
+    (E/r)^(2 - |sign H|)`` (see :func:`_central_inverse`), for
+    ``|sign H| = 1`` also ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r``
+    for odd ``r``; at ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``),
+    and the Gauss sums ``g_c`` at ``zeta^t`` of the ``conductors``
+    (``g_1 = 1``).
     """
     central = _central_inverse(r, t)
     if sign_H_abs:
-        parts, scalar, den = [central, _gauss_vector(r, r, -t)], -scalar, 2 * r * r
+        parts, sign, den = [central, _gauss_vector(r, r, -t)], -1, 2 * r * r
     else:
-        parts, den = [central, central], r * r
-    parts += [_gauss_vector(r, c, t) for c in conductors if c > 1]
-    if color_sum is not None:
-        parts.append(color_sum[0])
-        den *= color_sum[1]
-    vec = _ring_mul(*parts)
-    shift = (t * exponent) % r
-    return CyclotomicNumber(r, [scalar * c for c in vec[-shift:] + vec[:-shift]], den)
+        parts, sign, den = [central, central], 1, r * r
+    return parts + [_gauss_vector(r, c, t) for c in conductors if c > 1], sign, den
+
+
+def _reduced(
+    r: int, vec: list[int], shift: int, scalar: int, den: int
+) -> CyclotomicNumber:
+    """``scalar * zeta^shift * vec / den`` for a vector ``vec`` of ``Z[C_r]``.
+
+    A closed-form value's one reduction modulo ``Phi_r``: ``vec`` is rotated
+    by ``x^shift`` and reduced, and the reduced vector is scaled (reduction
+    is linear) and wrapped with no further check.
+    """
+    shift %= r
+    num = _reduce_int_vector(r, vec[-shift:] + vec[:-shift])
+    return CyclotomicNumber._raw(r, [scalar * c for c in num], den)
 
 
 def xi_closed_form(
@@ -259,15 +276,9 @@ def xi_closed_form(
     def factors(j):
         return [leg.chi_terms(j) for leg in legs]
 
-    return _evaluate(
-        r,
-        t,
-        exponent,
-        scalar,
-        tops.sign_H_abs,
-        [leg.c for leg in legs],
-        _color_sum(r, t, M.n, factors),
-    )
+    parts, sign, den = _prefactor(r, t, tops.sign_H_abs, [leg.c for leg in legs])
+    vec, sum_den = _color_sum(r, t, M.n, factors, parts)
+    return _reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 
 class InvariantResult(NamedTuple):
@@ -328,8 +339,7 @@ def _result(
     M: SeifertData, r: int, t: int, xi: CyclotomicNumber, precision: int | None
 ) -> InvariantResult:
     """Bundle an exact ``xi`` of ``M`` at ``zeta**t`` with its invariants."""
-    nu = top_invariants(M).nu
-    b_plus, b_minus, _ = b_counts_closed_form(M)
+    b_plus, b_minus, nu = b_counts_closed_form(M)
     return InvariantResult(
         manifold=M,
         r=r,
@@ -428,4 +438,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    return _evaluate(r, t, -4, 2 * r, 0)
+    parts, sign, den = _prefactor(r, t, 0)
+    return _reduced(r, _ring_mul(*parts), -4 * t, sign * 2 * r, den)

@@ -552,6 +552,31 @@ def test_leg_ceilings_refuse_before_any_record(capsys, monkeypatch):
     assert err.endswith("has 345 legs, above the ceiling of 64 legs\n")
 
 
+def test_joint_cost_ceiling_refuses_before_any_record(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(cli, "tau_prime", refuse)
+    spec = legs_of_two(16)
+    for command in ("tau", "integrality-scan"):
+        code, out, err = run_cli(capsys, command, "X(2/1)", spec, "--r", "3,4001")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {spec!r} has 16 legs at level 4001, an estimated "
+                       f"cost n^3 r^2 = {16**3 * 4001**2} above the ceiling of "
+                       f"{cli.MAX_RECORD_COST}\n")
+
+
+@pytest.mark.parametrize(("spec", "r"), [
+    ("X(2,3,7)", cli.MAX_LEVEL),
+    (legs_of_two(cli.MAX_LEGS), 3),
+    (legs_of_two(cli.MAX_LEGS), 31),
+])
+def test_joint_cost_ceiling_admits(capsys, spec, r):
+    assert parse_manifold(spec).n**3 * r**2 <= cli.MAX_RECORD_COST
+    code, out, err = run_cli(capsys, "tau", spec, "--r", str(r), "--format", "csv")
+    assert (code, err, len(out.splitlines())) == (0, "", 2)
+
+
 # One passing and one skipped case per CHECKS entry: (name, manifold, level,
 # budget, negate xi, result).  The oracle has no hypothesis to skip on, so it
 # gets a failing case instead.  X(2/1,3/1) at r = 5 has 5**3 joint colorings.

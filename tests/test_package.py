@@ -35,6 +35,7 @@ GROUP_RING_HELPERS = {
     "_fold",
     "_gauss_vector",
     "_pack",
+    "_packed_product",
     "_ring_mul",
     "_rotate",
     "_slot_width",

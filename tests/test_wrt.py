@@ -16,8 +16,14 @@ from _corpus import (
     get_xi_oracle,
     manifold,
 )
-from seifertwrt import wrt
-from seifertwrt.cyclotomic import CyclotomicNumber, _check_level, _ring_mul, root_power
+from seifertwrt import cyclotomic, wrt
+from seifertwrt.cyclotomic import (
+    CyclotomicNumber,
+    _check_level,
+    _gauss_vector,
+    _ring_mul,
+    root_power,
+)
 from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
 from seifertwrt.seifert import SeifertData, top_invariants
 from seifertwrt.statesum import _edge_inverse, xi_statesum
@@ -56,9 +62,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
 
     The paper's all-coprime restatement of the general formula: all Gauss
     sums of composite conductor disappear and the per-leg data reduces to
-    inverses modulo ``r``.  It runs through the same ``wrt._evaluate`` and
-    ``wrt._color_sum`` as :func:`xi_closed_form`, called through the module
-    so that a spy on ``wrt._color_sum`` sees its calls.  Raises
+    inverses modulo ``r``.  It runs through the same ``wrt._prefactor``,
+    ``wrt._color_sum`` and ``wrt._reduced`` as :func:`xi_closed_form`, called
+    through the module so that a spy on ``wrt._color_sum`` sees its calls.  Raises
     :class:`HypothesisViolated` when some ``gcd(p_k, r) > 1``.
     """
     t = _check_level(r, None)
@@ -84,8 +90,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
             ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
         ]
 
-    color_sum = wrt._color_sum(r, t, M.n, factors)
-    return wrt._evaluate(r, t, exponent, scalar, tops.sign_H_abs, (), color_sum)
+    parts, sign, den = wrt._prefactor(r, t, tops.sign_H_abs)
+    vec, sum_den = wrt._color_sum(r, t, M.n, factors, parts)
+    return wrt._reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 
 def test_formula_reproduces_frozen_oracle_values():
@@ -552,6 +559,51 @@ def test_color_sum_with_every_monomial_alike(r, n, sign):
     assert _color_sum(r, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
 
 
+_LEG = st.tuples(st.integers(-15, 15), st.integers(1, 9)).filter(
+    lambda pq: pq[0] != 0 and gcd(abs(pq[0]), pq[1]) == 1
+)
+_LEGS = st.lists(_LEG, min_size=1, max_size=5)
+
+
+@st.composite
+def _color_sums_with_parts(draw):
+    """``(r, t, n, factors, parts)``: leg factors of ``n`` legs at an odd level
+    ``r`` (or no active color at all), and prefactor parts drawn from the
+    Gauss sums ``g_c`` of every divisor ``c`` of ``r``, ``E``, and constant or
+    dense vectors whose coefficients fill wide slots."""
+    r = draw(st.sampled_from(range(3, 64, 2)))
+    t = draw(st.sampled_from([u for u in range(1, r) if gcd(u, r) == 1]))
+    n = draw(st.integers(1, 5))
+    legs = draw(st.lists(_LEG, min_size=n, max_size=n))
+    data = [leg_data(p, q, r) for p, q in legs]
+    if draw(st.booleans()):
+        def factors(j):
+            return [leg.chi_terms(j) for leg in data]
+    else:
+        def factors(j):
+            return [()] * n
+
+    fill = st.sampled_from([1, -1, 255, -256, 2**64, -(2**64) + 1])
+    part = st.one_of(
+        st.sampled_from([c for c in range(1, r + 1) if r % c == 0]).flatmap(
+            lambda c: st.sampled_from([_gauss_vector(r, c, t), _gauss_vector(r, c, -t)])),
+        st.just(_central_inverse(r, t)),
+        fill.map(lambda c: [c] * r),
+        st.lists(st.integers(-(2**40), 2**40), min_size=r, max_size=r),
+    )
+    return r, t, n, factors, draw(st.lists(part, max_size=4))
+
+
+@given(_color_sums_with_parts())
+@settings(deadline=None, max_examples=150)
+def test_color_sum_with_parts_equals_schoolbook_product(case):
+    r, t, n, factors, parts = case
+    expected, den = _color_sum_reference(r, t, n, factors)
+    for part in parts:
+        expected = _schoolbook_ring_mul(expected, part)
+    assert _color_sum(r, t, n, factors, parts) == (expected, den)
+
+
 def _expanded(factors, j: int, r: int, t: int) -> list[int]:
     """The product of ``factors(j)`` as a vector of ``Z[C_r]``."""
     terms = [(1, 0)]
@@ -567,23 +619,14 @@ def _factors_passed(call) -> list:
     """The ``(r, t, n, factors)`` of every ``_color_sum`` call that ``call()`` makes."""
     seen = []
 
-    def spy(r, t, n, factors):
+    def spy(r, t, n, factors, *parts):
         seen.append((r, t, n, factors))
-        return _color_sum(r, t, n, factors)
+        return _color_sum(r, t, n, factors, *parts)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wrt, "_color_sum", spy)
         call()
     return seen
-
-
-_LEGS = st.lists(
-    st.tuples(st.integers(-15, 15), st.integers(1, 9)).filter(
-        lambda pq: pq[0] != 0 and gcd(abs(pq[0]), pq[1]) == 1
-    ),
-    min_size=1,
-    max_size=5,
-)
 
 
 @given(
@@ -626,20 +669,27 @@ def test_color_sum_with_no_active_color():
 
 
 def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
-    counts = {"init": 0, "mul": 0}
+    """Count number builds, products, ``Phi_r`` reductions and unpacks."""
+    counts = {"init": 0, "raw": 0, "mul": 0, "reduce": 0, "unpack": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
     init, mul = CyclotomicNumber.__init__, CyclotomicNumber.__mul__
-
-    def counted_init(self, *args, **kwargs):
-        counts["init"] += 1
-        init(self, *args, **kwargs)
-
-    def counted_mul(self, other):
-        counts["mul"] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(CyclotomicNumber, "__init__", counted_init)
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted_mul)
-    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted_mul)
+    monkeypatch.setattr(CyclotomicNumber, "__init__", counted("init", init))
+    monkeypatch.setattr(CyclotomicNumber, "_raw",
+                        classmethod(counted("raw", CyclotomicNumber._raw.__func__)))
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted("mul", mul))
+    monkeypatch.setattr(wrt, "_reduce_int_vector",
+                        counted("reduce", wrt._reduce_int_vector))
+    unpack = counted("unpack", cyclotomic._unpack)
+    monkeypatch.setattr(wrt, "_unpack", unpack)
+    monkeypatch.setattr(cyclotomic, "_unpack", unpack)
     return counts
 
 
@@ -650,20 +700,27 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
         ("X(2/1,-2/1,3/1,-3/1)", 45, 2),  # H = 0, non-unit colors
         ("X(6/1,5/4)", 9, 1),  # a leg with c = 3
         ("X(3/1)", 7, 3),
+        ("X(2/1,3/1,7/1)", 31, 1),
+        ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2),
     ],
 )
 def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
+    # The color sum and the prefactor are one packed product, unpacked once
+    # and reduced modulo Phi_r once into the record's one number.  Only the
+    # central power E^(n-2) of n >= 4 legs is a product of its own.
     M = manifold(spec)
     counts = _count_cyclotomic_calls(monkeypatch)
     xi_closed_form(M, r, t)
-    assert counts == {"init": 1, "mul": 0}
+    assert counts == {"init": 0, "raw": 1, "mul": 0, "reduce": 1,
+                      "unpack": 1 + (M.n >= 4)}
 
 
 def test_all_coprime_and_trefoil_build_one_cyclotomic_number(monkeypatch):
+    # Two records, one unpack each, and one for the central power E^2.
     counts = _count_cyclotomic_calls(monkeypatch)
     xi_all_coprime(manifold("X(2/1,3/1,5/1,7/1)"), 13)
     tref_xi_closed(11, 3)
-    assert counts == {"init": 2, "mul": 0}
+    assert counts == {"init": 0, "raw": 2, "mul": 0, "reduce": 2, "unpack": 3}
 
 
 def _integral_candidates(r: int):
