@@ -78,6 +78,12 @@ MAX_RECORD_COST = 10**10
 # growing about quadratically in the chain length.
 MAX_CHAIN_VERTICES = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
+# The most selftest trials and the highest --budget.  At the default budget,
+# 1000 trials took 10.6 s.  At 10**6 joint states, 40 trials took 13 s and the
+# slowest brute force of a trial 3.7 s (X(-7/1,-7/6,1/1) at r = 7), on the
+# same machine: a selftest at both ceilings runs for about an hour.
+MAX_TRIALS = 10**4
+MAX_BUDGET = 10**6  # the library default of xi_statesum_brute
 FAULT_NAMES = ("flip-oracle-sign",)
 # Seconds a ``tau`` request runs in this process before ``--jobs`` hands the
 # rest of its records to child processes.  Starting a child costs the fork,
@@ -503,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized consistency drill")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=_int_range(1), default=8)
-    p_self.add_argument("--budget", type=_int_range(1), default=BRUTE_BUDGET,
-                        help="joint brute-force term budget")
+    p_self.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=8)
+    p_self.add_argument("--budget", type=_int_range(1, MAX_BUDGET),
+                        default=BRUTE_BUDGET, help="joint brute-force term budget")
     p_self.add_argument("--inject-fault", choices=FAULT_NAMES, default=None,
                         help="deliberately break a route to prove detection")
     return parser

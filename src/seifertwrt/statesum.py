@@ -30,7 +30,6 @@ from .cyclotomic import (
     _unpack,
     _widen,
     gauss_sum,
-    root_power,
 )
 from .seifert import SeifertData, plumbing, signature_counts
 
@@ -77,19 +76,6 @@ def _central_power(n: int, r: int, t: int) -> tuple[list[int], int]:
     if n <= 2:
         return (_binomial(r, 2 * t) if n == 1 else [1] + [0] * (r - 1)), 1
     return _ring_mul(*[_edge_inverse(r, t)] * (n - 2)), r ** (n - 2)
-
-
-def _chain_term(term, chain, colors, j, chi, r, t) -> CyclotomicNumber:
-    """``term`` times the weight of one coloring ``colors`` of ``chain``.
-
-    The walk starts from color 1 at the free end and ends on the edge to the
-    central color ``j``; ``chi`` is the edge-weight table of :func:`_chi`.
-    """
-    prev = 1
-    for m, y in zip(chain, colors):
-        term = term * root_power(r, t * m * y * y) * chi[(prev * y) % r]
-        prev = y
-    return term * chi[(prev * j) % r]
 
 
 def _close(total: list[int], den: int, pres, r: int, t: int):
@@ -194,6 +180,14 @@ def xi_statesum_brute(
     Refuses to start when the joint count ``r**(1 + sum(l_k))`` exceeds
     ``budget``.  Colorings containing the vanishing color contribute exactly
     zero and are skipped.
+
+    A coloring's weight is one integer vector of ``Z[C_r]``: each vertex of
+    framing ``m`` and color ``y`` after color ``prev`` multiplies it by
+    ``x^(t m y^2) (x^(2t prev y) - x^(-2t prev y))``, one rotation and
+    difference, and the edge to the central color ``j`` is one more such
+    step with ``m = 0``.  The weights of one ``j`` add into one vector,
+    which the literal central power ``chi[j] ** (2 - n)`` (:func:`_chi`)
+    multiplies once.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
@@ -203,19 +197,20 @@ def xi_statesum_brute(
             f"{r}**{1 + total_l} joint states exceed the budget {budget}"
         )
     chi = _chi(r, t)
-    slices = []
-    start = 0
-    for chain in pres.chains:
-        slices.append((start, start + len(chain)))
-        start += len(chain)
-
     total = CyclotomicNumber.zero(r)
     for j in range(1, r):
-        central_pow = chi[j] ** (2 - M.n)
+        acc = [0] * r  # the colorings around the central color j, in Z[C_r]
         for colors in product(range(1, r), repeat=total_l):
-            term = central_pow
-            for chain, (lo, hi) in zip(pres.chains, slices):
-                term = _chain_term(term, chain, colors[lo:hi], j, chi, r, t)
-            total = total + term
+            weight = [1] + [0] * (r - 1)
+            ys = iter(colors)
+            for chain in pres.chains:
+                prev = 1
+                for m, y in [*zip(chain, ys), (0, j)]:
+                    up = t * y * (m * y + 2 * prev) % r
+                    down = t * y * (m * y - 2 * prev) % r
+                    weight = [weight[k - up] - weight[k - down] for k in range(r)]
+                    prev = y
+            acc = [a + w for a, w in zip(acc, weight)]
+        total = total + CyclotomicNumber(r, acc) * chi[j] ** (2 - M.n)
     num, den = total.integer_coefficients()
     return _close(_substitute(num, 1, r), den, pres, r, t)

@@ -127,7 +127,9 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
-def _color_sum(r: int, t: int, n: int, factors, parts=()) -> tuple[list[int], int]:
+def _color_sum(
+    central: list[int], t: int, n: int, factors, parts=()
+) -> tuple[list[int], int]:
     """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``,
     times the product of the vectors ``parts``.
 
@@ -136,7 +138,8 @@ def _color_sum(r: int, t: int, n: int, factors, parts=()) -> tuple[list[int], in
     ``sign * zeta^(t*e)`` with ``sign = +-1``.  The central power is
     ``D(x^j)`` for one precomputed ``D``: the polynomial
     ``(x^(2t) - x^(-2t))^(2-n)`` for ``n <= 2``, and ``E^(n-2)`` over
-    ``r^(n-2)`` for ``n >= 3`` (see :func:`_central_inverse`).  ``D`` is kept
+    ``r^(n-2)`` for ``n >= 3``, where ``central`` is ``E`` at ``(r, t)``
+    (:func:`_central_inverse`; ``r = len(central)``).  ``D`` is kept
     modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
     the substitution ``x -> x^j`` does not respect ``Phi_r``.
 
@@ -173,8 +176,9 @@ def _color_sum(r: int, t: int, n: int, factors, parts=()) -> tuple[list[int], in
     is widened once to that slot width (:func:`_widen`), multiplied by the
     packed ``parts``, and the product is unpacked once.
     """
+    r = len(central)
     if n > 2:
-        base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
+        base, power, den = central, n - 2, r ** (n - 2)
     else:
         base, power, den = _binomial(r, 2 * t), 2 - n, 1
     if power > 1:
@@ -212,19 +216,20 @@ def _color_sum(r: int, t: int, n: int, factors, parts=()) -> tuple[list[int], in
 
 
 def _prefactor(
-    r: int, t: int, sign_H_abs: int, conductors=()
+    central: list[int], t: int, sign_H_abs: int, conductors=()
 ) -> tuple[list[list[int]], int, int]:
     """The closed formula's Gauss-sum prefactor as ``(parts, sign, den)``.
 
     The prefactor is ``sign / den`` times the product of the vectors
     ``parts`` of ``Z[C_r]``: ``(zeta^(2t) - zeta^(-2t))^(|sign H| - 2) =
-    (E/r)^(2 - |sign H|)`` (see :func:`_central_inverse`), for
+    (E/r)^(2 - |sign H|)`` for ``E = central`` at ``(r, t)``
+    (:func:`_central_inverse`; ``r = len(central)``), for
     ``|sign H| = 1`` also ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r``
     for odd ``r``; at ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``),
     and the Gauss sums ``g_c`` at ``zeta^t`` of the ``conductors``
     (``g_1 = 1``).
     """
-    central = _central_inverse(r, t)
+    r = len(central)
     if sign_H_abs:
         parts, sign, den = [central, _gauss_vector(r, r, -t)], -1, 2 * r * r
     else:
@@ -276,8 +281,9 @@ def xi_closed_form(
     def factors(j):
         return [leg.chi_terms(j) for leg in legs]
 
-    parts, sign, den = _prefactor(r, t, tops.sign_H_abs, [leg.c for leg in legs])
-    vec, sum_den = _color_sum(r, t, M.n, factors, parts)
+    central = _central_inverse(r, t)  # E, for the prefactor and the color sum
+    parts, sign, den = _prefactor(central, t, tops.sign_H_abs, [leg.c for leg in legs])
+    vec, sum_den = _color_sum(central, t, M.n, factors, parts)
     return _reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 
@@ -438,5 +444,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    parts, sign, den = _prefactor(r, t, 0)
+    parts, sign, den = _prefactor(_central_inverse(r, t), t, 0)
     return _reduced(r, _ring_mul(*parts), -4 * t, sign * 2 * r, den)

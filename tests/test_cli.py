@@ -468,6 +468,27 @@ def test_precision_in_range_is_accepted(capsys, digits, tau_re):
     assert json.loads(out)["tau_re"] == tau_re
 
 
+@pytest.mark.parametrize("option,ceiling", [("--trials", cli.MAX_TRIALS),
+                                            ("--budget", cli.MAX_BUDGET)])
+def test_selftest_count_above_the_ceiling_exits_two(capsys, monkeypatch, option,
+                                                    ceiling):
+    # The ceilings bound a selftest's run time; the refusal comes before any
+    # trial draws its manifold.
+    monkeypatch.setattr(cli, "_random_manifold", lambda rng: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", option, str(ceiling + 1)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"must be <= {ceiling}, got {ceiling + 1}" in err
+
+
+def test_selftest_counts_at_the_ceilings_are_accepted():
+    args = build_parser().parse_args(
+        ["selftest", "--trials", str(cli.MAX_TRIALS), "--budget", str(cli.MAX_BUDGET)])
+    assert (args.trials, args.budget) == (cli.MAX_TRIALS, cli.MAX_BUDGET)
+
+
 @pytest.mark.parametrize(
     ("target", "fake", "check", "failures"),
     [("b_counts_closed_form", lambda real: lambda *a, **k: None,

@@ -94,6 +94,23 @@ def test_only_cyclotomic_handles_slot_bytes():
             assert not calls, path.name
 
 
+def test_joint_brute_force_packs_nothing():
+    # The joint brute force sums its colorings over plain integer lists; only
+    # ``_close``, called once after the enumeration, may pack.
+    packed = {"_pack", "_unpack", "_rotate", "_fold", "_ring_mul",
+              "_packed_product", "_substitutions", "_widen"}
+    tree = ast.parse((SRC / "statesum.py").read_text())
+    (brute,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "xi_statesum_brute"]
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(brute) if isinstance(node, ast.Call)]
+    assert packed <= GROUP_RING_HELPERS
+    assert not packed & set(called)
+    assert called.count("_close") == 1
+    last = brute.body[-1]
+    assert isinstance(last, ast.Return) and last.value.func.id == "_close"
+
+
 def test_cli_start_up_imports_no_rarely_used_module():
     # ``import seifertwrt.cli`` and ``build_parser()`` are what every
     # invocation pays before its first record.  ``-S`` keeps ``site`` from

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import manifold
+from _corpus import CORPUS_SPECS, get_xi_formula, manifold
 from test_seifert import _dense_signature_counts, linking_matrix
 from seifertwrt.cyclotomic import (
     CyclotomicNumber,
@@ -20,6 +20,7 @@ from seifertwrt.cyclotomic import (
     gauss_sum,
     root_power,
 )
+from seifertwrt.cli import BRUTE_BUDGET
 from seifertwrt.seifert import SeifertData, plumbing
 from seifertwrt.statesum import (
     BudgetExceeded,
@@ -304,6 +305,48 @@ def test_joint_brute_budget_guard():
 def test_joint_brute_matches_statesum(spec, r, t):
     M = manifold(spec)
     assert xi_statesum_brute(M, r, t) == xi_statesum(M, r, t)
+
+
+def test_joint_brute_matches_formula_on_corpus():
+    # Every corpus manifold and level whose joint coloring space fits
+    # selftest's default budget: 85 pairs at r = 3, 5, 7, 9.
+    checked = 0
+    for spec in CORPUS_SPECS:
+        for r in (3, 5, 7, 9):
+            try:
+                brute = xi_statesum_brute(manifold(spec), r, 1, BRUTE_BUDGET)
+            except BudgetExceeded:
+                continue
+            assert brute == get_xi_formula(spec, r), (spec, r)
+            checked += 1
+    assert checked == 85
+
+
+def _brute_products(M: SeifertData, r: int) -> int:
+    """The ``CyclotomicNumber`` products one :func:`xi_statesum_brute` takes."""
+    calls = []
+    real = CyclotomicNumber.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CyclotomicNumber, "__mul__", spy)
+        mp.setattr(CyclotomicNumber, "__rmul__", spy)
+        xi_statesum_brute(M, r)
+    return len(calls)
+
+
+@pytest.mark.parametrize("few,many", [("X(2/1)", "X(-7/4)"),
+                                      ("X(2/1,3/1)", "X(6/1,5/4)")])
+def test_joint_brute_products_do_not_grow_with_colorings(few, many):
+    # ``many`` has r**2 times the colorings of ``few``.  Each central color
+    # takes one product, and X(2/1) one more for chi[j] ** (2 - n); _close
+    # takes one (g * g).
+    r = 5
+    counts = [_brute_products(manifold(spec), r) for spec in (few, many)]
+    assert counts[0] == counts[1] <= 2 * (r - 1) + 1
 
 
 def test_statesum_zero_color_column_is_zero():

@@ -90,8 +90,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
             ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
         ]
 
-    parts, sign, den = wrt._prefactor(r, t, tops.sign_H_abs)
-    vec, sum_den = wrt._color_sum(r, t, M.n, factors, parts)
+    central = _central_inverse(r, t)
+    parts, sign, den = wrt._prefactor(central, t, tops.sign_H_abs)
+    vec, sum_den = wrt._color_sum(central, t, M.n, factors, parts)
     return wrt._reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 
@@ -543,7 +544,8 @@ def test_color_sum_equals_per_monomial_loop(spec, r):
             return [leg.chi_terms(j) for leg in legs]
 
         expected = _color_sum_reference(r, t, M.n, factors)
-        assert _color_sum(r, t, M.n, factors) == expected, (spec, r, t)
+        central = _central_inverse(r, t)
+        assert _color_sum(central, t, M.n, factors) == expected, (spec, r, t)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -556,7 +558,8 @@ def test_color_sum_with_every_monomial_alike(r, n, sign):
         odd = [((1, j), (-1, -j))] if n % 2 else []
         return [((sign, 0),)] + [((1, 0), (1, 0))] * 8 + odd
 
-    assert _color_sum(r, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
+    central = _central_inverse(r, 1)
+    assert _color_sum(central, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
 
 
 _LEG = st.tuples(st.integers(-15, 15), st.integers(1, 9)).filter(
@@ -601,7 +604,7 @@ def test_color_sum_with_parts_equals_schoolbook_product(case):
     expected, den = _color_sum_reference(r, t, n, factors)
     for part in parts:
         expected = _schoolbook_ring_mul(expected, part)
-    assert _color_sum(r, t, n, factors, parts) == (expected, den)
+    assert _color_sum(_central_inverse(r, t), t, n, factors, parts) == (expected, den)
 
 
 def _expanded(factors, j: int, r: int, t: int) -> list[int]:
@@ -619,9 +622,9 @@ def _factors_passed(call) -> list:
     """The ``(r, t, n, factors)`` of every ``_color_sum`` call that ``call()`` makes."""
     seen = []
 
-    def spy(r, t, n, factors, *parts):
-        seen.append((r, t, n, factors))
-        return _color_sum(r, t, n, factors, *parts)
+    def spy(central, t, n, factors, *parts):
+        seen.append((len(central), t, n, factors))
+        return _color_sum(central, t, n, factors, *parts)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wrt, "_color_sum", spy)
@@ -659,13 +662,31 @@ def test_color_sum_visits_one_color_per_pair(r):
         calls.append(j)
         return [leg.chi_terms(j) for leg in legs]
 
-    _color_sum(r, 1, 3, factors)
+    _color_sum(_central_inverse(r, 1), 1, 3, factors)
     assert len(calls) <= (r - 1) // 2
     assert {min(j, r - j) for j in calls} == set(range(1, (r + 1) // 2))
 
 
 def test_color_sum_with_no_active_color():
-    assert _color_sum(9, 1, 3, lambda j: [()]) == ([0] * 9, 9)
+    assert _color_sum(_central_inverse(9, 1), 1, 3, lambda j: [()]) == ([0] * 9, 9)
+
+
+@pytest.mark.parametrize("spec", ["X(5/3)", "X(2/1,-2/1)", "X(2/1,3/1,5/1)",
+                                  "X(3/2,5/1,-7/3,4/1)"])
+@pytest.mark.parametrize("r", [9, 17, 45])
+def test_one_central_inverse_per_record(spec, r):
+    # The prefactor and the color sum share one E, whatever the leg count.
+    calls = []
+
+    def spy(r_, t_):
+        calls.append((r_, t_))
+        return _central_inverse(r_, t_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wrt, "_central_inverse", spy)
+        xi = xi_closed_form(manifold(spec), r, 2)
+    assert calls == [(r, 2)]
+    assert xi == xi_statesum(manifold(spec), r, 2)
 
 
 def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
