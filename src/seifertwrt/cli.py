@@ -24,13 +24,13 @@ from time import perf_counter
 from typing import Callable
 
 from .cyclotomic import CyclotomicNumber, _check_level
-from .numtheory import mod_inverse
+from .numtheory import good_expansion, mod_inverse
 from .seifert import (
+    PlumbingPresentation,
     SeifertData,
     b_counts_closed_form,
     parse_manifold,
     parse_normalize,
-    plumbing,
     signature_counts,
     top_invariants,
 )
@@ -68,20 +68,19 @@ MAX_LEGS = 64
 # those records the time grows about as n^2.2 r^1.9, so n^3 r^2 errs towards
 # refusing many legs, and every manifold of at most 8 legs runs at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
-# The most plumbing vertices a manifold may expand into, bounded before any
-# expansion by the sum of q_k + 1 over its legs (the good expansion of p/q
-# has at most q + 1 entries, as its remainders fall strictly below q).  A
-# record expands every leg for its inertia: X(1/99999) took 20 ms and 1.6 MB,
-# X(1/999999) 0.2 s and 16 MB (same machine).  The oracle's leg DP stays
-# slow below it, as its slot width grows with the chain: at r = 5,
-# X(1/5000) --oracle took 0.5 s and X(1/10000) 1.2-1.6 s, both in 18 MB,
-# growing about quadratically in the chain length.
+# The most plumbing vertices a manifold may expand into, bounded by the sum of
+# q_k + 1 over its legs (the good expansion of p/q has at most q + 1 entries,
+# as its remainders fall strictly below q).  No record expands a leg, and the
+# oracle's chains have at most floor(log2 q) + 1 vertices, so this bounds the
+# legs' size: at r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle (same
+# machine).  Far above it legs get slow: a leg of 4000 digits took 1.8 s in the
+# formula's Dedekind sum and 0.4 s in the oracle's 5313-vertex chain.
 MAX_CHAIN_VERTICES = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 # The most selftest trials and the highest --budget.  At the default budget,
-# 1000 trials took 10.6 s.  At 10**6 joint states, 40 trials took 13 s and the
-# slowest brute force of a trial 3.7 s (X(-7/1,-7/6,1/1) at r = 7), on the
-# same machine: a selftest at both ceilings runs for about an hour.
+# 1000 trials took 5.0 s.  At 10**6 joint states, 40 trials took 6.2 s and the
+# slowest brute force of a trial 1.8 s (X(6/1,-4/5,5/2) at r = 9), on the same
+# machine: a selftest at both ceilings runs for about half an hour.
 MAX_TRIALS = 10**4
 MAX_BUDGET = 10**6  # the library default of xi_statesum_brute
 FAULT_NAMES = ("flip-oracle-sign",)
@@ -418,10 +417,11 @@ def _cmd_selftest(args, out) -> int:
         out.write(f"selftest trial {trial}: {M} r={r} t={t} formula-vs-oracle "
                   f"{'ok' if ok else 'FAIL'}\n")
         u = rng.choice([u for u in range(1, r) if gcd(u, r) == 1])
-        inertia = signature_counts(plumbing(M))
+        good = PlumbingPresentation(tuple(good_expansion(p, q).ms[::-1]
+                                          for p, q in M.legs))  # the reference chains
         checks = {
             f"galois twist by {u}": xi_closed_form(M, r, (t * u) % r) == xi.galois(u),
-            "inertia closed form": inertia == b_counts_closed_form(M),
+            "inertia closed form": signature_counts(good) == b_counts_closed_form(M),
             "joint brute force": _judge(("brute",), M, r, t, xi, args.budget)["brute"],
         }
         results += [ok, *checks.values()]

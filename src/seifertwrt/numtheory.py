@@ -3,8 +3,8 @@
 Everything here is exact: big integers, ``fractions.Fraction``, and small
 combinatorial recursions.  These are the primitives the rest of the package
 is assembled from -- modular inverses, Jacobi symbols, Dedekind sums in
-integers, and the negative continued-fraction ("good") expansions of
-rationals that the plumbing chains are made of.
+integers, and the negative continued-fraction ("good") expansion of a
+rational, whose chains ``selftest`` reads as the reference plumbing.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class GoodExpansion(NamedTuple):
         return acc
 
 
-# The most expansions kept.  A long leg's expansion is as long as its chain
-# (X(1/99999) keeps about 0.8 MB), so the cache is bounded; the perfbench
-# workloads expand at most 53 distinct legs, so 128 keeps every reuse.
+# The most expansions kept.  An expansion of p/q has up to q + 1 entries
+# (X(1/99999) keeps about 0.8 MB), so the cache is bounded.  Only selftest
+# expands legs, all of them small; no record path calls the expansion.
 EXPANSION_CACHE_SIZE = 128
 
 

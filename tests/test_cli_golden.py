@@ -27,12 +27,14 @@ SCAN = ("integrality-scan", "X(2/1,3/1,5/1)", "X(3/1,3/1,6/1,9/1)", "--r-range",
 
 GOLDEN = [
     (("selftest",), 0, SELFTEST_DEFAULT.format("ok", 0)),
+    # Over the oracle's short chains, every brute force of these trials fits
+    # the default budget.
     (("selftest", "--seed", "3", "--trials", "4"), 0, """\
 selftest trial 0: X(2/5) r=5 t=3 formula-vs-oracle ok
 selftest trial 1: X(2/1,2/1,7/4) r=7 t=5 formula-vs-oracle ok
 selftest trial 2: X(1/5) r=9 t=5 formula-vs-oracle ok
 selftest trial 3: X(-1/6) r=3 t=1 formula-vs-oracle ok
-selftest: 14 checks, 0 failures, 2 skipped (brute force over --budget)
+selftest: 16 checks, 0 failures, 0 skipped (brute force over --budget)
 """),
     (("selftest", "--inject-fault", "flip-oracle-sign"), 1,
      SELFTEST_DEFAULT.format("FAIL", 8)),

@@ -3,7 +3,7 @@
 Each relation maps a manifold to another presentation of the same manifold
 (or of its mirror image), so it tests the closed formula and the state-sum
 oracle without comparing them with each other: a fault in the code they
-share (``cyclotomic``), in the oracle's ``good_expansion``/``plumbing`` chains
+share (``cyclotomic``), in the oracle's ``plumbing`` chains
 or in its closing step shows up as a broken relation on one route.
 """
 

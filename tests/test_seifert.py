@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _corpus import CORPUS_SPECS, H_ZERO_SPECS, manifold
-from seifertwrt.numtheory import NotCoprime
+from seifertwrt.numtheory import NotCoprime, good_expansion
 from seifertwrt.seifert import (
     ParseError,
     PlumbingPresentation,
@@ -82,11 +83,50 @@ def test_top_invariant_signs():
     assert (zero.sign_H_abs, zero.sign_H_over_P, zero.nu) == (0, 0, 1)
 
 
+def good_plumbing(M: SeifertData) -> PlumbingPresentation:
+    """Reference: the plumbing whose chains are the good expansions of the legs
+    (entries at least 2 below the outermost), free end first."""
+    return PlumbingPresentation(tuple(good_expansion(p, q).ms[::-1] for p, q in M.legs))
+
+
+def chain_value(chain) -> Fraction:
+    """The rational a chain presents, read from its free end inward."""
+    value = Fraction(chain[0])
+    for m in chain[1:]:
+        value = m - 1 / value
+    return value
+
+
 def test_plumbing_chains():
-    pres = plumbing(parse_manifold("X(3/1,7/5)"))
+    pres = good_plumbing(parse_manifold("X(3/1,7/5)"))
     # 3/1 expands as <4,1>, 7/5 as <2,2,3>; chains run free end inward.
     assert pres.chains == ((1, 4), (3, 2, 2))
     assert pres.framing_total == 12
+
+
+@pytest.mark.parametrize(
+    "spec,chains",
+    [
+        ("X(3/1,7/5)", ((3,), (2, -2, 1))),
+        ("X(1/10000)", ((-10000, 0),)),
+        ("X(-2/1,3/1,6/1)", ((-2,), (3,), (6,))),
+        ("X(-7/4,89/55)", ((-4, -2), (3, 3, 3, 3, 2))),
+    ],
+)
+def test_plumbing_takes_nearest_integer_steps(spec, chains):
+    # An integer leg is one vertex; 7/5 = 1 - 1/(-2 - 1/2) and
+    # 1/10000 = 0 - 1/(-10000).
+    assert plumbing(parse_manifold(spec)).chains == chains
+
+
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+@settings(deadline=None, max_examples=300)
+def test_plumbing_chain_is_short_and_exact(p, q):
+    assume(gcd(p, q) == 1)
+    (chain,) = plumbing(SeifertData(((p, q),))).chains
+    assert chain_value(chain) == Fraction(p, q)
+    assert len(chain) <= q.bit_length()  # floor(log2 q) + 1
+    assert all(abs(m) >= 2 for m in chain[:-1])
 
 
 def linking_matrix(pres: PlumbingPresentation) -> tuple[tuple[int, ...], ...]:
@@ -153,12 +193,12 @@ def _dense_signature_counts(matrix) -> tuple[int, int, int]:
 
 
 def test_linking_matrix_frozen():
-    pres = plumbing(parse_manifold("X(3/1)"))
+    pres = good_plumbing(parse_manifold("X(3/1)"))
     assert linking_matrix(pres) == ((1, 1, 0), (1, 4, 1), (0, 1, 0))
 
 
 def test_linking_matrix_two_legs():
-    pres = plumbing(parse_manifold("X(2/1,-2/1)"))
+    pres = good_plumbing(parse_manifold("X(2/1,-2/1)"))
     # chains (1,3) and (1,-1); central vertex last.
     m = linking_matrix(pres)
     assert m == (
@@ -302,14 +342,23 @@ def test_signature_counts_branches(chains, counts):
 def test_signature_counts_on_a_long_chain():
     # 100001 vertices: a dense matrix of them would hold 10^10 entries.
     M = parse_manifold("X(1/99999)")
-    assert signature_counts(plumbing(M)) == b_counts_closed_form(M)
+    assert signature_counts(good_plumbing(M)) == b_counts_closed_form(M)
 
 
 def test_b_counts_closed_form_matches_exact_signature():
     for spec in CORPUS_SPECS:
         M = manifold(spec)
-        exact = signature_counts(plumbing(M))
+        exact = signature_counts(good_plumbing(M))
         assert b_counts_closed_form(M) == exact, spec
+
+
+@given(st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4))
+@settings(deadline=None, max_examples=300)
+def test_b_counts_closed_form_counts_the_good_expansion(p, q):
+    # One leg has H = q != 0: the rank is the expansion's length plus one.
+    assume(gcd(p, q) == 1)
+    b_plus, b_minus, _ = b_counts_closed_form(SeifertData(((p, q),)))
+    assert b_plus + b_minus == good_expansion(p, q).l + 1
 
 
 def test_null_count_is_nu():

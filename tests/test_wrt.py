@@ -323,21 +323,29 @@ def test_rozansky_matches_tau_prime():
                 assert abs(a - b) < mpmath.mpf(10) ** -30, (spec, r)
 
 
+def _refuse_leg_expansion(monkeypatch, route: str) -> None:
+    """Make ``good_expansion`` and ``plumbing`` raise in every module binding them."""
+    import seifertwrt.cli as cli
+    import seifertwrt.numtheory as numtheory
+    import seifertwrt.seifert as seifert
+    import seifertwrt.statesum as statesum
+
+    def refuse(*args):
+        raise AssertionError(f"the {route} expanded a leg")
+
+    for module in (numtheory, seifert, statesum, wrt, cli):
+        for name in ("good_expansion", "plumbing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_rozansky_route_expands_no_leg(monkeypatch):
     # The residue form reads each leg through top_invariants and the Dedekind
     # route of s_surd_residue: neither good_expansion nor plumbing runs, so a
     # fault there cannot agree with itself through this check.
-    import seifertwrt.numtheory as numtheory
-    import seifertwrt.seifert as seifert
-
-    def refuse(*args):
-        raise AssertionError("the residue form expanded a leg")
-
     M = manifold("X(5/2,-5/3,6/1,-7/2)")
     expected = tau_rozansky_numeric(M, 11)
-    for module in (numtheory, seifert):
-        monkeypatch.setattr(module, "good_expansion", refuse)
-    monkeypatch.setattr(seifert, "plumbing", refuse)
+    _refuse_leg_expansion(monkeypatch, "residue form")
     assert tau_rozansky_numeric(M, 11) == expected
 
 
@@ -345,17 +353,14 @@ def test_closed_formula_expands_no_leg(monkeypatch):
     # Each leg's Bezout pair is a modular inverse and its exponent comes from
     # a Dedekind sum: the formula shares neither good_expansion nor plumbing
     # with the oracle, so formula-equals-oracle checks the oracle's chains.
-    import seifertwrt.numtheory as numtheory
-    import seifertwrt.seifert as seifert
-
-    def refuse(*args):
-        raise AssertionError("the closed formula expanded a leg")
-
+    # A record's b_plus and b_minus count the good chains' length from the
+    # regular continued fraction, without expanding them.
+    specs = (*CORPUS_SPECS, "X(1/99999)", "X(-1000/999,7/3)")
     expected = [xi_closed_form(manifold(spec), 15, 1) for spec in CORPUS_SPECS]
-    for module in (numtheory, seifert):
-        monkeypatch.setattr(module, "good_expansion", refuse)
-    monkeypatch.setattr(seifert, "plumbing", refuse)
+    records = [tau_prime(manifold(spec), 15) for spec in specs]
+    _refuse_leg_expansion(monkeypatch, "closed formula")
     assert [xi_closed_form(manifold(spec), 15, 1) for spec in CORPUS_SPECS] == expected
+    assert [tau_prime(manifold(spec), 15) for spec in specs] == records
 
 
 def test_rozansky_float_path():
@@ -430,10 +435,14 @@ def test_trefoil_invariants_against_topology():
         plumbing,
         signature_counts,
     )
+    from test_seifert import good_plumbing
 
     assert top_invariants(TREFOIL_ZERO).H == 0
+    # Records report the inertia of the good chains (1, -1) (1, 4) (1, 7);
+    # the oracle's short chains (-2) (3) (6) have a smaller one.
     assert b_counts_closed_form(TREFOIL_ZERO) == (5, 1, 1)
-    assert signature_counts(plumbing(TREFOIL_ZERO)) == (5, 1, 1)
+    assert signature_counts(good_plumbing(TREFOIL_ZERO)) == (5, 1, 1)
+    assert signature_counts(plumbing(TREFOIL_ZERO)) == (2, 1, 1)
 
 
 def test_integrality_on_sample():
