@@ -11,7 +11,6 @@ from its defining module, e.g. ``from seifertwrt.cyclotomic import gauss_sum``.
 """
 
 from .cyclotomic import CyclotomicNumber
-from .numtheory import good_expansion
 from .seifert import parse_manifold
 from .statesum import xi_statesum
 from .wrt import tau_prime, tau_rozansky_numeric, xi_closed_form
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CyclotomicNumber",
-    "good_expansion",
     "parse_manifold",
     "tau_prime",
     "tau_rozansky_numeric",

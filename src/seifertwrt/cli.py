@@ -26,7 +26,6 @@ from typing import Callable
 from .cyclotomic import CyclotomicNumber, _check_level
 from .numtheory import good_expansion, mod_inverse
 from .seifert import (
-    PlumbingPresentation,
     SeifertData,
     b_counts_closed_form,
     parse_manifold,
@@ -68,14 +67,11 @@ MAX_LEGS = 64
 # those records the time grows about as n^2.2 r^1.9, so n^3 r^2 errs towards
 # refusing many legs, and every manifold of at most 8 legs runs at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
-# The most plumbing vertices a manifold may expand into, bounded by the sum of
-# q_k + 1 over its legs (the good expansion of p/q has at most q + 1 entries,
-# as its remainders fall strictly below q).  No record expands a leg, and the
-# oracle's chains have at most floor(log2 q) + 1 vertices, so this bounds the
-# legs' size: at r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle (same
-# machine).  Far above it legs get slow: a leg of 4000 digits took 1.8 s in the
-# formula's Dedekind sum and 0.4 s in the oracle's 5313-vertex chain.
-MAX_CHAIN_VERTICES = 100000
+# The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
+# the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle
+# (same machine).  Far above it legs get slow: a leg of 4000 digits took 1.8 s
+# in the formula's Dedekind sum and 0.4 s in the oracle's 5313-vertex chain.
+MAX_DENOMINATOR_SUM = 100000
 BRUTE_BUDGET = 20000  # joint brute-force terms selftest sums by default
 # The most selftest trials and the highest --budget.  At the default budget,
 # 1000 trials took 5.0 s.  At 10**6 joint states, 40 trials took 6.2 s and the
@@ -192,7 +188,7 @@ def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
 
 def _within_ceilings(spec: str, top: int) -> None:
     """Refuse the manifold ``spec`` when it has more than ``MAX_LEGS`` legs,
-    may expand into more than ``MAX_CHAIN_VERTICES`` plumbing vertices, or
+    has legs ``p/q`` whose ``q + 1`` sum to more than ``MAX_DENOMINATOR_SUM``, or
     has a record at the highest level ``top`` whose estimated cost is above
     ``MAX_RECORD_COST``.
 
@@ -207,10 +203,9 @@ def _within_ceilings(spec: str, top: int) -> None:
         raise ValueError(f"{spec!r} has {M.n} legs, above the ceiling of "
                          f"{MAX_LEGS} legs")
     bound = sum(q + 1 for _, q in M.legs)
-    if bound > MAX_CHAIN_VERTICES:
-        raise ValueError(f"{spec!r} may expand into {bound} plumbing vertices "
-                         f"(q + 1 per leg p/q), above the ceiling of "
-                         f"{MAX_CHAIN_VERTICES}")
+    if bound > MAX_DENOMINATOR_SUM:
+        raise ValueError(f"{spec!r} has legs p/q whose q + 1 sum to {bound}, "
+                         f"above the ceiling of {MAX_DENOMINATOR_SUM}")
     cost = M.n**3 * top**2
     if cost > MAX_RECORD_COST:
         raise ValueError(f"{spec!r} has {M.n} legs at level {top}, an estimated "
@@ -417,8 +412,7 @@ def _cmd_selftest(args, out) -> int:
         out.write(f"selftest trial {trial}: {M} r={r} t={t} formula-vs-oracle "
                   f"{'ok' if ok else 'FAIL'}\n")
         u = rng.choice([u for u in range(1, r) if gcd(u, r) == 1])
-        good = PlumbingPresentation(tuple(good_expansion(p, q).ms[::-1]
-                                          for p, q in M.legs))  # the reference chains
+        good = tuple(good_expansion(p, q)[::-1] for p, q in M.legs)  # reference chains
         checks = {
             f"galois twist by {u}": xi_closed_form(M, r, (t * u) % r) == xi.galois(u),
             "inertia closed form": signature_counts(good) == b_counts_closed_form(M),

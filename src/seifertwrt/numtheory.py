@@ -4,7 +4,7 @@ Everything here is exact: big integers, ``fractions.Fraction``, and small
 combinatorial recursions.  These are the primitives the rest of the package
 is assembled from -- modular inverses, Jacobi symbols, Dedekind sums in
 integers, and the negative continued-fraction ("good") expansion of a
-rational, whose chains ``selftest`` reads as the reference plumbing.
+rational, whose entries ``selftest`` reads as the reference plumbing's chains.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 
 class NonInvertible(ValueError):
@@ -104,35 +103,6 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     return Fraction(dedekind_integer(q, p), 12 * p)
 
 
-class GoodExpansion(NamedTuple):
-    """A rational ``p/q`` written as a negative continued fraction.
-
-    ``ms`` stores the entries high-first: ``ms = (m_l, ..., m_1)`` with
-
-        p/q = m_l - 1/(m_{l-1} - 1/(... - 1/m_1)),
-
-    ``l >= 2``, and for ``q >= 2`` all of ``m_1 .. m_{l-1}`` at least 2
-    (integers take the two-entry form ``(p+1, 1)``).  Use
-    :func:`good_expansion` to build one; the raw constructor performs no
-    validation (handy for tests that probe edge conventions).
-    """
-
-    p: int
-    q: int
-    ms: tuple[int, ...]
-
-    @property
-    def l(self) -> int:  # noqa: E743 - matches the standard name for the length
-        return len(self.ms)
-
-    def value(self) -> Fraction:
-        """Evaluate the continued fraction back to a rational (self-check)."""
-        acc = Fraction(self.ms[-1])
-        for m in self.ms[-2::-1]:
-            acc = m - 1 / acc
-        return acc
-
-
 # The most expansions kept.  An expansion of p/q has up to q + 1 entries
 # (X(1/99999) keeps about 0.8 MB), so the cache is bounded.  Only selftest
 # expands legs, all of them small; no record path calls the expansion.
@@ -140,12 +110,14 @@ EXPANSION_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
-def good_expansion(p: int, q: int) -> GoodExpansion:
-    """Canonical good expansion of ``p/q`` for ``q >= 1``, ``gcd(p, q) = 1``.
+def good_expansion(p: int, q: int) -> tuple[int, ...]:
+    """The good expansion of ``p/q`` for ``q >= 1``, ``gcd(p, q) = 1``.
 
-    The expansion always has length ``l >= 2``; for ``q >= 2`` every entry
-    below the outermost one is at least 2 (only the outermost entry may be
-    small or negative), while integers expand as ``p = (p+1) - 1/1``.
+    The entries run high-first, ``(m_l, ..., m_1)`` with ``p/q = m_l -
+    1/(m_{l-1} - 1/(... - 1/m_1))``, and there are ``l >= 2`` of them; for
+    ``q >= 2`` every entry below the outermost one is at least 2 (only the
+    outermost entry may be small or negative), while integers expand as
+    ``p = (p+1) - 1/1``.
     """
     if q < 1:
         raise InvalidModulus(f"denominator must be >= 1, got {q}")
@@ -154,7 +126,7 @@ def good_expansion(p: int, q: int) -> GoodExpansion:
     if gcd(p, q) != 1:
         raise NotCoprime(f"need gcd(p, q) = 1, got ({p}, {q})")
     if q == 1:
-        return GoodExpansion(p, q, (p + 1, 1))
+        return (p + 1, 1)
     top = p // q + 1  # ceil(p/q), noting q does not divide p here
     ms = [top]
     # p/q = top - 1/(q/(top*q - p)); expand the rest with ceiling division,
@@ -164,7 +136,7 @@ def good_expansion(p: int, q: int) -> GoodExpansion:
         m = -((-b) // a)  # ceil(b/a)
         ms.append(m)
         b, a = a, m * a - b
-    return GoodExpansion(p, q, tuple(ms))
+    return tuple(ms)
 
 
 def s_surd_residue(p: int, q: int, r: int) -> int:

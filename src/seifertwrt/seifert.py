@@ -116,22 +116,12 @@ def top_invariants(M: SeifertData) -> TopInvariants:
     )
 
 
-class PlumbingPresentation(NamedTuple):
-    """Star-shaped plumbing: one central vertex (framing 0) and n chains.
-
-    Each chain lists vertex framings from the free end inward; the last entry
-    of each chain is the vertex attached to the central one.
-    """
-
-    chains: tuple[tuple[int, ...], ...]
-
-    @property
-    def framing_total(self) -> int:
-        return sum(sum(c) for c in self.chains)
-
-
-def plumbing(M: SeifertData) -> PlumbingPresentation:
+def plumbing(M: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Plumb each leg ``p/q`` into a chain by Euclid's nearest-integer steps.
+
+    The plumbing is star-shaped: a central vertex of framing 0 and one chain
+    per leg.  Each chain lists vertex framings from the free end inward; its
+    last entry is the vertex attached to the central one.
 
     With ``m`` the integer nearest ``b/a``, ``b/a = m - 1/(a/(m a - b))``: from
     ``(b, a) = (p, q)`` the step ``(b, a) -> (a, m a - b)`` runs until
@@ -147,11 +137,12 @@ def plumbing(M: SeifertData) -> PlumbingPresentation:
             chain.insert(0, m)
             b, a = a, m * a - b
         chains.append(tuple(chain))
-    return PlumbingPresentation(chains=tuple(chains))
+    return tuple(chains)
 
 
-def signature_counts(pres: PlumbingPresentation) -> tuple[int, int, int]:
-    """Exact inertia ``(b_plus, b_minus, b_zero)`` of the plumbing's linking matrix.
+def signature_counts(chains: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
+    """Exact inertia ``(b_plus, b_minus, b_zero)`` of the linking matrix of the
+    star-shaped plumbing on ``chains`` (:func:`plumbing`'s orientation).
 
     The matrix has the framings on its diagonal and a symmetric pair of ones
     per edge.  Each chain is eliminated from its free end: a vertex's pivot
@@ -166,7 +157,7 @@ def signature_counts(pres: PlumbingPresentation) -> tuple[int, int, int]:
     """
     b_plus = b_minus = zero_ends = 0
     center = Fraction(0)
-    for chain in pres.chains:
+    for chain in chains:
         pivot = None  # the previous vertex's; None at the free end and after a pair
         for m in chain:
             if pivot == 0:  # this vertex completes a hyperbolic pair
@@ -193,10 +184,9 @@ def b_counts_closed_form(M: SeifertData) -> tuple[int, int, int]:
 
     ``b_plus + b_minus = sum(l_k) + (1 if H != 0 else 0)``,
     ``b_minus = #{p_k < 0} + (1 if H/P > 0 else 0)``, and the null count is
-    ``nu``.  ``l_k`` is the length of the good expansion of ``p_k/q_k``
-    (``numtheory.good_expansion``): 2 for an integer, else ``1 + sum_{odd i}
-    (a_i - 1) + #{even i >= 2}`` over the regular continued fraction
-    ``[a_0; a_1, ..., a_k]``, in ``O(log q)`` steps.
+    ``nu``.  ``l_k = len(numtheory.good_expansion(p_k, q_k))``: 2 for an
+    integer, else ``1 + sum_{odd i} (a_i - 1) + #{even i >= 2}`` over the
+    regular continued fraction ``[a_0; a_1, ..., a_k]``, in ``O(log q)`` steps.
     """
     tops = top_invariants(M)
     rank = tops.sign_H_abs

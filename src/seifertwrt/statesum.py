@@ -78,8 +78,10 @@ def _central_power(n: int, r: int, t: int) -> tuple[list[int], int]:
     return _ring_mul(*[_edge_inverse(r, t)] * (n - 2)), r ** (n - 2)
 
 
-def _close(total: list[int], den: int, pres, r: int, t: int):
-    """``xi`` from ``total / den`` in ``Z[C_r]``: normalization and framing correction.
+def _close(total: list[int], den: int, chains, r: int, t: int):
+    """``xi`` from ``total / den`` in ``Z[C_r]`` over the plumbing on ``chains``:
+    normalization and framing correction, with ``framing_total`` the sum of
+    every chain's framings.
 
     With ``c = zeta^(2t) - zeta^(-2t)`` and ``g = g_t`` the S-matrix entries
     are ``s_+ = -2 zeta^(-3t) g / c`` and ``s_- = conj(s_+) = 2 zeta^(3t)
@@ -91,12 +93,12 @@ def _close(total: list[int], den: int, pres, r: int, t: int):
     integer ``g^2 = conj(g)^2``: one :func:`_ring_mul` of at most ``b_0 + 4``
     vectors.
     """
-    b_plus, b_minus, b_zero = signature_counts(pres)
+    b_plus, b_minus, b_zero = signature_counts(chains)
     g = gauss_sum(r, r).galois(t)
     g_vec = g.integer_coefficients()[0]  # over the denominator 1
     nums = ([_edge_inverse(r, t)] * (b_zero + 1) + [g_vec] * (b_plus % 2)
             + [_substitute(g_vec, -1, r)] * (b_minus % 2))  # conj(g) = g(x^-1)
-    shift = t * (3 * (b_plus - b_minus) - pres.framing_total) % r
+    shift = t * (3 * (b_plus - b_minus) - sum(map(sum, chains))) % r
     num = _ring_mul(total[-shift:] + total[:-shift], *nums)  # times zeta^shift
     den *= (-2) ** b_plus * 2**b_minus * r ** (b_zero + 1)
     den *= int((g * g).as_rational()) ** ((b_plus + 1) // 2 + (b_minus + 1) // 2)
@@ -149,25 +151,25 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     :func:`_close`.  With no active color the width must still hold ``D``.
     """
     t = _check_level(r, t)
-    pres = plumbing(M)
-    tables = {chain: leg_sum_dp(chain, r, t) for chain in set(pres.chains)}
+    chains = plumbing(M)
+    tables = {chain: leg_sum_dp(chain, r, t) for chain in set(chains)}
     colors = [j for j in range(1, (r + 1) // 2)
-              if all(tables[chain].rows[j - 1] for chain in pres.chains)]
+              if all(tables[chain].rows[j - 1] for chain in chains)]
     central, den = _central_power(M.n, r, t)
-    scale = 2 ** (1 + sum(map(len, pres.chains)))  # the colors -j; 2 per DP step
+    scale = 2 ** (1 + sum(map(len, chains)))  # the colors -j; 2 per DP step
     central = [scale * a for a in central]
     width = _slot_width(max(len(colors), 1) * sum(map(abs, central))
-                        * prod(2 * (r - 1) ** len(c) for c in pres.chains))
+                        * prod(2 * (r - 1) ** len(c) for c in chains))
     packed = {chain: [_widen(table.rows[j - 1], r, table.width, width) for j in colors]
               for chain, table in tables.items()}
     at = _substitutions(central, width)
     total = 0
     for i, j in enumerate(colors):
         value = at(j)
-        for chain in pres.chains:
+        for chain in chains:
             value = _fold(value * packed[chain][i], r, width)
         total += value
-    return _close(_unpack(total, r, width), den, pres, r, t)
+    return _close(_unpack(total, r, width), den, chains, r, t)
 
 
 def xi_statesum_brute(
@@ -190,8 +192,8 @@ def xi_statesum_brute(
     literal central power ``chi[j] ** (2 - n)`` (:func:`_chi`) multiplies once.
     """
     t = _check_level(r, t)
-    pres = plumbing(M)
-    total_l = sum(len(chain) for chain in pres.chains)
+    chains = plumbing(M)
+    total_l = sum(len(chain) for chain in chains)
     if r ** (1 + total_l) > budget:
         raise BudgetExceeded(
             f"{r}**{1 + total_l} joint states exceed the budget {budget}"
@@ -205,7 +207,7 @@ def xi_statesum_brute(
     accs = [[0] * r for _ in range(r)]  # accs[j]: the colorings around j, in Z[C_r]
     for colors in product(range(1, r), repeat=total_l):
         weight, ends, ys = [1] + [0] * (r - 1), [], iter(colors)
-        for chain in pres.chains:
+        for chain in chains:
             prev = 1
             for m, y in zip(chain, ys):
                 weight, prev = step(weight, m, y, prev), y
@@ -219,4 +221,4 @@ def xi_statesum_brute(
     total = sum((CyclotomicNumber(r, accs[j]) * chi[j] ** (2 - M.n)
                  for j in range(1, r)), CyclotomicNumber.zero(r))
     num, den = total.integer_coefficients()
-    return _close(_substitute(num, 1, r), den, pres, r, t)
+    return _close(_substitute(num, 1, r), den, chains, r, t)

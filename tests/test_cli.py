@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import itertools
 import json
 import multiprocessing
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seifertwrt
 from seifertwrt import cli, wrt
 from seifertwrt.cli import _xi_pairs, build_parser, main
 from seifertwrt.cyclotomic import CyclotomicNumber
@@ -60,6 +63,32 @@ def test_readme_command_line_examples(capsys):
             assert out.endswith("\n" + "\n".join(shown[1:]) + "\n"), argv
         else:
             assert out == "\n".join(shown) + "\n", argv
+
+
+def test_readme_library_quick_start():
+    # Every expression of the example equals the value its comment shows, and
+    # the sentence after it names the package's exports, no more and no less.
+    section = README.read_text().split("\n## Library quick start\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    code, prose = section.split("```python\n", 1)[1].split("\n```\n", 1)
+    namespace, shown = {}, 0
+    for line in code.splitlines():
+        source, _, comment = line.partition("#")
+        if not source.strip():
+            continue
+        if not isinstance(ast.parse(source).body[0], ast.Expr):
+            exec(source, namespace)
+            continue
+        value, comment = eval(source, namespace), comment.strip()
+        if isinstance(value, complex):
+            assert abs(complex(comment) - value) < 1e-12, line
+        else:
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            assert comment.startswith(text), line
+        shown += 1
+    assert shown == 5
+    exports = prose.split("The package itself exports", 1)[1].split(";", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", exports)) == sorted(seifertwrt.__all__)
 
 
 def test_tau_failed_check_exits_one(capsys, monkeypatch):
@@ -545,15 +574,14 @@ def legs_of_two(n: int) -> str:
     (legs_of_two(cli.MAX_LEGS + 1),
      f"{legs_of_two(cli.MAX_LEGS + 1)!r} has {cli.MAX_LEGS + 1} legs, above the "
      f"ceiling of {cli.MAX_LEGS} legs"),
-    (f"X(1/{cli.MAX_CHAIN_VERTICES - 1})", None),
-    (f"X(1/{cli.MAX_CHAIN_VERTICES})",
-     f"'X(1/{cli.MAX_CHAIN_VERTICES})' may expand into "
-     f"{cli.MAX_CHAIN_VERTICES + 1} plumbing vertices (q + 1 per leg p/q), above "
-     f"the ceiling of {cli.MAX_CHAIN_VERTICES}"),
-    # The bound is a sum over the legs: 50001 + 50000 vertices.
+    (f"X(1/{cli.MAX_DENOMINATOR_SUM - 1})", None),
+    (f"X(1/{cli.MAX_DENOMINATOR_SUM})",
+     f"'X(1/{cli.MAX_DENOMINATOR_SUM})' has legs p/q whose q + 1 sum to "
+     f"{cli.MAX_DENOMINATOR_SUM + 1}, above the ceiling of {cli.MAX_DENOMINATOR_SUM}"),
+    # The bound is a sum over the legs: 50001 + 50000.
     ("X(1/50000,-1/49999)",
-     "'X(1/50000,-1/49999)' may expand into 100001 plumbing vertices (q + 1 per "
-     "leg p/q), above the ceiling of 100000"),
+     "'X(1/50000,-1/49999)' has legs p/q whose q + 1 sum to 100001, above the "
+     "ceiling of 100000"),
 ])
 def test_leg_ceilings(capsys, command, spec, message):
     code, out, err = run_cli(capsys, command, spec, "--r", "3", "--format", "csv")
@@ -626,6 +654,22 @@ def test_check_entry(name, spec, r, budget, negate, expected):
     xi = wrt.xi_closed_form(M, r, t)
     judged = cli._judge((name,), M, r, t, -xi if negate else xi, budget)
     assert judged == {name: expected}
+
+
+def test_rozansky_check_twists_xi_to_the_quarter(capsys):
+    # At t = 2, xi is twisted from zeta^2 to zeta^(1/4) before the comparison.
+    code, out, err = run_cli(capsys, "tau", "X(2,3,5)", "X(5/2,-7/3)", "--r", "11,13",
+                             "--t", "2", "--rozansky")
+    assert (code, err) == (0, "")
+    assert [line.endswith(" rozansky=pass") for line in out.splitlines()] == [True] * 4
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 10])
+def test_rozansky_check_catches_a_mistwisted_xi(t):
+    # The xi at zeta^(2t), labelled as at zeta^t, lands on the wrong conjugate.
+    M, r = parse_manifold("X(2,3,5)"), 11
+    assert cli._rozansky_agrees(M, r, t, wrt.xi_closed_form(M, r, t), None)
+    assert not cli._rozansky_agrees(M, r, t, wrt.xi_closed_form(M, r, 2 * t % r), None)
 
 
 def test_parser_help_smoke():

@@ -22,6 +22,7 @@ from seifertwrt.numtheory import (
     sign,
 )
 from seifertwrt.wrt import leg_data
+from test_seifert import chain_value
 
 coprime_pairs = st.tuples(
     st.integers(min_value=-40, max_value=40).filter(lambda p: p != 0),
@@ -172,23 +173,21 @@ def test_dedekind_errors():
     ],
 )
 def test_good_expansion_frozen(p, q, ms):
-    e = good_expansion(p, q)
-    assert e.ms == ms
-    assert e.l == len(ms)
+    assert good_expansion(p, q) == ms
 
 
 @given(coprime_pairs)
 @settings(deadline=None)
 def test_good_expansion_roundtrip(pq):
     p, q = pq
-    e = good_expansion(p, q)
-    assert e.value() == Fraction(p, q)
-    assert e.l >= 2
+    ms = good_expansion(p, q)
+    assert chain_value(ms[::-1]) == Fraction(p, q)  # read from m_1 outward
+    assert len(ms) >= 2
     if q == 1:
-        assert e.ms == (p + 1, 1)
+        assert ms == (p + 1, 1)
     else:
         # All entries below the outermost one are at least 2.
-        assert all(m >= 2 for m in e.ms[1:])
+        assert all(m >= 2 for m in ms[1:])
 
 
 def test_good_expansion_errors():
@@ -221,7 +220,7 @@ def expansion_star_pair(p: int, q: int) -> tuple[int, int]:
     ``p*p_star + q*q_star = 1``.
     """
     (h, h_prev), (k, k_prev) = (1, 0), (0, -1)
-    for m in good_expansion(p, q).ms[:-1]:
+    for m in good_expansion(p, q)[:-1]:
         h, h_prev = m * h - h_prev, h
         k, k_prev = m * k - k_prev, k
     return h, -k
@@ -246,10 +245,10 @@ def test_expansion_star_pair_bezout_identity(pq):
 def test_expansion_dedekind_identity(pq):
     # -12 s(q,p) + (q + q_star)/p = 3(l - 1 + sign p) - sum(ms), exactly.
     p, q = pq
-    e = good_expansion(p, q)
+    ms = good_expansion(p, q)
     q_star, _ = expansion_star_pair(p, q)
     lhs = -12 * dedekind_sum(q, p) + Fraction(q + q_star, p)
-    assert lhs == 3 * (e.l - 1 + sign(p)) - sum(e.ms)
+    assert lhs == 3 * (len(ms) - 1 + sign(p)) - sum(ms)
 
 
 @given(st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4))
@@ -260,14 +259,14 @@ def test_leg_data_reads_no_expansion(p, q):
     # is 3(l - 1 + sign p) - sum(ms) moved by k, where q_star lies k*p from
     # the expansion's own pair.
     assume(gcd(p, q) == 1)
-    e = good_expansion(p, q)
+    ms = good_expansion(p, q)
     q_star_exp, _ = expansion_star_pair(p, q)
     for shift in range(-3, 4):
         leg = leg_data(p, q, 15, shift)
         assert p * leg.p_star + q * leg.q_star == 1, shift
         k, rest = divmod(leg.q_star - q_star_exp, p)
         assert rest == 0
-        assert leg.exponent_const == 3 * (e.l - 1 + sign(p)) - sum(e.ms) + k, shift
+        assert leg.exponent_const == 3 * (len(ms) - 1 + sign(p)) - sum(ms) + k, shift
 
 
 @pytest.mark.parametrize(
@@ -285,10 +284,10 @@ def s_surd_residue_expansion(p: int, q: int, r: int) -> int:
     is the inverse of ``p`` mod ``r`` (see
     :func:`test_expansion_dedekind_identity`).
     """
-    e = good_expansion(p, q)
+    ms = good_expansion(p, q)
     q_star, _ = expansion_star_pair(p, q)
     p_prime = mod_inverse(p, r)
-    return (3 * (e.l - 1 + sign(p)) - sum(e.ms) - p_prime * (q_star + q)) % r
+    return (3 * (len(ms) - 1 + sign(p)) - sum(ms) - p_prime * (q_star + q)) % r
 
 
 @given(coprime_pairs, st.sampled_from([3, 5, 7, 9, 11, 13, 15, 45, 101]))

@@ -15,13 +15,7 @@ from pathlib import Path
 import pytest
 
 import seifertwrt
-from seifertwrt.numtheory import GoodExpansion
-from seifertwrt.seifert import (
-    PlumbingPresentation,
-    parse_manifold,
-    plumbing,
-    top_invariants,
-)
+from seifertwrt.seifert import parse_manifold, top_invariants
 from seifertwrt.statesum import leg_sum_dp
 from seifertwrt.wrt import leg_data, tau_prime
 
@@ -144,11 +138,9 @@ X237 = parse_manifold("X(2,3,7)")
 # Each record type: a builder of a fresh instance, and its fields in order
 # (``LegData.chi_terms`` unpacks its record by position).
 RECORDS = {
-    "GoodExpansion": (lambda: GoodExpansion(5, 2, (3, 2)), ("p", "q", "ms")),
     "SeifertData": (lambda: parse_manifold("X(2,3,7)"), ("legs",)),
     "TopInvariants": (lambda: top_invariants(X237),
                       ("P", "H", "nu", "sign_P", "sign_H_abs", "sign_H_over_P")),
-    "PlumbingPresentation": (lambda: plumbing(X237), ("chains",)),
     "LegSumTable": (lambda: leg_sum_dp((2, 3), 5),
                     ("r", "t", "framings", "width", "rows")),
     "LegData": (lambda: leg_data(5, 2, 7),
@@ -177,7 +169,6 @@ def test_record_text_and_defaults():
     M = parse_manifold("X(2, -3/2, 7)")
     assert str(M) == f"{M}" == "X(2/1,-3/2,7/1)"
     assert repr(M) == "SeifertData(legs=((2, 1), (-3, 2), (7, 1)))"
-    assert PlumbingPresentation(chains=((2,),)).framing_total == 2
 
 
 FALSIFIED_PROBE = """

@@ -11,7 +11,6 @@ from _corpus import CORPUS_SPECS, H_ZERO_SPECS, manifold
 from seifertwrt.numtheory import NotCoprime, good_expansion
 from seifertwrt.seifert import (
     ParseError,
-    PlumbingPresentation,
     SeifertData,
     ZeroEntry,
     b_counts_closed_form,
@@ -56,6 +55,8 @@ def test_parse_errors():
         parse_manifold("X(1/0)")
     with pytest.raises(NotCoprime):
         parse_manifold("X(4/2)")
+    with pytest.raises(ParseError):
+        parse_normalize([])
 
 
 @pytest.mark.parametrize(
@@ -83,10 +84,10 @@ def test_top_invariant_signs():
     assert (zero.sign_H_abs, zero.sign_H_over_P, zero.nu) == (0, 0, 1)
 
 
-def good_plumbing(M: SeifertData) -> PlumbingPresentation:
+def good_plumbing(M: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Reference: the plumbing whose chains are the good expansions of the legs
     (entries at least 2 below the outermost), free end first."""
-    return PlumbingPresentation(tuple(good_expansion(p, q).ms[::-1] for p, q in M.legs))
+    return tuple(good_expansion(p, q)[::-1] for p, q in M.legs)
 
 
 def chain_value(chain) -> Fraction:
@@ -98,10 +99,8 @@ def chain_value(chain) -> Fraction:
 
 
 def test_plumbing_chains():
-    pres = good_plumbing(parse_manifold("X(3/1,7/5)"))
     # 3/1 expands as <4,1>, 7/5 as <2,2,3>; chains run free end inward.
-    assert pres.chains == ((1, 4), (3, 2, 2))
-    assert pres.framing_total == 12
+    assert good_plumbing(parse_manifold("X(3/1,7/5)")) == ((1, 4), (3, 2, 2))
 
 
 @pytest.mark.parametrize(
@@ -116,31 +115,31 @@ def test_plumbing_chains():
 def test_plumbing_takes_nearest_integer_steps(spec, chains):
     # An integer leg is one vertex; 7/5 = 1 - 1/(-2 - 1/2) and
     # 1/10000 = 0 - 1/(-10000).
-    assert plumbing(parse_manifold(spec)).chains == chains
+    assert plumbing(parse_manifold(spec)) == chains
 
 
 @given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
 @settings(deadline=None, max_examples=300)
 def test_plumbing_chain_is_short_and_exact(p, q):
     assume(gcd(p, q) == 1)
-    (chain,) = plumbing(SeifertData(((p, q),))).chains
+    (chain,) = plumbing(SeifertData(((p, q),)))
     assert chain_value(chain) == Fraction(p, q)
     assert len(chain) <= q.bit_length()  # floor(log2 q) + 1
     assert all(abs(m) >= 2 for m in chain[:-1])
 
 
-def linking_matrix(pres: PlumbingPresentation) -> tuple[tuple[int, ...], ...]:
+def linking_matrix(chains) -> tuple[tuple[int, ...], ...]:
     """Reference: the plumbing's integer linking matrix, one row per vertex.
 
     Vertex order: the chains in sequence (free end first within each chain),
     then the 0-framed central vertex last.  Framings sit on the diagonal;
     each edge contributes a symmetric pair of ones.
     """
-    size = 1 + sum(map(len, pres.chains))
+    size = 1 + sum(map(len, chains))
     a = [[0] * size for _ in range(size)]
     center = size - 1
     idx = 0
-    for chain in pres.chains:
+    for chain in chains:
         for offset, framing in enumerate(chain):
             a[idx][idx] = framing
             if offset > 0:
@@ -193,14 +192,14 @@ def _dense_signature_counts(matrix) -> tuple[int, int, int]:
 
 
 def test_linking_matrix_frozen():
-    pres = good_plumbing(parse_manifold("X(3/1)"))
-    assert linking_matrix(pres) == ((1, 1, 0), (1, 4, 1), (0, 1, 0))
+    chains = good_plumbing(parse_manifold("X(3/1)"))
+    assert linking_matrix(chains) == ((1, 1, 0), (1, 4, 1), (0, 1, 0))
 
 
 def test_linking_matrix_two_legs():
-    pres = good_plumbing(parse_manifold("X(2/1,-2/1)"))
+    chains = good_plumbing(parse_manifold("X(2/1,-2/1)"))
     # chains (1,3) and (1,-1); central vertex last.
-    m = linking_matrix(pres)
+    m = linking_matrix(chains)
     assert m == (
         (1, 1, 0, 0, 0),
         (1, 3, 0, 0, 1),
@@ -309,13 +308,13 @@ star_plumbings = st.lists(
     st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(tuple),
     min_size=1,
     max_size=5,
-).map(lambda chains: PlumbingPresentation(tuple(chains)))
+).map(tuple)
 
 
 @given(star_plumbings)
 @settings(deadline=None, max_examples=400)
-def test_signature_counts_matches_dense_elimination(pres):
-    assert signature_counts(pres) == _dense_signature_counts(linking_matrix(pres))
+def test_signature_counts_matches_dense_elimination(chains):
+    assert signature_counts(chains) == _dense_signature_counts(linking_matrix(chains))
 
 
 @pytest.mark.parametrize(
@@ -334,9 +333,8 @@ def test_signature_counts_matches_dense_elimination(pres):
     ],
 )
 def test_signature_counts_branches(chains, counts):
-    pres = PlumbingPresentation(chains)
-    assert _dense_signature_counts(linking_matrix(pres)) == counts
-    assert signature_counts(pres) == counts
+    assert _dense_signature_counts(linking_matrix(chains)) == counts
+    assert signature_counts(chains) == counts
 
 
 def test_signature_counts_on_a_long_chain():
@@ -358,7 +356,7 @@ def test_b_counts_closed_form_counts_the_good_expansion(p, q):
     # One leg has H = q != 0: the rank is the expansion's length plus one.
     assume(gcd(p, q) == 1)
     b_plus, b_minus, _ = b_counts_closed_form(SeifertData(((p, q),)))
-    assert b_plus + b_minus == good_expansion(p, q).l + 1
+    assert b_plus + b_minus == len(good_expansion(p, q)) + 1
 
 
 def test_null_count_is_nu():

@@ -206,7 +206,7 @@ def test_closed_leg_matches_dp(pq, r, t):
         return
     p, q = pq
     leg = leg_data(p, q, r)
-    (chain,) = good_plumbing(SeifertData(((p, q),))).chains
+    (chain,) = good_plumbing(SeifertData(((p, q),)))
     dp = leg_values(leg_sum_dp(chain, r, t))
     for j in range(r):
         assert leg_sum_closed(leg, chain, r, t, j) == dp[j], (p, q, r, t, j)
@@ -358,7 +358,7 @@ def test_statesum_zero_color_column_is_zero():
         M = manifold(spec)
         from seifertwrt.seifert import plumbing
 
-        for chain in plumbing(M).chains:
+        for chain in plumbing(M):
             assert leg_values(leg_sum_dp(chain, r, 1))[0].is_zero()
 
 
@@ -432,10 +432,27 @@ def test_gauss_sum_squares_to_a_signed_level(r):
 
 
 @pytest.mark.parametrize("spec,r", [("X(1/5000)", 5), ("X(-7/3000,5/2,3/1)", 7)])
-def test_statesum_matches_closed_form_on_long_chains(spec, r):
+def test_statesum_matches_closed_form_on_huge_framings(spec, r):
+    # Short chains with framings in the thousands: (-5000, 0) and (-3, 2, 429, 0).
     from seifertwrt.wrt import xi_closed_form
 
     M = manifold(spec)
+    assert xi_statesum(M, r) == xi_closed_form(M, r)
+
+
+@pytest.mark.parametrize("spec,r,length,width", [("X(1/40)", 5, 40, 11),
+                                                 ("X(1/60)", 3, 60, 8)])
+def test_statesum_matches_closed_form_on_long_chains(monkeypatch, spec, r, length,
+                                                     width):
+    # Over the good chains, 1/q plumbs into q vertices, and the DP's rows need
+    # wide slots for the bound 2(r-1)^len of leg_sum_dp.
+    import seifertwrt.statesum as statesum
+    from seifertwrt.wrt import xi_closed_form
+
+    M = manifold(spec)
+    (chain,) = good_plumbing(M)
+    assert (len(chain), leg_sum_dp(chain, r).width) == (length, width)
+    monkeypatch.setattr(statesum, "plumbing", good_plumbing)
     assert xi_statesum(M, r) == xi_closed_form(M, r)
 
 
@@ -460,16 +477,16 @@ def test_leg_sum_is_odd_in_the_color(chain, r, t):
         assert table[-j % r] == -table[j], (chain, r, t, j)
 
 
-def close_dense(total: CyclotomicNumber, pres, r: int, t: int) -> CyclotomicNumber:
+def close_dense(total: CyclotomicNumber, chains, r: int, t: int) -> CyclotomicNumber:
     """The closing step as one division by the dense
     ``den = c^(b_0+1) g^b_+ conj(g)^b_- (-2)^b_+ 2^b_-`` (see ``statesum._close``),
     with the inertia from the dense linking matrix."""
-    b_plus, b_minus, b_zero = _dense_signature_counts(linking_matrix(pres))
+    b_plus, b_minus, b_zero = _dense_signature_counts(linking_matrix(chains))
     c = CyclotomicNumber(r, _binomial(r, 2 * t))
     g = gauss_sum(r, r).galois(t)
     den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
     den = den * ((-2) ** b_plus * 2**b_minus)
-    phase = root_power(r, t * (3 * (b_plus - b_minus) - pres.framing_total))
+    phase = root_power(r, t * (3 * (b_plus - b_minus) - sum(map(sum, chains))))
     return total * phase / den
 
 
@@ -481,26 +498,26 @@ def xi_statesum_per_color(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumbe
     closed by :func:`close_dense`.
     """
     t = _check_level(r, t)
-    pres = plumbing(M)
+    chains = plumbing(M)
     tables = {
         chain: values_from_rows(leg_sum_dp_lists(chain, r, t), r, len(chain))
-        for chain in set(pres.chains)
+        for chain in set(chains)
     }
     central = central_powers_by_unit_lift(M.n, r, t)
     total = CyclotomicNumber.zero(r)
     for j in range(1, (r + 1) // 2):
         term = CyclotomicNumber.one(r)
-        for chain in pres.chains:
+        for chain in chains:
             term = term * tables[chain][j]
         total = total + term * central[j]
-    return close_dense(2 * total, pres, r, t)
+    return close_dense(2 * total, chains, r, t)
 
 
 def _all_colors_statesum(M, r, t):
     """The oracle's color sum over every ``j`` with a per-color central power,
     from enumerated leg tables: no symmetry and no Galois twist."""
-    pres = plumbing(M)
-    tables = [leg_sum_brute(chain, r, t) for chain in pres.chains]
+    chains = plumbing(M)
+    tables = [leg_sum_brute(chain, r, t) for chain in chains]
     chi = _chi(r, t)
     total = CyclotomicNumber.zero(r)
     for j in range(1, r):
@@ -508,7 +525,7 @@ def _all_colors_statesum(M, r, t):
         for table in tables:
             term = term * table[j]
         total = total + term
-    return close_dense(total, pres, r, t)
+    return close_dense(total, chains, r, t)
 
 
 composite_levels_and_units = st.sampled_from(
@@ -554,7 +571,7 @@ def test_statesum_matches_all_colors_at_composite_level(spec, t):
     from seifertwrt.seifert import plumbing
 
     M, r = manifold(spec), 9
-    chains = plumbing(M).chains
+    chains = plumbing(M)
     assert all(not leg_values(leg_sum_dp(c, r, t))[3].is_zero() for c in chains)
     assert xi_statesum(M, r, t) == _all_colors_statesum(M, r, t)
 

@@ -281,6 +281,15 @@ def test_tau_prime_high_precision_agrees_with_float():
     assert abs(complex(res_p.tau) - res_f.tau) < 1e-12
 
 
+@pytest.mark.parametrize("r", [5, 7, 9])
+def test_tau_prime_high_precision_agrees_with_float_when_nu_is_one(r):
+    # H = 0: both paths scale xi by sin(pi/r)/sqrt(r), the float one in doubles.
+    M = manifold("X(2/1,-2/1)")
+    res_f, res_p = tau_prime(M, r), tau_prime(M, r, precision=30)
+    assert res_p.nu == 1
+    assert abs(complex(res_p.tau) - res_f.tau) < 1e-12
+
+
 def test_all_coprime_matches_general():
     cases = [
         ("X(3/1)", (5, 7, 11, 13)),
