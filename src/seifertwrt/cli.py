@@ -49,9 +49,13 @@ from .wrt import (
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
-# The highest level.  A closed-form record costs about r^2 in time and memory:
-# X(2,3,7) took 0.7-0.9 s and 80 MB at r = 4001, 6.3 s and 406 MB at 10001 and
-# 24 s and 1.56 GB at 20001 (shared 2 vCPU, Python 3.11.7).
+# The highest level.  On the color loop a closed-form record costs about r^2
+# in time and memory: X(2,3,7) took 0.7-0.9 s and 80 MB at r = 4001, 6.3 s
+# and 406 MB at 10001 and 24 s and 1.56 GB at 20001 (shared 2 vCPU, Python
+# 3.11.7), timed when the loop served every record.  The loop still serves a
+# record with gcd(r, P*H) > 1; the others take the completed square, where
+# X(2,3,7) took 0.07 s and 16 MB at 4001, 0.22 s at 10007 and 0.62 s and
+# 21 MB at 19997 (in-process, same machine).
 MAX_LEVEL = 4001
 # The most legs of a manifold.  A CLI call for one record of n legs of 2 took
 # 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
@@ -66,6 +70,10 @@ MAX_LEGS = 64
 # machine); 16 legs at r = 4001 (2.6e11) took 42 s before this ceiling.  Over
 # those records the time grows about as n^2.2 r^1.9, so n^3 r^2 errs towards
 # refusing many legs, and every manifold of at most 8 legs runs at MAX_LEVEL.
+# Those are the color loop's times.  On the completed square, which serves
+# these records now (gcd(r, P*H) = 1), they took 0.04, 0.35, 0.25, 0.65, 1.07
+# and 0.81 s, and 16 legs at 4001 took 2.1 s; the ceiling is kept for the
+# records that the loop still serves.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle

@@ -6,7 +6,9 @@ most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)``,
 Jacobi symbols, and per-leg Bezout pairs and integer exponents from modular
 inverses and the integers ``12 p s(q, p)`` of Dedekind sums (no continued
 fraction is expanded), the sum and its prefactor taken as one product in
-the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On top of it sit the
+the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  When
+``gcd(r, P*H) = 1`` the sum is not walked: completing the square makes it
+one Gauss-sum product.  On top of it sit the
 normalizations ``tau'_r`` and ``Theta_r``, a numerical evaluator in the shape
 of Rozansky's residue formula for cross-checks (mpmath only, at 30 digits by
 default), and the circle-bundle-over-the-trefoil-family closed form.
@@ -127,6 +129,26 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
+def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
+    """The central power ``D`` of an ``n``-leg color sum and its denominator.
+
+    ``D(zeta^j) = (zeta^(2tj) - zeta^(-2tj))^(2-n)`` at every color
+    ``j != 0 (mod r)``: ``D`` is the polynomial ``(x^(2t) - x^(-2t))^(2-n)``
+    for ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3``, where
+    ``central`` is ``E`` at ``(r, t)`` (:func:`_central_inverse`;
+    ``r = len(central)``).
+    """
+    r = len(central)
+    if n > 2:
+        base, power, den = central, n - 2, r ** (n - 2)
+    else:
+        base, power, den = _binomial(r, 2 * t), 2 - n, 1
+    if power > 1:
+        return _ring_mul(*[base] * power), den
+    # one factor or none: no product to take
+    return (base if power else [1] + [0] * (r - 1)), den
+
+
 def _color_sum(
     central: list[int], t: int, n: int, factors, parts=()
 ) -> tuple[list[int], int]:
@@ -136,10 +158,8 @@ def _color_sum(
     Returns an integer vector and its denominator.  ``factors(j)`` lists the
     factors of ``F_j``, each a tuple of ``(sign, e)`` monomials
     ``sign * zeta^(t*e)`` with ``sign = +-1``.  The central power is
-    ``D(x^j)`` for one precomputed ``D``: the polynomial
-    ``(x^(2t) - x^(-2t))^(2-n)`` for ``n <= 2``, and ``E^(n-2)`` over
-    ``r^(n-2)`` for ``n >= 3``, where ``central`` is ``E`` at ``(r, t)``
-    (:func:`_central_inverse`; ``r = len(central)``).  ``D`` is kept
+    ``D(x^j)`` for the one ``D`` of :func:`_central_power`, where
+    ``central`` is ``E`` at ``(r, t)`` (``r = len(central)``).  ``D`` is kept
     modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
     the substitution ``x -> x^j`` does not respect ``Phi_r``.
 
@@ -177,14 +197,7 @@ def _color_sum(
     packed ``parts``, and the product is unpacked once.
     """
     r = len(central)
-    if n > 2:
-        base, power, den = central, n - 2, r ** (n - 2)
-    else:
-        base, power, den = _binomial(r, 2 * t), 2 - n, 1
-    if power > 1:
-        central = _ring_mul(*[base] * power)
-    else:  # one factor or none: no product to take
-        central = base if power else [1] + [0] * (r - 1)
+    central, den = _central_power(central, t, n)
     parity = (-1) ** n
     sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
     colors = [(j, fs) for j in range(1, (r + 1) // 2) if all(fs := factors(j))]
@@ -213,6 +226,60 @@ def _color_sum(
     wider = _slot_width(bound * math.prod(sum(map(abs, part)) for part in parts))
     acc = _widen(acc, r, width, wider) * _packed_product(parts, wider)
     return _unpack(acc, r, wider), den
+
+
+def _square_color_sum(
+    central: list[int], t: int, legs, parts=()
+) -> tuple[list[int], int, int]:
+    """:func:`_color_sum` of the leg factors ``chi_terms`` by completing the
+    square, for legs all coprime to ``r`` with ``gcd(Q, r) = 1``.
+
+    Returns ``(vec, den, C0)``: ``x^(t*C0) * vec / den`` is the color sum
+    ``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` times the product of the
+    vectors ``parts``, exactly in ``Z[C_r]``, with ``D`` and ``den`` from
+    :func:`_central_power` (``central`` is ``E`` at ``(r, t)``;
+    ``r = len(central)``).
+
+    A leg with ``c = 1`` has both branches of :meth:`LegData.chi_terms`
+    active, and at ``y = x^j`` its factor is
+    ``x^(t*m_k(j)) * (y^(a_k) - y^(-a_k))`` with
+    ``m_k(j) = -pc'_k q_k (j^2 + q*_k^2) - p*_k q*_k`` and
+    ``a_k = 2t(pc'_k q_k q*_k + p*_k)``.  So with
+    ``F = D * prod_k (x^(a_k) - x^(-a_k))``, ``Q = sum_k pc'_k q_k`` and
+    ``C0 = -sum_k (pc'_k q_k q*_k^2 + p*_k q*_k)`` the sum is
+    ``x^(t*C0) * sum_j x^(-tQ j^2) F(x^j)``.  The color ``j = 0`` may join
+    it: ``F(1) = D(1) * prod_k (1 - 1) = 0``, as ``x -> 1`` is a ring map.
+    Over all ``j`` modulo ``r``, and for ``gcd(Q, r) = 1`` (so ``4tQ`` is a
+    unit, ``r`` being odd),
+    ``-tQ j^2 + m j = -tQ (j - s)^2 + m^2 (4tQ)^-1`` with
+    ``s = m (2tQ)^-1``, and ``j -> j - s`` permutes the colors; so each
+    monomial ``F_m x^m`` of ``F`` contributes
+    ``x^(m^2 (4tQ)^-1) * g_(-tQ)``, with the Gauss sum
+    ``g_(-tQ) = sum_j x^(-tQ j^2)`` (:func:`_gauss_vector` of conductor
+    ``r``).  Hence the sum is ``x^(t*C0) * g_(-tQ) * W`` with
+    ``W = sum_m F_m x^(m^2 (4tQ)^-1)``.
+
+    ``F`` is ``D`` after two rotations per leg, ``W`` a gather in ``O(r)``,
+    and ``W``, ``g_(-tQ)`` and the ``parts`` one packed product
+    (:func:`_ring_mul`), unpacked once at the slot width of the bound
+    ``max|W| * r * prod sum|part|`` (``sum|g_(-tQ)| = r``).  By
+    ``H = P sum_k q_k/p_k``, ``Q = H/P (mod r)``: the precondition is
+    ``gcd(r, P*H) = 1``.
+    """
+    r = len(central)
+    F, den = _central_power(central, t, len(legs))
+    Q = C0 = 0
+    for leg in legs:
+        b = leg.pc_prime * leg.q * leg.q_star + leg.p_star
+        a = 2 * t * b % r
+        F = [u - v for u, v in zip(F[-a:] + F[:-a], F[a:] + F[:a])]
+        Q += leg.pc_prime * leg.q
+        C0 -= b * leg.q_star
+    inv = pow(4 * t * Q, -1, r)
+    W = [0] * r
+    for m, c in enumerate(F):
+        W[m * m * inv % r] += c
+    return _ring_mul(W, _gauss_vector(r, r, -t * Q), *parts), den, C0
 
 
 def _prefactor(
@@ -261,7 +328,11 @@ def xi_closed_form(
 
     ``star_shifts`` optionally moves each leg's ``q_star`` by ``shift * p``
     (see :class:`LegData`); the leg's exponent moves with it, so the result
-    is independent of the shifts (property-tested).
+    is independent of the shifts (property-tested).  When
+    ``gcd(r, P*H) = 1`` the sum over colors is one Gauss-sum product
+    (:func:`_square_color_sum`); otherwise, for a leg sharing a factor with
+    ``r``, ``gcd(H, r) > 1`` or ``H = 0``, it runs color by color
+    (:func:`_color_sum`).  Both give the same vector of ``Z[C_r]``.
     """
     t = _check_level(r, t)
     tops = top_invariants(M)
@@ -283,7 +354,11 @@ def xi_closed_form(
 
     central = _central_inverse(r, t)  # E, for the prefactor and the color sum
     parts, sign, den = _prefactor(central, t, tops.sign_H_abs, [leg.c for leg in legs])
-    vec, sum_den = _color_sum(central, t, M.n, factors, parts)
+    if gcd(r, tops.P * tops.H) == 1:
+        vec, sum_den, c0 = _square_color_sum(central, t, legs, parts)
+        exponent += c0
+    else:
+        vec, sum_den = _color_sum(central, t, M.n, factors, parts)
     return _reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,6 +20,7 @@ from _corpus import (
     manifold,
 )
 from seifertwrt import cyclotomic, wrt
+from seifertwrt.cli import _xi_pairs
 from seifertwrt.cyclotomic import (
     CyclotomicNumber,
     _check_level,
@@ -63,9 +67,10 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     The paper's all-coprime restatement of the general formula: all Gauss
     sums of composite conductor disappear and the per-leg data reduces to
     inverses modulo ``r``.  It runs through the same ``wrt._prefactor``,
-    ``wrt._color_sum`` and ``wrt._reduced`` as :func:`xi_closed_form`, called
-    through the module so that a spy on ``wrt._color_sum`` sees its calls.  Raises
-    :class:`HypothesisViolated` when some ``gcd(p_k, r) > 1``.
+    ``wrt._color_sum`` and ``wrt._reduced`` as the color loop of
+    :func:`xi_closed_form`, called through the module so that a spy on
+    ``wrt._color_sum`` sees its calls.  Raises :class:`HypothesisViolated`
+    when some ``gcd(p_k, r) > 1``.
     """
     t = _check_level(r, None)
     tops = top_invariants(M)
@@ -741,6 +746,8 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
         ("X(3/1)", 7, 3),
         ("X(2/1,3/1,7/1)", 31, 1),
         ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2),
+        ("X(2/1,3/1,7/1)", 21, 1),  # legs with c = 3 and 7: the color loop
+        ("X(2/1,3/1,5/1)", 49, 1),  # composite level, completed square
     ],
 )
 def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
@@ -752,6 +759,115 @@ def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
     xi_closed_form(M, r, t)
     assert counts == {"init": 0, "raw": 1, "mul": 0, "reduce": 1,
                       "unpack": 1 + (M.n >= 4)}
+
+
+def _loop_for_square(central, t, legs, parts=()):
+    """The color loop in the place of :func:`wrt._square_color_sum`, with ``C0 = 0``."""
+    def factors(j):
+        return [leg.chi_terms(j) for leg in legs]
+
+    vec, den = _color_sum(central, t, len(legs), factors, parts)
+    return vec, den, 0
+
+
+def _refuse_loop(*args):
+    raise AssertionError("the color loop ran")
+
+
+def _unreduced(M, r, t, shifts=None, loop=False):
+    """``(x^shift * vec, scalar, den)`` that :func:`xi_closed_form` hands to
+    ``wrt._reduced``, and the record: by the color loop when ``loop``, else
+    by the completed square, with the loop refused."""
+    seen = []
+
+    def spy(r_, vec, shift, scalar, den):
+        shift %= r_
+        seen.append((vec[r_ - shift:] + vec[: r_ - shift], scalar, den))
+        return reduced(r_, vec, shift, scalar, den)
+
+    reduced = wrt._reduced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wrt, "_reduced", spy)
+        if loop:
+            mp.setattr(wrt, "_square_color_sum", _loop_for_square)
+        else:
+            mp.setattr(wrt, "_color_sum", _refuse_loop)
+        xi = xi_closed_form(M, r, t, shifts)
+    return seen[0], xi
+
+
+@st.composite
+def _square_eligible(draw):
+    """``(M, r, t, shifts)`` with ``gcd(r, P*H) = 1`` at odd levels up to 75,
+    composite ones among them, and 1 to 6 legs."""
+    r = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27, 31, 33, 35, 45,
+                              49, 53, 55, 61, 63, 71, 73, 75]))
+    leg = st.tuples(st.integers(-30, 30), st.integers(1, 12)).filter(
+        lambda pq: gcd(pq[0], r) == 1 and gcd(pq[0], pq[1]) == 1)
+    legs = draw(st.lists(leg, min_size=1, max_size=6))
+    M = SeifertData(legs=tuple(legs))
+    tops = top_invariants(M)
+    assume(gcd(r, tops.P * tops.H) == 1)
+    t = draw(st.integers(1, r - 1).filter(lambda u: gcd(u, r) == 1))
+    shifts = tuple(draw(st.lists(st.integers(-3, 3), min_size=M.n, max_size=M.n)))
+    return M, r, t, shifts
+
+
+@given(_square_eligible())
+@settings(deadline=None, max_examples=150)
+def test_square_color_sum_equals_color_loop(case):
+    # The same vector of Z[C_r], rotated by the record's shift, before any
+    # reduction modulo Phi_r: the identity is exact in the group ring.
+    M, r, t, shifts = case
+    square, xi = _unreduced(M, r, t, shifts)
+    loop, xi_loop = _unreduced(M, r, t, shifts, loop=True)
+    assert square == loop
+    assert xi.integer_coefficients() == xi_loop.integer_coefficients()
+
+
+@pytest.mark.parametrize(
+    "spec,r,t,loop",
+    [
+        ("X(2/1,3/1,7/1)", 31, 1, False),
+        ("X(2/1,3/1,5/1)", 49, 2, False),
+        ("X(5/2,-5/3,6/1,-7/2)", 61, 2, False),
+        ("X(3/1)", 7, 3, False),
+        ("X(1/1)", 3, 1, False),  # the 3-sphere: P = H = 1
+        ("X(6/1,5/4)", 9, 1, True),  # a leg with gcd(p, r) = 3
+        ("X(2/1,3/1,7/1)", 21, 1, True),  # legs with gcd(p, r) = 3 and 7
+        ("X(2/1,3/1,5/1)", 31, 1, True),  # H = 31: gcd(H, r) = 31
+        ("X(2/1,3/1)", 25, 2, True),  # H = 5: gcd(H, r) = 5, legs coprime
+        ("X(-2/1,3/1,6/1)", 5, 1, True),  # H = 0, the paper's example
+        ("X(2/1,-2/1,3/1,-3/1)", 7, 1, True),  # H = 0
+    ],
+)
+def test_color_loop_serves_only_shared_factors(monkeypatch, spec, r, t, loop):
+    M = manifold(spec)
+    tops = top_invariants(M)
+    assert loop == (gcd(r, tops.P * tops.H) > 1)
+    monkeypatch.setattr(wrt, "_color_sum", _refuse_loop)
+    if loop:
+        with pytest.raises(AssertionError, match="color loop"):
+            xi_closed_form(M, r, t)
+    else:
+        assert xi_closed_form(M, r, t) == xi_statesum(M, r, t)
+
+
+HIGH_LEVEL_DIGESTS = json.loads(
+    Path(__file__).with_name("high_level_digests.json").read_text())
+
+
+@pytest.mark.parametrize("pin", HIGH_LEVEL_DIGESTS["records"],
+                         ids=lambda pin: f"{pin['manifold']}@{pin['r']}")
+def test_square_and_loop_agree_at_the_highest_levels(pin):
+    # Above r = 101 nothing else pins an exact value: these digests come from
+    # two closed-form evaluations, not from the oracle.
+    M, r, t = manifold(pin["manifold"]), pin["r"], pin["t"]
+    _, xi = _unreduced(M, r, t)
+    _, xi_loop = _unreduced(M, r, t, loop=True)
+    assert xi.integer_coefficients() == xi_loop.integer_coefficients()
+    digest = hashlib.sha256(json.dumps(_xi_pairs(xi)).encode()).hexdigest()
+    assert digest == pin["sha256"]
 
 
 def test_all_coprime_and_trefoil_build_one_cyclotomic_number(monkeypatch):
