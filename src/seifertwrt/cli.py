@@ -49,13 +49,15 @@ from .wrt import (
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
-# The highest level.  On the color loop a closed-form record costs about r^2
-# in time and memory: X(2,3,7) took 0.7-0.9 s and 80 MB at r = 4001, 6.3 s
-# and 406 MB at 10001 and 24 s and 1.56 GB at 20001 (shared 2 vCPU, Python
-# 3.11.7), timed when the loop served every record.  The loop still serves a
-# record with gcd(r, P*H) > 1; the others take the completed square, where
-# X(2,3,7) took 0.07 s and 16 MB at 4001, 0.22 s at 10007 and 0.62 s and
-# 21 MB at 19997 (in-process, same machine).
+# The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), a
+# closed-form record of X(2,3,7) took 0.04 s and 16 MB at r = 4001, 0.17 s at
+# 10007 and 0.56 s and 21 MB at 19997, about r^1.5, and one of X(-2,3,6)
+# (H = 0) 0.03 s at 4001.  At a composite level the one reduction modulo
+# Phi_r weighs more: X(2,3,7) took 0.29 s at 3999, 0.25 s of it in the
+# reduction, and 4.0 s at 20001, 3.5 s of it in the reduction.  The level was
+# set when the formula summed its colors one by one, at about r^2 in time and
+# memory (X(2,3,7) took 0.7-0.9 s and 80 MB at 4001 and 24 s and 1.56 GB at
+# 20001); it is kept, so that the same requests are refused.
 MAX_LEVEL = 4001
 # The most legs of a manifold.  A CLI call for one record of n legs of 2 took
 # 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
@@ -63,17 +65,16 @@ MAX_LEVEL = 4001
 # n^2.8 there.
 MAX_LEGS = 64
 # The highest estimated cost n^3 r^2 of one closed-form record of n legs at
-# level r, which bounds legs and level jointly.  In-process, a record of n
-# legs of 2 took 0.66 s at n = 3 and r = 4001 (cost 4.3e8), 3.5 s at 8 and
-# 4001 (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10),
-# 8.8 s at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10) (same
-# machine); 16 legs at r = 4001 (2.6e11) took 42 s before this ceiling.  Over
-# those records the time grows about as n^2.2 r^1.9, so n^3 r^2 errs towards
-# refusing many legs, and every manifold of at most 8 legs runs at MAX_LEVEL.
-# Those are the color loop's times.  On the completed square, which serves
-# these records now (gcd(r, P*H) = 1), they took 0.04, 0.35, 0.25, 0.65, 1.07
-# and 0.81 s, and 16 legs at 4001 took 2.1 s; the ceiling is kept for the
-# records that the loop still serves.
+# level r, which bounds legs and level jointly.  It was fitted when the
+# formula summed its colors one by one: in-process, a record of n legs of 2
+# took 0.66 s at n = 3 and r = 4001 (cost 4.3e8), 3.5 s at 8 and 4001
+# (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10), 8.8 s
+# at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10), and 16 legs at
+# r = 4001 (2.6e11) 42 s, about n^2.2 r^1.9.  On the Gauss-sum core the same
+# records took 0.04, 0.38, 0.21, 0.72, 1.2 and 0.78 s, 16 legs at 4001 2.1 s,
+# and 8 legs of 3 at 3999 (cost 8.2e9) 0.58 s, 0.24 s of it in the reduction
+# modulo Phi_r (same machine).  The ceiling is kept, so that the same
+# requests are refused: every manifold of at most 8 legs runs at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle

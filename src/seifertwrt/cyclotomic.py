@@ -535,16 +535,7 @@ def _ring_mul(*vectors: list[int]) -> list[int]:
     if not bound:
         return [0] * r
     width = _slot_width(bound)
-    return _unpack(_packed_product(vectors, width), r, width)
-
-
-def _packed_product(vectors: Sequence[list[int]], width: int) -> int:
-    """The product of ``vectors`` in ``Z[C_r]``, packed at ``width`` bytes per
-    slot and folded modulo ``X^r - 1`` after each factor.  Every operand's
-    coefficients, and those of the product that is finally unpacked, must
-    fit the slots; the values in between need not."""
-    r = len(vectors[0])
     value = _pack(vectors[0], width)
     for vec in vectors[1:]:
         value = _fold(value * _pack(vec, width), r, width)
-    return value
+    return _unpack(value, r, width)

@@ -1,17 +1,18 @@
 """Closed-form quantum invariants of Seifert fibered spaces at odd levels.
 
 For odd ``r >= 3`` this module evaluates the SO(3) invariant ``xi_r`` of
-``X(p_1/q_1, ..., p_n/q_n)`` exactly in ``Q(zeta_r)`` by a single sum of at
-most ``r - 1`` terms, using Gauss sums attached to ``c_k = gcd(r, p_k)``,
-Jacobi symbols, and per-leg Bezout pairs and integer exponents from modular
-inverses and the integers ``12 p s(q, p)`` of Dedekind sums (no continued
-fraction is expanded), the sum and its prefactor taken as one product in
-the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  When
-``gcd(r, P*H) = 1`` the sum is not walked: completing the square makes it
-one Gauss-sum product.  On top of it sit the
-normalizations ``tau'_r`` and ``Theta_r``, a numerical evaluator in the shape
-of Rozansky's residue formula for cross-checks (mpmath only, at 30 digits by
-default), and the circle-bundle-over-the-trefoil-family closed form.
+``X(p_1/q_1, ..., p_n/q_n)`` exactly in ``Q(zeta_r)`` by a single sum over
+the colors ``j = 1 .. r - 1``, using Gauss sums attached to
+``c_k = gcd(r, p_k)``, Jacobi symbols, and per-leg Bezout pairs and integer
+exponents from modular inverses and the integers ``12 p s(q, p)`` of
+Dedekind sums (no continued fraction is expanded).  The sum is not walked
+color by color: completing the square on each class of colors modulo
+``lcm(c_k)`` makes it one Gauss-sum product, taken with the prefactor as one
+product in the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On
+top of it sit the normalizations ``tau'_r`` and ``Theta_r``, a numerical
+evaluator in the shape of Rozansky's residue formula for cross-checks
+(mpmath only, at 30 digits by default), and the
+circle-bundle-over-the-trefoil-family closed form.
 """
 
 from __future__ import annotations
@@ -27,14 +28,8 @@ from .cyclotomic import (
     _binomial,
     _check_level,
     _gauss_vector,
-    _packed_product,
     _reduce_int_vector,
     _ring_mul,
-    _rotate,
-    _slot_width,
-    _substitutions,
-    _unpack,
-    _widen,
     euler_phi,
 )
 from .numtheory import dedekind_integer, jacobi, mod_inverse, s_surd_residue
@@ -77,8 +72,9 @@ class LegData(NamedTuple):
         For ``c = 1`` both branches are always active; for ``c > 1`` at most
         one is (and none when ``c | j``).
         """
-        # n (r-1)/2 calls per record: one unpack reads the fields faster than
-        # by name, and the two branches written out beat a loop over signs.
+        # The formula does not call this: _color_sum reads the same branches
+        # once per class of colors.  The tests and the benchmark's share of
+        # active colors call it r - 1 times per record.
         _, q, _, c, q_star, p_star, pc_prime, _, _, _ = self
         out = ()
         d = j - q_star
@@ -149,137 +145,83 @@ def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
     return (base if power else [1] + [0] * (r - 1)), den
 
 
-def _color_sum(
-    central: list[int], t: int, n: int, factors, parts=()
-) -> tuple[list[int], int]:
-    """``sum_{j=1}^{r-1} F_j * (zeta^(2tj) - zeta^(-2tj))^(2-n)`` in ``Z[C_r]``,
-    times the product of the vectors ``parts``.
+def _color_sum(central: list[int], t: int, legs, parts=()) -> tuple[list[int], int]:
+    """``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` times the product of the
+    vectors ``parts``, as an integer vector of ``Z[C_r]`` and its denominator.
 
-    Returns an integer vector and its denominator.  ``factors(j)`` lists the
-    factors of ``F_j``, each a tuple of ``(sign, e)`` monomials
-    ``sign * zeta^(t*e)`` with ``sign = +-1``.  The central power is
-    ``D(x^j)`` for the one ``D`` of :func:`_central_power`, where
-    ``central`` is ``E`` at ``(r, t)`` (``r = len(central)``).  ``D`` is kept
-    modulo ``x^r - 1``, not reduced modulo ``Phi_r``: for a non-unit ``j``
-    the substitution ``x -> x^j`` does not respect ``Phi_r``.
+    ``chi_k(j)`` is the sum of :meth:`LegData.chi_terms` of ``legs[k]``, each
+    pair ``(s, e)`` read as ``s * x^(t*e)``, and ``D``, ``den`` are
+    :func:`_central_power`'s (``central`` is ``E`` at ``(r, t)``;
+    ``r = len(central)``).  The vector equals the sum at every primitive
+    ``r``-th root ``x = zeta``, so modulo ``Phi_r``, not in ``Z[C_r]`` itself.
 
-    Precondition: the product ``T_j`` of ``factors(j)``, read in ``Z[C_r]``
-    (exponents modulo ``r``), satisfies ``T_(r-j) = (-1)^n T_j``.  Then the
-    colors ``j`` and ``r - j`` together contribute
-    ``T_j D(x^j) + (-1)^n T_j D(x^-j) = T_j D~(x^j)`` with
-    ``D~ = D + (-1)^n D(x^-1)``, so the sum over one color of each pair
-    ``{j, r - j}`` against ``D~`` is the full sum, exactly in ``Z[C_r]``.
-    As ``D~(x^-1) = (-1)^n D~``, the color ``j < r/2`` stands for its pair.
-    The leg factors of :func:`xi_closed_form` satisfy the precondition leg
-    by leg: under ``j -> r - j`` the branch ``d = j - q_star`` becomes
-    ``r - d``, the other branch at ``r - j``, and ``c | d`` iff
-    ``c | r - d`` because ``c | r``; the sign flips, and the exponent
-    ``-pc_prime*q*d*(d/c) - p_star*(q_star - 2j)`` is unchanged modulo ``r``
-    because ``(r - d)(r/c - d/c) = d*(d/c)`` modulo ``r`` when ``c`` divides
-    ``d`` and ``r``.  Each leg factor is thus odd; in the all-coprime
-    restatement (``xi_all_coprime`` in ``tests/test_wrt.py``) the quadratic
-    factor is even and the ``n`` leg binomials are odd.
-
-    The sum is one packed integer (:func:`_substitutions` packs ``D~(x^j)``).
-    A factor ``s_0 x^(e_0) (1 + sum_i s_i s_0 x^(e_i - e_0))`` adds the packed
-    value shifted by ``e_i - e_0`` slots for each further monomial, and its
-    sign and leading shift are applied once per color.  A color costs
-    ``O(1)`` interpreted steps for the gather, and at most ``2n`` big-integer
-    operations of ``O(n r)`` slots for ``n`` two-monomial factors.
-
-    A slot of the folded sum receives one entry of some ``D~(x^j)`` per
-    monomial, so the monomial count times ``sum|D~|`` bounds the sum's
-    coefficients and also their absolute sum; the colors run at that slot
-    width.  The absolute sum of a product in ``Z[C_r]`` is at most the
-    product of its factors', so that bound times ``sum|part|`` over the
-    ``parts`` bounds every coefficient of the whole product.  The packed sum
-    is widened once to that slot width (:func:`_widen`), multiplied by the
-    packed ``parts``, and the product is unpacked once.
-    """
-    r = len(central)
-    central, den = _central_power(central, t, n)
-    parity = (-1) ** n
-    sym = [c + parity * central[-m] for m, c in enumerate(central)]  # D~
-    colors = [(j, fs) for j in range(1, (r + 1) // 2) if all(fs := factors(j))]
-    if not colors:
-        return [0] * r, den
-    count = sum(math.prod(map(len, fs)) for _, fs in colors)
-    bound = count * sum(map(abs, sym))
-    width = _slot_width(bound)
-    at = _substitutions(sym, width)
-    acc = 0
-    for j, fs in colors:
-        packed = at(j)
-        sign, shift = 1, 0
-        for (s0, e0), *rest in fs:
-            sign *= s0
-            shift += e0
-            value = packed
-            for s, e in rest:
-                term = _rotate(packed, t * (e - e0), r, width)
-                value = value + term if s == s0 else value - term
-            packed = value
-        term = _rotate(packed, t * shift, r, width)
-        acc = acc + term if sign > 0 else acc - term
-    if not parts:
-        return _unpack(acc, r, width), den
-    wider = _slot_width(bound * math.prod(sum(map(abs, part)) for part in parts))
-    acc = _widen(acc, r, width, wider) * _packed_product(parts, wider)
-    return _unpack(acc, r, wider), den
-
-
-def _square_color_sum(
-    central: list[int], t: int, legs, parts=()
-) -> tuple[list[int], int, int]:
-    """:func:`_color_sum` of the leg factors ``chi_terms`` by completing the
-    square, for legs all coprime to ``r`` with ``gcd(Q, r) = 1``.
-
-    Returns ``(vec, den, C0)``: ``x^(t*C0) * vec / den`` is the color sum
-    ``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` times the product of the
-    vectors ``parts``, exactly in ``Z[C_r]``, with ``D`` and ``den`` from
-    :func:`_central_power` (``central`` is ``E`` at ``(r, t)``;
-    ``r = len(central)``).
-
-    A leg with ``c = 1`` has both branches of :meth:`LegData.chi_terms`
-    active, and at ``y = x^j`` its factor is
-    ``x^(t*m_k(j)) * (y^(a_k) - y^(-a_k))`` with
-    ``m_k(j) = -pc'_k q_k (j^2 + q*_k^2) - p*_k q*_k`` and
-    ``a_k = 2t(pc'_k q_k q*_k + p*_k)``.  So with
-    ``F = D * prod_k (x^(a_k) - x^(-a_k))``, ``Q = sum_k pc'_k q_k`` and
-    ``C0 = -sum_k (pc'_k q_k q*_k^2 + p*_k q*_k)`` the sum is
-    ``x^(t*C0) * sum_j x^(-tQ j^2) F(x^j)``.  The color ``j = 0`` may join
-    it: ``F(1) = D(1) * prod_k (1 - 1) = 0``, as ``x -> 1`` is a ring map.
-    Over all ``j`` modulo ``r``, and for ``gcd(Q, r) = 1`` (so ``4tQ`` is a
-    unit, ``r`` being odd),
-    ``-tQ j^2 + m j = -tQ (j - s)^2 + m^2 (4tQ)^-1`` with
-    ``s = m (2tQ)^-1``, and ``j -> j - s`` permutes the colors; so each
-    monomial ``F_m x^m`` of ``F`` contributes
-    ``x^(m^2 (4tQ)^-1) * g_(-tQ)``, with the Gauss sum
-    ``g_(-tQ) = sum_j x^(-tQ j^2)`` (:func:`_gauss_vector` of conductor
-    ``r``).  Hence the sum is ``x^(t*C0) * g_(-tQ) * W`` with
-    ``W = sum_m F_m x^(m^2 (4tQ)^-1)``.
-
-    ``F`` is ``D`` after two rotations per leg, ``W`` a gather in ``O(r)``,
-    and ``W``, ``g_(-tQ)`` and the ``parts`` one packed product
-    (:func:`_ring_mul`), unpacked once at the slot width of the bound
-    ``max|W| * r * prod sum|part|`` (``sum|g_(-tQ)| = r``).  By
-    ``H = P sum_k q_k/p_k``, ``Q = H/P (mod r)``: the precondition is
-    ``gcd(r, P*H) = 1``.
+    A leg with ``c = 1`` has both branches active, and at ``y = x^j`` its
+    factor is ``x^(t*m_k(j)) * (y^(2tb_k) - y^(-2tb_k))`` with
+    ``b_k = pc'_k q_k q*_k + p*_k`` and
+    ``m_k(j) = -pc'_k q_k (j^2 + q*_k^2) - p*_k q*_k``; these legs fold into
+    ``F = D * prod_k (x^(2tb_k) - x^(-2tb_k))``, read at ``x^j``.  A leg with
+    ``c > 1`` has at most the branch ``s = +-1`` with ``j = s q* (mod c)``,
+    of exponent ``-pc' q d (d/c) - p* (q* - 2sj)`` at ``d = j - s q*``.  With
+    ``L = lcm(c_k)`` each class ``j = rho + L e`` fixes every such branch, or
+    has a leg with none and is dead.  Over ``e`` modulo ``N = r/L`` the
+    monomial ``F_m`` of a live class ``rho`` then carries the exponent
+    ``t*e0 + m rho + L (a e^2 + B e)``: ``e0`` is the exponent at ``e = 0``,
+    ``B = m + beta(rho)``, and ``a = -t sum_k pc'_k q_k L/c_k`` is the same
+    for every class.  With ``g = gcd(a, N)``, the sum over ``e`` of
+    ``zeta^(L(a e^2 + B e))`` is ``0`` unless ``g | B``; otherwise,
+    completing the square at the conductor ``N/g``, it is
+    ``g * zeta^(-L g u^2 (4a/g)^-1) * g_(a/g)`` with ``u = B/g`` and the
+    Gauss sum ``g_(a/g)`` of conductor ``N/g`` (:func:`_gauss_vector`).  The
+    class ``rho = 0`` may join: for ``L > 1`` a leg is inactive at ``c | j``,
+    and for ``L = 1``, ``F(1) = D(1) * prod_k (1 - 1) = 0`` (``x -> 1`` is a
+    ring map; for no legs ``D = (x^(2t) - x^(-2t))^2``).  So the sum is
+    ``g_(a/g) * W``, where ``W`` gathers ``g * F_m`` of every live class at
+    its exponent, in ``O(r/g)`` steps per class, and ``W``, ``g_(a/g)`` and
+    the ``parts`` are one product (:func:`_ring_mul`).
     """
     r = len(central)
     F, den = _central_power(central, t, len(legs))
-    Q = C0 = 0
+    quad = const = 0  # the legs with c = 1 at rho: -quad rho^2 + const
+    shared, L = [], 1
     for leg in legs:
+        if leg.c > 1:
+            shared.append(leg)
+            L = math.lcm(L, leg.c)
+            continue
         b = leg.pc_prime * leg.q * leg.q_star + leg.p_star
-        a = 2 * t * b % r
-        F = [u - v for u, v in zip(F[-a:] + F[:-a], F[a:] + F[:a])]
-        Q += leg.pc_prime * leg.q
-        C0 -= b * leg.q_star
-    inv = pow(4 * t * Q, -1, r)
+        k = 2 * t * b % r
+        F = [u - v for u, v in zip(F[-k:] + F[:-k], F[k:] + F[:k])]
+        quad += leg.pc_prime * leg.q
+        const -= b * leg.q_star
+    N = r // L
+    a = -t * (quad * L + sum(leg.pc_prime * leg.q * L // leg.c for leg in shared)) % N
+    g = gcd(a, N)
+    # x^(-L g u^2 (4a/g)^-1) is x^(-step * u^2): L g is r over the conductor
+    step = L * g * pow(4 * a // g, -1, N // g)
     W = [0] * r
-    for m, c in enumerate(F):
-        W[m * m * inv % r] += c
-    return _ring_mul(W, _gauss_vector(r, r, -t * Q), *parts), den, C0
+    for rho in range(L):
+        sign, e0, lin = 1, const - quad * rho * rho, -2 * quad * rho
+        for leg in shared:
+            c, q_star = leg.c, leg.q_star
+            if (rho - q_star) % c == 0:
+                s = 1
+            elif (rho + q_star) % c == 0:
+                s = -1
+            else:
+                break
+            d = rho - s * q_star
+            k = leg.pc_prime * leg.q * (d // c)
+            e0 -= k * d + leg.p_star * (q_star - 2 * s * rho)
+            lin += 2 * (s * leg.p_star - k)
+            sign *= s
+        else:
+            beta = t * lin % r
+            start = -beta % g  # F_m with g | m + beta, at u = (m + beta)/g
+            base, tilt, scale = t * e0 - beta * rho, g * rho, sign * g
+            for u, f in enumerate(F[start::g], (start + beta) // g):
+                if f:
+                    W[(base + u * (tilt - step * u)) % r] += scale * f
+    return _ring_mul(W, _gauss_vector(r, N // g, a // g), *parts), den
 
 
 def _prefactor(
@@ -328,11 +270,11 @@ def xi_closed_form(
 
     ``star_shifts`` optionally moves each leg's ``q_star`` by ``shift * p``
     (see :class:`LegData`); the leg's exponent moves with it, so the result
-    is independent of the shifts (property-tested).  When
-    ``gcd(r, P*H) = 1`` the sum over colors is one Gauss-sum product
-    (:func:`_square_color_sum`); otherwise, for a leg sharing a factor with
-    ``r``, ``gcd(H, r) > 1`` or ``H = 0``, it runs color by color
-    (:func:`_color_sum`).  Both give the same vector of ``Z[C_r]``.
+    is independent of the shifts (property-tested).  The sum over colors and
+    the prefactor are one Gauss-sum product (:func:`_color_sum`), rotated by
+    the record's root of unity and reduced modulo ``Phi_r`` once, for every
+    record: legs sharing a factor with ``r``, ``gcd(H, r) > 1`` and
+    ``H = 0`` included.
     """
     t = _check_level(r, t)
     tops = top_invariants(M)
@@ -349,16 +291,9 @@ def xi_closed_form(
     for leg in legs:
         scalar *= leg.sf * leg.jac
 
-    def factors(j):
-        return [leg.chi_terms(j) for leg in legs]
-
     central = _central_inverse(r, t)  # E, for the prefactor and the color sum
     parts, sign, den = _prefactor(central, t, tops.sign_H_abs, [leg.c for leg in legs])
-    if gcd(r, tops.P * tops.H) == 1:
-        vec, sum_den, c0 = _square_color_sum(central, t, legs, parts)
-        exponent += c0
-    else:
-        vec, sum_den = _color_sum(central, t, M.n, factors, parts)
+    vec, sum_den = _color_sum(central, t, legs, parts)
     return _reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
 
 

@@ -29,7 +29,6 @@ GROUP_RING_HELPERS = {
     "_fold",
     "_gauss_vector",
     "_pack",
-    "_packed_product",
     "_ring_mul",
     "_rotate",
     "_slot_width",
@@ -38,6 +37,9 @@ GROUP_RING_HELPERS = {
     "_unpack",
     "_widen",
 }
+# The helpers that know the packed (Kronecker) layout of a vector.
+PACKED_LAYOUT = {"_bias", "_fold", "_pack", "_rotate", "_slot_width",
+                 "_substitutions", "_unpack", "_widen"}
 
 
 def test_every_exported_name_resolves():
@@ -91,8 +93,7 @@ def test_only_cyclotomic_handles_slot_bytes():
 def test_joint_brute_force_packs_nothing():
     # The joint brute force sums its colorings over plain integer lists; only
     # ``_close``, called once after the enumeration, may pack.
-    packed = {"_pack", "_unpack", "_rotate", "_fold", "_ring_mul",
-              "_packed_product", "_substitutions", "_widen"}
+    packed = PACKED_LAYOUT | {"_ring_mul"}
     tree = ast.parse((SRC / "statesum.py").read_text())
     (brute,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                 and node.name == "xi_statesum_brute"]
@@ -103,6 +104,20 @@ def test_joint_brute_force_packs_nothing():
     assert called.count("_close") == 1
     last = brute.body[-1]
     assert isinstance(last, ast.Return) and last.value.func.id == "_close"
+
+
+def test_closed_formula_uses_no_packed_layout():
+    # The closed formula's products go through ``_ring_mul``: the packed
+    # layout stays behind it, and ``wrt`` neither imports nor calls a helper
+    # that knows it.
+    tree = ast.parse((SRC / "wrt.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert PACKED_LAYOUT <= GROUP_RING_HELPERS
+    assert not PACKED_LAYOUT & (imported | called)
+    assert imported & GROUP_RING_HELPERS == {"_binomial", "_gauss_vector", "_ring_mul"}
 
 
 def test_cli_start_up_imports_no_rarely_used_module():

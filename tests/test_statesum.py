@@ -469,7 +469,7 @@ def test_dp_matches_brute_composite_levels(chain, r, t):
 @given(small_chains, st.sampled_from([3, 5, 7, 9]), st.integers(1, 8))
 @settings(deadline=None, max_examples=30)
 def test_leg_sum_is_odd_in_the_color(chain, r, t):
-    # S(-j) = -S(j), by enumeration: the symmetry the DP and the color loop use.
+    # S(-j) = -S(j), by enumeration: the symmetry the DP and the central sum use.
     if gcd(t, r) != 1:
         return
     table = leg_sum_brute(chain, r, t)

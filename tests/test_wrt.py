@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import (
@@ -25,6 +25,7 @@ from seifertwrt.cyclotomic import (
     CyclotomicNumber,
     _check_level,
     _gauss_vector,
+    _reduce_int_vector,
     _ring_mul,
     root_power,
 )
@@ -66,11 +67,11 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
 
     The paper's all-coprime restatement of the general formula: all Gauss
     sums of composite conductor disappear and the per-leg data reduces to
-    inverses modulo ``r``.  It runs through the same ``wrt._prefactor``,
-    ``wrt._color_sum`` and ``wrt._reduced`` as the color loop of
-    :func:`xi_closed_form`, called through the module so that a spy on
-    ``wrt._color_sum`` sees its calls.  Raises :class:`HypothesisViolated`
-    when some ``gcd(p_k, r) > 1``.
+    inverses modulo ``r``.  It sums its colors one by one
+    (:func:`_color_sum_reference`), independently of the Gauss-sum core of
+    :func:`xi_closed_form`, and shares ``wrt._prefactor`` and
+    ``wrt._reduced`` with it.  Raises :class:`HypothesisViolated` when some
+    ``gcd(p_k, r) > 1``.
     """
     t = _check_level(r, None)
     tops = top_invariants(M)
@@ -97,8 +98,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
 
     central = _central_inverse(r, t)
     parts, sign, den = wrt._prefactor(central, t, tops.sign_H_abs)
-    vec, sum_den = wrt._color_sum(central, t, M.n, factors, parts)
-    return wrt._reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
+    vec, sum_den = _color_sum_reference(r, t, M.n, factors)
+    return wrt._reduced(r, _ring_mul(vec, *parts), t * exponent, sign * scalar,
+                        den * sum_den)
 
 
 def test_formula_reproduces_frozen_oracle_values():
@@ -545,6 +547,52 @@ def test_ring_mul_at_slot_bounds(r, fill_a, fill_b):
     assert _ring_mul(a, b) == _schoolbook_ring_mul(a, b)
 
 
+@st.composite
+def _color_sums_with_parts(draw):
+    """``(r, t, legs, parts)``: :class:`LegData` of 1 to 6 legs with star
+    shifts at an odd level ``r`` up to 75, composite ones among them, and
+    prefactor parts drawn from the Gauss sums ``g_c`` of every divisor ``c``
+    of ``r``, ``E``, and constant or dense vectors whose coefficients fill
+    wide slots.  Legs with ``c = gcd(r, p) > 1`` and ``gcd(H, r) > 1`` are
+    drawn, and ``H = 0`` when the legs come with their mirrors ``-p/q``."""
+    r = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27, 31, 33, 35, 45,
+                              49, 53, 55, 61, 63, 71, 73, 75]))
+    t = draw(st.sampled_from([u for u in range(1, r) if gcd(u, r) == 1]))
+    leg = st.tuples(st.integers(-30, 30), st.integers(1, 12)).filter(
+        lambda pq: pq[0] != 0 and gcd(abs(pq[0]), pq[1]) == 1)
+    legs = draw(st.lists(leg, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        legs += [(-p, q) for p, q in legs]
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=len(legs), max_size=len(legs)))
+    data = [leg_data(p, q, r, shift) for (p, q), shift in zip(legs, shifts)]
+
+    fill = st.sampled_from([1, -1, 255, -256, 2**64, -(2**64) + 1])
+    part = st.one_of(
+        st.sampled_from([c for c in range(1, r + 1) if r % c == 0]).flatmap(
+            lambda c: st.sampled_from([_gauss_vector(r, c, t), _gauss_vector(r, c, -t)])),
+        st.just(_central_inverse(r, t)),
+        fill.map(lambda c: [c] * r),
+        st.lists(st.integers(-(2**40), 2**40), min_size=r, max_size=r),
+    )
+    return r, t, data, draw(st.lists(part, max_size=4))
+
+
+@given(_color_sums_with_parts())
+@settings(deadline=None, max_examples=150)
+def test_color_sum_equals_reference_modulo_phi(case):
+    # The Gauss-sum core equals the color-by-color sum at every primitive
+    # root, not in Z[C_r]: a class's sum over e vanishes only at zeta.  So
+    # the two vectors agree after reduction modulo Phi_r.
+    r, t, legs, parts = case
+    expected, den = _color_sum_reference(
+        r, t, len(legs), lambda j: [leg.chi_terms(j) for leg in legs])
+    for part in parts:
+        expected = _schoolbook_ring_mul(expected, part)
+    vec, vec_den = _color_sum(_central_inverse(r, t), t, legs, parts)
+    assert vec_den == den
+    assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected)
+
+
 COLOR_SUM_SPECS = (
     "X(5/3)",
     "X(3/1,-5/2)",
@@ -562,136 +610,35 @@ def test_color_sum_equals_per_monomial_loop(spec, r):
         if gcd(t, r) != 1:
             continue
         legs = [leg_data(p, q, r) for p, q in M.legs]
-
-        def factors(j):
-            return [leg.chi_terms(j) for leg in legs]
-
-        expected = _color_sum_reference(r, t, M.n, factors)
-        central = _central_inverse(r, t)
-        assert _color_sum(central, t, M.n, factors) == expected, (spec, r, t)
+        expected, den = _color_sum_reference(
+            r, t, M.n, lambda j: [leg.chi_terms(j) for leg in legs])
+        vec, vec_den = _color_sum(_central_inverse(r, t), t, legs)
+        assert vec_den == den, (spec, r, t)
+        assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected), (spec, r, t)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("r,n", [(31, 5), (45, 3), (9, 1), (25, 4)])
 def test_color_sum_with_every_monomial_alike(r, n, sign):
-    # 256 equal monomials per color pile up in every slot: the sums that the
-    # slot width must hold come close to its bound here.  For odd n the odd
-    # factor x^j - x^-j keeps the precondition T_(r-j) = (-1)^n T_j.
-    def factors(j):
-        odd = [((1, j), (-1, -j))] if n % 2 else []
-        return [((sign, 0),)] + [((1, 0), (1, 0))] * 8 + odd
-
-    central = _central_inverse(r, 1)
-    assert _color_sum(central, 1, n, factors) == _color_sum_reference(r, 1, n, factors)
-
-
-_LEG = st.tuples(st.integers(-15, 15), st.integers(1, 9)).filter(
-    lambda pq: pq[0] != 0 and gcd(abs(pq[0]), pq[1]) == 1
-)
-_LEGS = st.lists(_LEG, min_size=1, max_size=5)
+    # n + 4 equal legs fold into F = D * (x^a - x^-a)^(n+4): its monomials
+    # pile up into binomial coefficients, and every color carries the same
+    # 2^(n+4) terms in the per-monomial loop.
+    legs = [leg_data(sign * 2, 1, r)] * (n + 4)
+    expected, den = _color_sum_reference(
+        r, 1, n + 4, lambda j: [leg.chi_terms(j) for leg in legs])
+    vec, vec_den = _color_sum(_central_inverse(r, 1), 1, legs)
+    assert vec_den == den
+    assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected)
 
 
-@st.composite
-def _color_sums_with_parts(draw):
-    """``(r, t, n, factors, parts)``: leg factors of ``n`` legs at an odd level
-    ``r`` (or no active color at all), and prefactor parts drawn from the
-    Gauss sums ``g_c`` of every divisor ``c`` of ``r``, ``E``, and constant or
-    dense vectors whose coefficients fill wide slots."""
-    r = draw(st.sampled_from(range(3, 64, 2)))
-    t = draw(st.sampled_from([u for u in range(1, r) if gcd(u, r) == 1]))
-    n = draw(st.integers(1, 5))
-    legs = draw(st.lists(_LEG, min_size=n, max_size=n))
-    data = [leg_data(p, q, r) for p, q in legs]
-    if draw(st.booleans()):
-        def factors(j):
-            return [leg.chi_terms(j) for leg in data]
-    else:
-        def factors(j):
-            return [()] * n
-
-    fill = st.sampled_from([1, -1, 255, -256, 2**64, -(2**64) + 1])
-    part = st.one_of(
-        st.sampled_from([c for c in range(1, r + 1) if r % c == 0]).flatmap(
-            lambda c: st.sampled_from([_gauss_vector(r, c, t), _gauss_vector(r, c, -t)])),
-        st.just(_central_inverse(r, t)),
-        fill.map(lambda c: [c] * r),
-        st.lists(st.integers(-(2**40), 2**40), min_size=r, max_size=r),
-    )
-    return r, t, n, factors, draw(st.lists(part, max_size=4))
-
-
-@given(_color_sums_with_parts())
-@settings(deadline=None, max_examples=150)
-def test_color_sum_with_parts_equals_schoolbook_product(case):
-    r, t, n, factors, parts = case
-    expected, den = _color_sum_reference(r, t, n, factors)
-    for part in parts:
-        expected = _schoolbook_ring_mul(expected, part)
-    assert _color_sum(_central_inverse(r, t), t, n, factors, parts) == (expected, den)
-
-
-def _expanded(factors, j: int, r: int, t: int) -> list[int]:
-    """The product of ``factors(j)`` as a vector of ``Z[C_r]``."""
-    terms = [(1, 0)]
-    for factor in factors(j):
-        terms = [(s * fs, e + fe) for s, e in terms for fs, fe in factor]
-    vec = [0] * r
-    for s, e in terms:
-        vec[t * e % r] += s
-    return vec
-
-
-def _factors_passed(call) -> list:
-    """The ``(r, t, n, factors)`` of every ``_color_sum`` call that ``call()`` makes."""
-    seen = []
-
-    def spy(central, t, n, factors, *parts):
-        seen.append((len(central), t, n, factors))
-        return _color_sum(central, t, n, factors, *parts)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wrt, "_color_sum", spy)
-        call()
-    return seen
-
-
-@given(
-    _LEGS,
-    st.sampled_from(range(3, 64, 2)),
-    st.integers(1, 200),
-    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
-)
-@settings(deadline=None, max_examples=150)
-def test_color_sum_precondition_holds_for_every_caller(legs, r, t, shifts):
-    # _color_sum visits one color of each pair {j, r - j}; that is exact only
-    # when the product of the factors satisfies T_(r-j) = (-1)^n T_j.
-    assume(gcd(t, r) == 1)
-    M = SeifertData(legs=tuple(legs))
-    calls = _factors_passed(lambda: xi_closed_form(M, r, t, tuple(shifts[: M.n])))
-    if all(gcd(p, r) == 1 for p, _ in legs):
-        calls += _factors_passed(lambda: xi_all_coprime(M, r))
-    for r_, t_, n, factors in calls:
-        for j in range(1, r_):
-            odd = [(-1) ** n * c for c in _expanded(factors, j, r_, t_)]
-            assert _expanded(factors, r_ - j, r_, t_) == odd, (legs, r_, t_, j)
-
-
-@pytest.mark.parametrize("r", [9, 31, 45])
-def test_color_sum_visits_one_color_per_pair(r):
-    legs = [leg_data(p, q, r) for p, q in manifold("X(2/1,9/4,-5/3)").legs]
-    calls = []
-
-    def factors(j):
-        calls.append(j)
-        return [leg.chi_terms(j) for leg in legs]
-
-    _color_sum(_central_inverse(r, 1), 1, 3, factors)
-    assert len(calls) <= (r - 1) // 2
-    assert {min(j, r - j) for j in calls} == set(range(1, (r + 1) // 2))
-
-
-def test_color_sum_with_no_active_color():
-    assert _color_sum(_central_inverse(9, 1), 1, 3, lambda j: [()]) == ([0] * 9, 9)
+def test_color_sum_with_no_live_class():
+    # At r = 15 the leg 15/1 is active only at j = +-1 (mod 15) and 5/3 only
+    # at j = +-2 (mod 5): no class of colors keeps both legs, and xi vanishes.
+    M = manifold("X(15/1,5/3)")
+    legs = [leg_data(p, q, 15) for p, q in M.legs]
+    assert _color_sum(_central_inverse(15, 1), 1, legs) == ([0] * 15, 1)
+    assert xi_closed_form(M, 15, 1).is_zero()
+    assert xi_statesum(M, 15, 1).is_zero()
 
 
 @pytest.mark.parametrize("spec", ["X(5/3)", "X(2/1,-2/1)", "X(2/1,3/1,5/1)",
@@ -731,9 +678,7 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted("mul", mul))
     monkeypatch.setattr(wrt, "_reduce_int_vector",
                         counted("reduce", wrt._reduce_int_vector))
-    unpack = counted("unpack", cyclotomic._unpack)
-    monkeypatch.setattr(wrt, "_unpack", unpack)
-    monkeypatch.setattr(cyclotomic, "_unpack", unpack)
+    monkeypatch.setattr(cyclotomic, "_unpack", counted("unpack", cyclotomic._unpack))
     return counts
 
 
@@ -746,8 +691,9 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
         ("X(3/1)", 7, 3),
         ("X(2/1,3/1,7/1)", 31, 1),
         ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2),
-        ("X(2/1,3/1,7/1)", 21, 1),  # legs with c = 3 and 7: the color loop
-        ("X(2/1,3/1,5/1)", 49, 1),  # composite level, completed square
+        ("X(2/1,3/1,7/1)", 21, 1),  # legs with c = 3 and 7
+        ("X(2/1,3/1,5/1)", 49, 1),  # composite level, every leg coprime
+        ("X(-2/1,3/1,6/1)", 15, 2),  # H = 0 and a leg with c = 3
     ],
 )
 def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
@@ -761,96 +707,27 @@ def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
                       "unpack": 1 + (M.n >= 4)}
 
 
-def _loop_for_square(central, t, legs, parts=()):
-    """The color loop in the place of :func:`wrt._square_color_sum`, with ``C0 = 0``."""
-    def factors(j):
-        return [leg.chi_terms(j) for leg in legs]
-
-    vec, den = _color_sum(central, t, len(legs), factors, parts)
-    return vec, den, 0
-
-
-def _refuse_loop(*args):
-    raise AssertionError("the color loop ran")
-
-
-def _unreduced(M, r, t, shifts=None, loop=False):
-    """``(x^shift * vec, scalar, den)`` that :func:`xi_closed_form` hands to
-    ``wrt._reduced``, and the record: by the color loop when ``loop``, else
-    by the completed square, with the loop refused."""
-    seen = []
-
-    def spy(r_, vec, shift, scalar, den):
-        shift %= r_
-        seen.append((vec[r_ - shift:] + vec[: r_ - shift], scalar, den))
-        return reduced(r_, vec, shift, scalar, den)
-
-    reduced = wrt._reduced
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wrt, "_reduced", spy)
-        if loop:
-            mp.setattr(wrt, "_square_color_sum", _loop_for_square)
-        else:
-            mp.setattr(wrt, "_color_sum", _refuse_loop)
-        xi = xi_closed_form(M, r, t, shifts)
-    return seen[0], xi
-
-
-@st.composite
-def _square_eligible(draw):
-    """``(M, r, t, shifts)`` with ``gcd(r, P*H) = 1`` at odd levels up to 75,
-    composite ones among them, and 1 to 6 legs."""
-    r = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27, 31, 33, 35, 45,
-                              49, 53, 55, 61, 63, 71, 73, 75]))
-    leg = st.tuples(st.integers(-30, 30), st.integers(1, 12)).filter(
-        lambda pq: gcd(pq[0], r) == 1 and gcd(pq[0], pq[1]) == 1)
-    legs = draw(st.lists(leg, min_size=1, max_size=6))
-    M = SeifertData(legs=tuple(legs))
-    tops = top_invariants(M)
-    assume(gcd(r, tops.P * tops.H) == 1)
-    t = draw(st.integers(1, r - 1).filter(lambda u: gcd(u, r) == 1))
-    shifts = tuple(draw(st.lists(st.integers(-3, 3), min_size=M.n, max_size=M.n)))
-    return M, r, t, shifts
-
-
-@given(_square_eligible())
-@settings(deadline=None, max_examples=150)
-def test_square_color_sum_equals_color_loop(case):
-    # The same vector of Z[C_r], rotated by the record's shift, before any
-    # reduction modulo Phi_r: the identity is exact in the group ring.
-    M, r, t, shifts = case
-    square, xi = _unreduced(M, r, t, shifts)
-    loop, xi_loop = _unreduced(M, r, t, shifts, loop=True)
-    assert square == loop
-    assert xi.integer_coefficients() == xi_loop.integer_coefficients()
-
-
 @pytest.mark.parametrize(
-    "spec,r,t,loop",
+    "spec,r,t",
     [
-        ("X(2/1,3/1,7/1)", 31, 1, False),
-        ("X(2/1,3/1,5/1)", 49, 2, False),
-        ("X(5/2,-5/3,6/1,-7/2)", 61, 2, False),
-        ("X(3/1)", 7, 3, False),
-        ("X(1/1)", 3, 1, False),  # the 3-sphere: P = H = 1
-        ("X(6/1,5/4)", 9, 1, True),  # a leg with gcd(p, r) = 3
-        ("X(2/1,3/1,7/1)", 21, 1, True),  # legs with gcd(p, r) = 3 and 7
-        ("X(2/1,3/1,5/1)", 31, 1, True),  # H = 31: gcd(H, r) = 31
-        ("X(2/1,3/1)", 25, 2, True),  # H = 5: gcd(H, r) = 5, legs coprime
-        ("X(-2/1,3/1,6/1)", 5, 1, True),  # H = 0, the paper's example
-        ("X(2/1,-2/1,3/1,-3/1)", 7, 1, True),  # H = 0
+        ("X(2/1,3/1,7/1)", 31, 1),
+        ("X(2/1,3/1,5/1)", 49, 2),
+        ("X(5/2,-5/3,6/1,-7/2)", 61, 2),
+        ("X(3/1)", 7, 3),
+        ("X(1/1)", 3, 1),  # the 3-sphere: P = H = 1
+        ("X(6/1,5/4)", 9, 1),  # a leg with gcd(p, r) = 3
+        ("X(2/1,3/1,7/1)", 21, 1),  # legs with gcd(p, r) = 3 and 7
+        ("X(2/1,3/1,5/1)", 31, 1),  # H = 31: gcd(H, r) = 31
+        ("X(2/1,3/1)", 25, 2),  # H = 5: gcd(H, r) = 5, legs coprime
+        ("X(-2/1,3/1,6/1)", 5, 1),  # H = 0, the paper's example
+        ("X(2/1,-2/1,3/1,-3/1)", 7, 1),  # H = 0
     ],
 )
-def test_color_loop_serves_only_shared_factors(monkeypatch, spec, r, t, loop):
+def test_every_kind_of_record_equals_oracle(spec, r, t):
+    # Shared factors, gcd(H, r) > 1 and H = 0 take the same Gauss-sum core
+    # as the records with gcd(r, P*H) = 1.
     M = manifold(spec)
-    tops = top_invariants(M)
-    assert loop == (gcd(r, tops.P * tops.H) > 1)
-    monkeypatch.setattr(wrt, "_color_sum", _refuse_loop)
-    if loop:
-        with pytest.raises(AssertionError, match="color loop"):
-            xi_closed_form(M, r, t)
-    else:
-        assert xi_closed_form(M, r, t) == xi_statesum(M, r, t)
+    assert xi_closed_form(M, r, t) == xi_statesum(M, r, t)
 
 
 HIGH_LEVEL_DIGESTS = json.loads(
@@ -859,23 +736,22 @@ HIGH_LEVEL_DIGESTS = json.loads(
 
 @pytest.mark.parametrize("pin", HIGH_LEVEL_DIGESTS["records"],
                          ids=lambda pin: f"{pin['manifold']}@{pin['r']}")
-def test_square_and_loop_agree_at_the_highest_levels(pin):
+def test_formula_keeps_the_digests_at_the_highest_levels(pin):
     # Above r = 101 nothing else pins an exact value: these digests come from
-    # two closed-form evaluations, not from the oracle.
+    # two closed-form evaluations, not from the oracle (see the file).
     M, r, t = manifold(pin["manifold"]), pin["r"], pin["t"]
-    _, xi = _unreduced(M, r, t)
-    _, xi_loop = _unreduced(M, r, t, loop=True)
-    assert xi.integer_coefficients() == xi_loop.integer_coefficients()
+    xi = xi_closed_form(M, r, t)
     digest = hashlib.sha256(json.dumps(_xi_pairs(xi)).encode()).hexdigest()
     assert digest == pin["sha256"]
 
 
 def test_all_coprime_and_trefoil_build_one_cyclotomic_number(monkeypatch):
-    # Two records, one unpack each, and one for the central power E^2.
+    # Two records, one unpack each: the all-coprime restatement sums its
+    # colors and its central power E^2 without packing.
     counts = _count_cyclotomic_calls(monkeypatch)
     xi_all_coprime(manifold("X(2/1,3/1,5/1,7/1)"), 13)
     tref_xi_closed(11, 3)
-    assert counts == {"init": 0, "raw": 2, "mul": 0, "reduce": 2, "unpack": 3}
+    assert counts == {"init": 0, "raw": 2, "mul": 0, "reduce": 2, "unpack": 2}
 
 
 def _integral_candidates(r: int):
