@@ -50,14 +50,15 @@ ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
 # The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), a
-# closed-form record of X(2,3,7) took 0.04 s and 16 MB at r = 4001, 0.17 s at
-# 10007 and 0.56 s and 21 MB at 19997, about r^1.5, and one of X(-2,3,6)
-# (H = 0) 0.03 s at 4001.  At a composite level the one reduction modulo
-# Phi_r weighs more: X(2,3,7) took 0.29 s at 3999, 0.25 s of it in the
-# reduction, and 4.0 s at 20001, 3.5 s of it in the reduction.  The level was
-# set when the formula summed its colors one by one, at about r^2 in time and
-# memory (X(2,3,7) took 0.7-0.9 s and 80 MB at 4001 and 24 s and 1.56 GB at
-# 20001); it is kept, so that the same requests are refused.
+# closed-form record of X(2,3,7) took 0.009 s and 16 MB at r = 4001, 0.04 s
+# at 10007 and 0.11 s and 23 MB at 19997, about r^1.3, and one of X(-2,3,6)
+# (H = 0, whose product takes E twice) 0.017 s at 4001.  At a composite level
+# the one reduction modulo Phi_r weighs more: X(2,3,7) took 0.20 s at 3999,
+# 0.19 s of it in the reduction, and 3.5 s at 20001, 3.4 s of it in the
+# reduction.  The level was set when the formula summed its colors one by
+# one, at about r^2 in time and memory (X(2,3,7) took 0.7-0.9 s and 80 MB at
+# 4001 and 24 s and 1.56 GB at 20001); it is kept, so that the same requests
+# are refused.
 MAX_LEVEL = 4001
 # The most legs of a manifold.  A CLI call for one record of n legs of 2 took
 # 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
@@ -70,11 +71,14 @@ MAX_LEGS = 64
 # took 0.66 s at n = 3 and r = 4001 (cost 4.3e8), 3.5 s at 8 and 4001
 # (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10), 8.8 s
 # at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10), and 16 legs at
-# r = 4001 (2.6e11) 42 s, about n^2.2 r^1.9.  On the Gauss-sum core the same
-# records took 0.04, 0.38, 0.21, 0.72, 1.2 and 0.78 s, 16 legs at 4001 2.1 s,
-# and 8 legs of 3 at 3999 (cost 8.2e9) 0.58 s, 0.24 s of it in the reduction
-# modulo Phi_r (same machine).  The ceiling is kept, so that the same
-# requests are refused: every manifold of at most 8 legs runs at MAX_LEVEL.
+# r = 4001 (2.6e11) 42 s, about n^2.2 r^1.9.  With the colors summed by
+# completing the square and a record's Gauss sums multiplied in closed form,
+# the same records took 0.010, 0.20, 0.18, 0.69, 1.1 and 0.73 s, 16 legs at
+# 4001 2.2 s, and 8 legs of 3 at 3999 (cost 8.2e9) 0.50 s, 0.2-0.3 s of it in
+# the reduction modulo Phi_r (same machine): beyond three legs the central
+# power E^(n-2) and the legs' rotations weigh most.  The ceiling is kept, so
+# that the same requests are refused: every manifold of at most 8 legs runs
+# at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle
@@ -183,9 +187,12 @@ def _judge(names, M, r, t, xi, budget=BRUTE_BUDGET) -> dict[str, bool | None]:
     return checks
 
 
-def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
-                precision: int | None) -> dict:
-    M = parse_manifold(spec)
+def _tau_record(M: SeifertData | ValueError, r: int, t: int | None,
+                names: tuple[str, ...], precision: int | None) -> dict:
+    """The record of ``M`` at level ``r``; ``M`` may be the error its spec
+    raised when parsed, which is raised here, at the spec's first record."""
+    if isinstance(M, ValueError):
+        raise M
     try:
         result = tau_prime(M, r, precision=precision, t=t)
         if not (isfinite(result.tau.real) and isfinite(result.tau.imag)):
@@ -195,18 +202,24 @@ def _tau_record(spec: str, r: int, t: int | None, names: tuple[str, ...],
     return _record(result, _judge(names, M, r, result.t, result.xi))
 
 
-def _within_ceilings(spec: str, top: int) -> None:
-    """Refuse the manifold ``spec`` when it has more than ``MAX_LEGS`` legs,
-    has legs ``p/q`` whose ``q + 1`` sum to more than ``MAX_DENOMINATOR_SUM``, or
-    has a record at the highest level ``top`` whose estimated cost is above
-    ``MAX_RECORD_COST``.
+def _parsed(spec: str) -> SeifertData | ValueError:
+    """The manifold ``spec`` describes, or the error parsing it raised."""
+    try:
+        return parse_manifold(spec)
+    except ValueError as exc:
+        return exc
+
+
+def _within_ceilings(spec: str, M: SeifertData | ValueError, top: int) -> None:
+    """Refuse the manifold ``M``, parsed from ``spec``, when it has more than
+    ``MAX_LEGS`` legs, has legs ``p/q`` whose ``q + 1`` sum to more than
+    ``MAX_DENOMINATOR_SUM``, or has a record at the highest level ``top``
+    whose estimated cost is above ``MAX_RECORD_COST``.
 
     A ``spec`` that does not parse passes: its first record raises the parse
     error, in task order, as it would without the ceilings.
     """
-    try:
-        M = parse_manifold(spec)
-    except ValueError:
+    if isinstance(M, ValueError):
         return
     if M.n > MAX_LEGS:
         raise ValueError(f"{spec!r} has {M.n} legs, above the ceiling of "
@@ -359,11 +372,12 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
-    for spec in args.manifolds:
-        _within_ceilings(spec, levels[-1])
+    manifolds = [_parsed(spec) for spec in args.manifolds]
+    for spec, M in zip(args.manifolds, manifolds):
+        _within_ceilings(spec, M, levels[-1])
     names = tuple(dict.fromkeys(args.checks))
-    tasks = [(spec, r, args.t, names, args.precision)
-             for spec in args.manifolds for r in levels]
+    tasks = [(M, r, args.t, names, args.precision)
+             for M in manifolds for r in levels]
     max_jobs = min(args.jobs, _usable_cpus())
     records = []
     start = perf_counter()
@@ -381,7 +395,7 @@ def _cmd_tref_table(args) -> list[dict]:
     levels = [r for r in _parse_levels(args) if r % 3]
     if not levels:
         raise ValueError("tref-table needs a level r with gcd(r, 3) = 1")
-    return [_tau_record(str(TREFOIL_ZERO), r, None, ("closed_matches_general",),
+    return [_tau_record(TREFOIL_ZERO, r, None, ("closed_matches_general",),
                         args.precision) for r in levels]
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
@@ -61,25 +60,32 @@ def euler_phi(n: int) -> int:
 
 
 def _divmod_monic(
-    num: Sequence[int], den: Sequence[int]
+    num: Sequence[int], den: Sequence[int], terms: Sequence[tuple[int, int]] = ()
 ) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomial ``num`` by a monic ``den``.
 
     Coefficient lists are low-degree first; the remainder is padded to
     ``len(den) - 1`` entries.  Each step subtracts a multiple of ``den`` at its
-    nonzero coefficients only.
+    nonzero coefficients only: the pairs ``(i, den[i])`` with ``i < deg`` and
+    ``den[i] != 0``, which ``terms`` may hold ready.
     """
     deg = len(den) - 1
     work = list(num) + [0] * (deg - len(num))
-    nonzero = list(compress(range(deg), den))  # i < deg with den[i] != 0
+    terms = terms or _nonzero_terms(den)
     quotient = [0] * (len(work) - deg)
     for k in range(len(work) - deg - 1, -1, -1):
         c = work[k + deg]
         if c:
             quotient[k] = c
-            for i in nonzero:
-                work[k + i] -= c * den[i]
+            for i, d in terms:
+                work[k + i] -= c * d
     return quotient, work[:deg]
+
+
+def _nonzero_terms(den: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(i, den[i])`` of a monic ``den`` below its leading term
+    with ``den[i] != 0``."""
+    return tuple((i, d) for i, d in enumerate(den[:-1]) if d)
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +105,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(quotient)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """``Phi_n``'s nonzero coefficients below its leading one, as the pairs
+    ``(i, coefficient)`` that :func:`_divmod_monic` subtracts."""
+    return _nonzero_terms(cyclotomic_polynomial(n))
+
+
 def _check_level(r: int, t: int | None = 1) -> int:
     """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
     if r < 3 or r % 2 == 0:
@@ -112,7 +125,7 @@ def _check_level(r: int, t: int | None = 1) -> int:
 
 def _reduce_int_vector(r: int, vec: list[int]) -> list[int]:
     """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``."""
-    return _divmod_monic(vec, cyclotomic_polynomial(r))[1]
+    return _divmod_monic(vec, cyclotomic_polynomial(r), _cyclotomic_terms(r))[1]
 
 
 class CyclotomicNumber:
@@ -448,6 +461,7 @@ def _slot_width(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+@lru_cache(maxsize=64)
 def _bias(n: int, width: int) -> int:
     """``X/2`` in each of ``n`` slots of ``width`` bytes."""
     slot = (1 << (8 * width - 1)).to_bytes(width, "little")

@@ -7,8 +7,10 @@ the colors ``j = 1 .. r - 1``, using Gauss sums attached to
 exponents from modular inverses and the integers ``12 p s(q, p)`` of
 Dedekind sums (no continued fraction is expanded).  The sum is not walked
 color by color: completing the square on each class of colors modulo
-``lcm(c_k)`` makes it one Gauss-sum product, taken with the prefactor as one
-product in the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`.  On
+``lcm(c_k)`` makes it one vector times one Gauss sum.  By Gauss's evaluation
+a record's Gauss sums multiply, in closed form, to an integer times at most
+one Gauss sum, so a record is one product in the group ring ``Z[C_r]`` of
+:mod:`seifertwrt.cyclotomic` with at most one Gauss-sum operand.  On
 top of it sit the normalizations ``tau'_r`` and ``Theta_r``, a numerical
 evaluator in the shape of Rozansky's residue formula for cross-checks
 (mpmath only, at 30 digits by default), and the
@@ -145,15 +147,19 @@ def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
     return (base if power else [1] + [0] * (r - 1)), den
 
 
-def _color_sum(central: list[int], t: int, legs, parts=()) -> tuple[list[int], int]:
-    """``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` times the product of the
-    vectors ``parts``, as an integer vector of ``Z[C_r]`` and its denominator.
+def _color_sum(
+    central: list[int], t: int, legs
+) -> tuple[list[int], int, tuple[int, int]]:
+    """``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` as ``(W, den, (x, m))``:
+    the sum is ``W / den`` times the Gauss sum ``G(x; m)``
+    (:func:`_gauss_vector` ``(r, m, x)``), with ``gcd(x, m) = 1`` and ``m | r``.
 
     ``chi_k(j)`` is the sum of :meth:`LegData.chi_terms` of ``legs[k]``, each
     pair ``(s, e)`` read as ``s * x^(t*e)``, and ``D``, ``den`` are
     :func:`_central_power`'s (``central`` is ``E`` at ``(r, t)``;
-    ``r = len(central)``).  The vector equals the sum at every primitive
-    ``r``-th root ``x = zeta``, so modulo ``Phi_r``, not in ``Z[C_r]`` itself.
+    ``r = len(central)``).  ``W`` times the Gauss sum equals the sum at every
+    primitive ``r``-th root ``x = zeta``, so modulo ``Phi_r``, not in
+    ``Z[C_r]`` itself.
 
     A leg with ``c = 1`` has both branches active, and at ``y = x^j`` its
     factor is ``x^(t*m_k(j)) * (y^(2tb_k) - y^(-2tb_k))`` with
@@ -169,15 +175,15 @@ def _color_sum(central: list[int], t: int, legs, parts=()) -> tuple[list[int], i
     ``B = m + beta(rho)``, and ``a = -t sum_k pc'_k q_k L/c_k`` is the same
     for every class.  With ``g = gcd(a, N)``, the sum over ``e`` of
     ``zeta^(L(a e^2 + B e))`` is ``0`` unless ``g | B``; otherwise,
-    completing the square at the conductor ``N/g``, it is
-    ``g * zeta^(-L g u^2 (4a/g)^-1) * g_(a/g)`` with ``u = B/g`` and the
-    Gauss sum ``g_(a/g)`` of conductor ``N/g`` (:func:`_gauss_vector`).  The
+    completing the square at the conductor ``m = N/g``, it is
+    ``g * zeta^(-L g u^2 (4a/g)^-1) * G(a/g; m)`` with ``u = B/g``.  The
     class ``rho = 0`` may join: for ``L > 1`` a leg is inactive at ``c | j``,
     and for ``L = 1``, ``F(1) = D(1) * prod_k (1 - 1) = 0`` (``x -> 1`` is a
     ring map; for no legs ``D = (x^(2t) - x^(-2t))^2``).  So the sum is
-    ``g_(a/g) * W``, where ``W`` gathers ``g * F_m`` of every live class at
-    its exponent, in ``O(r/g)`` steps per class, and ``W``, ``g_(a/g)`` and
-    the ``parts`` are one product (:func:`_ring_mul`).
+    ``G(a/g; m) * W``, where ``W`` gathers ``g * F_m`` of every live class at
+    its exponent, in ``O(r/g)`` steps per class.  The Gauss sum is left to
+    the caller, which multiplies it with the record's other Gauss sums in
+    closed form (:func:`_gauss_product`).
     """
     r = len(central)
     F, den = _central_power(central, t, len(legs))
@@ -221,29 +227,48 @@ def _color_sum(central: list[int], t: int, legs, parts=()) -> tuple[list[int], i
             for u, f in enumerate(F[start::g], (start + beta) // g):
                 if f:
                     W[(base + u * (tilt - step * u)) % r] += scale * f
-    return _ring_mul(W, _gauss_vector(r, N // g, a // g), *parts), den
+    return W, den, (a // g, N // g)
 
 
-def _prefactor(
-    central: list[int], t: int, sign_H_abs: int, conductors=()
-) -> tuple[list[list[int]], int, int]:
-    """The closed formula's Gauss-sum prefactor as ``(parts, sign, den)``.
+def _gauss_product(r: int, factors) -> tuple[int, int]:
+    """``(k, m_star)`` with ``prod G(x; m) = k * G(1; m_star)`` over ``factors``.
 
-    The prefactor is ``sign / den`` times the product of the vectors
-    ``parts`` of ``Z[C_r]``: ``(zeta^(2t) - zeta^(-2t))^(|sign H| - 2) =
-    (E/r)^(2 - |sign H|)`` for ``E = central`` at ``(r, t)``
-    (:func:`_central_inverse`; ``r = len(central)``), for
-    ``|sign H| = 1`` also ``(-2 g_r)^-1 = -conj(g_r) / (2r)`` (``|g_r|^2 = r``
-    for odd ``r``; at ``zeta^t``, ``conj(g_r)`` is ``g_r`` at ``zeta^-t``),
-    and the Gauss sums ``g_c`` at ``zeta^t`` of the ``conductors``
-    (``g_1 = 1``).
+    A factor ``(x, m)`` is the Gauss sum ``G(x; m) = sum_{y mod m} zeta_m^(x y^2)``
+    at ``zeta_m = zeta_r^(r/m)`` (:func:`_gauss_vector` ``(r, m, x)``), for
+    ``m | r`` and ``gcd(x, m) = 1``; factors with ``m = 1`` are 1.  For odd
+    ``m`` Gauss's evaluation gives ``G(x; m) = (x/m) G(1; m)`` with the
+    Jacobi symbol ``(x/m)``, and ``G(1; m) = eps_m sqrt(m)``, where
+    ``eps_m = 1`` for ``m = 1 (mod 4)`` and ``i`` for ``m = 3 (mod 4)``
+    (Berndt-Evans-Williams, *Gauss and Jacobi Sums*, ch. 1).  With ``M`` the
+    product of the ``m``, ``m_star`` is the product of the primes of ``r``
+    whose exponent in ``M`` is odd, so ``M / m_star`` is a square, and
+    ``k = prod (x/m) * i^e * isqrt(M / m_star)`` with
+    ``e = #{m = 3 (mod 4)} - [m_star = 3 (mod 4)]``.  ``e`` is even, as ``i``
+    is not in ``Q(zeta_r)`` for odd ``r``, so ``i^e = (-1)^(e/2)``.  The
+    identity holds in ``Q(zeta_r)``, so at every primitive root.
     """
-    r = len(central)
-    if sign_H_abs:
-        parts, sign, den = [central, _gauss_vector(r, r, -t)], -1, 2 * r * r
-    else:
-        parts, sign, den = [central, central], 1, r * r
-    return parts + [_gauss_vector(r, c, t) for c in conductors if c > 1], sign, den
+    M, k, e = 1, 1, 0
+    for x, m in factors:
+        if m > 1:
+            M *= m
+            k *= jacobi(x, m)
+            e += m % 4 == 3
+    m_star, rest, prime = 1, r, 3
+    while rest > 1:  # the odd primes of r by trial division
+        if prime * prime > rest:
+            prime = rest
+        if rest % prime == 0:
+            while rest % prime == 0:
+                rest //= prime
+            odd, part = False, M
+            while part % prime == 0:
+                part //= prime
+                odd = not odd
+            if odd:
+                m_star *= prime
+        prime += 2
+    e -= m_star % 4 == 3
+    return (-1) ** (e // 2) * k * math.isqrt(M // m_star), m_star
 
 
 def _reduced(
@@ -270,11 +295,18 @@ def xi_closed_form(
 
     ``star_shifts`` optionally moves each leg's ``q_star`` by ``shift * p``
     (see :class:`LegData`); the leg's exponent moves with it, so the result
-    is independent of the shifts (property-tested).  The sum over colors and
-    the prefactor are one Gauss-sum product (:func:`_color_sum`), rotated by
-    the record's root of unity and reduced modulo ``Phi_r`` once, for every
-    record: legs sharing a factor with ``r``, ``gcd(H, r) > 1`` and
-    ``H = 0`` included.
+    is independent of the shifts (property-tested).  The record's Gauss sums
+    are those of the color sum (:func:`_color_sum`), ``G(-t; r)`` when
+    ``H != 0`` and ``G(t; c)`` of each leg with ``c > 1``; by Gauss's
+    evaluation their product is an integer ``k`` times one Gauss sum
+    ``G(1; m*)``, where ``m*`` is squarefree and divides ``r``
+    (:func:`_gauss_product`).  The record is then one product ``W * E``
+    (``W * E * E`` when ``H = 0``), times ``G(1; m*)`` only when
+    ``m* > 1``, rotated by the record's root of unity and reduced modulo
+    ``Phi_r`` once, for every record: legs sharing a factor with ``r``,
+    ``gcd(H, r) > 1`` and ``H = 0`` included.  When ``gcd(r, P*H) = 1``
+    the factors are ``G(-t; r)`` and ``G(a; r)``, so ``m* = 1`` and the
+    Gauss sums are the integer ``(a t / r) r``.
     """
     t = _check_level(r, t)
     tops = top_invariants(M)
@@ -291,10 +323,21 @@ def xi_closed_form(
     for leg in legs:
         scalar *= leg.sf * leg.jac
 
+    # The prefactor is (E/r)^(2 - |sign H|), times (-2 g_r)^-1 = -conj(g_r)/(2r)
+    # when H != 0 (|g_r|^2 = r for odd r; conj(g_r) at zeta^t is G(-t; r)),
+    # and the Gauss sum G(t; c) of each leg with c > 1.
     central = _central_inverse(r, t)  # E, for the prefactor and the color sum
-    parts, sign, den = _prefactor(central, t, tops.sign_H_abs, [leg.c for leg in legs])
-    vec, sum_den = _color_sum(central, t, legs, parts)
-    return _reduced(r, vec, t * exponent, sign * scalar, den * sum_den)
+    W, den, factor = _color_sum(central, t, legs)
+    factors = [factor] + [(t, leg.c) for leg in legs]
+    if tops.sign_H_abs:
+        parts, sign, den = [central], -1, 2 * r * r * den
+        factors.append((-t, r))
+    else:
+        parts, sign, den = [central, central], 1, r * r * den
+    k, m_star = _gauss_product(r, factors)
+    if m_star > 1:
+        parts.append(_gauss_vector(r, m_star))
+    return _reduced(r, _ring_mul(W, *parts), t * exponent, sign * k * scalar, den)
 
 
 class InvariantResult(NamedTuple):
@@ -454,5 +497,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    parts, sign, den = _prefactor(_central_inverse(r, t), t, 0)
-    return _reduced(r, _ring_mul(*parts), -4 * t, sign * 2 * r, den)
+    central = _central_inverse(r, t)
+    return _reduced(r, _ring_mul(central, central), -4 * t, 2 * r, r * r)

@@ -252,6 +252,25 @@ def test_tau_jobs_error_parity(capsys, children_at_once, manifolds):
         assert result == serial, jobs
 
 
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_each_manifold_is_parsed_once_per_request(capsys, monkeypatch,
+                                                  children_at_once, jobs):
+    # Every record, the ceilings and the --jobs children read the manifold
+    # parsed once; tref-table parses none.
+    parsed = []
+    original = cli.parse_manifold
+    monkeypatch.setattr(cli, "parse_manifold",
+                        lambda spec: parsed.append(spec) or original(spec))
+    argv = ["tau", "X(2/1,3/1)", "X(5/2)", "--r", "5,7,9", "--oracle",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+    assert (code, len(out.splitlines())) == (0, 6)
+    assert parsed == ["X(2/1,3/1)", "X(5/2)"]
+    parsed.clear()
+    assert run_cli(capsys, "tref-table", "--r", "5,7")[0] == 0
+    assert parsed == []
+
+
 def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch,
                                                   children_at_once):
     started = count_starts(monkeypatch)
@@ -677,6 +696,24 @@ def test_parser_help_smoke():
     assert parser.prog == "seifertwrt"
     with pytest.raises(SystemExit):
         parser.parse_args(["--help"])
+
+
+@pytest.mark.parametrize("first,first_checks", [
+    (["tau", "X(2/1,3/1,5/1)", "--r", "5", "--oracle"], ["oracle"]),
+    (["tau", "X(2/1,3/1,5/1)", "--r", "5", "--oracle", "--rozansky"],
+     ["oracle", "rozansky"]),
+    (["integrality-scan", "X(2/1,3/1,5/1)", "--r-range", "3:9"], ["integrality"]),
+])
+def test_one_parser_parses_each_request_afresh(first, first_checks):
+    # A parser kept for a second request must not share its checks lists:
+    # neither --oracle's appended entries nor integrality-scan's default.
+    parser = build_parser()
+    earlier = parser.parse_args(first)
+    later = parser.parse_args(["tau", "X(2/1,3/1,5/1)", "--r", "5"])
+    again = parser.parse_args(first)
+    assert later.checks == []
+    assert earlier.checks == again.checks == first_checks
+    assert later.checks is not earlier.checks
 
 
 @given(

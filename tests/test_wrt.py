@@ -38,6 +38,7 @@ from seifertwrt.wrt import (
     InvariantResult,
     _central_inverse,
     _color_sum,
+    _gauss_product,
     _theta_is_integral,
     leg_data,
     tau_prime,
@@ -69,9 +70,9 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     sums of composite conductor disappear and the per-leg data reduces to
     inverses modulo ``r``.  It sums its colors one by one
     (:func:`_color_sum_reference`), independently of the Gauss-sum core of
-    :func:`xi_closed_form`, and shares ``wrt._prefactor`` and
-    ``wrt._reduced`` with it.  Raises :class:`HypothesisViolated` when some
-    ``gcd(p_k, r) > 1``.
+    :func:`xi_closed_form`, keeps the prefactor's Gauss sum ``conj(g_r)`` as
+    a vector instead of evaluating it, and shares only ``wrt._reduced`` with
+    it.  Raises :class:`HypothesisViolated` when some ``gcd(p_k, r) > 1``.
     """
     t = _check_level(r, None)
     tops = top_invariants(M)
@@ -97,7 +98,12 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
         ]
 
     central = _central_inverse(r, t)
-    parts, sign, den = wrt._prefactor(central, t, tops.sign_H_abs)
+    # (zeta^(2t) - zeta^(-2t))^(|sign H| - 2) = (E/r)^(2 - |sign H|), and for
+    # H != 0 (-2 g_r)^-1 = -conj(g_r) / (2r), conj(g_r) being g_r at zeta^-t.
+    if tops.sign_H_abs:
+        parts, sign, den = [central, _gauss_vector(r, r, -t)], -1, 2 * r * r
+    else:
+        parts, sign, den = [central, central], 1, r * r
     vec, sum_den = _color_sum_reference(r, t, M.n, factors)
     return wrt._reduced(r, _ring_mul(vec, *parts), t * exponent, sign * scalar,
                         den * sum_den)
@@ -481,6 +487,8 @@ def _schoolbook_ring_mul(a: list[int], b: list[int]) -> list[int]:
     r = len(a)
     out = [0] * r
     for i, ai in enumerate(a):
+        if not ai:
+            continue
         for j, bj in enumerate(b):
             out[(i + j) % r] += ai * bj
     return out
@@ -577,6 +585,14 @@ def _color_sums_with_parts(draw):
     return r, t, data, draw(st.lists(part, max_size=4))
 
 
+def _color_sum_times_gauss(r, t, legs, parts=()):
+    """:func:`_color_sum`'s ``W`` times its Gauss vector and the vectors
+    ``parts``, and its denominator."""
+    vec, den, (x, m) = _color_sum(_central_inverse(r, t), t, legs)
+    assert r % m == 0 and gcd(x, m) == 1
+    return _ring_mul(vec, _gauss_vector(r, m, x), *parts), den
+
+
 @given(_color_sums_with_parts())
 @settings(deadline=None, max_examples=150)
 def test_color_sum_equals_reference_modulo_phi(case):
@@ -588,7 +604,7 @@ def test_color_sum_equals_reference_modulo_phi(case):
         r, t, len(legs), lambda j: [leg.chi_terms(j) for leg in legs])
     for part in parts:
         expected = _schoolbook_ring_mul(expected, part)
-    vec, vec_den = _color_sum(_central_inverse(r, t), t, legs, parts)
+    vec, vec_den = _color_sum_times_gauss(r, t, legs, parts)
     assert vec_den == den
     assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected)
 
@@ -612,7 +628,7 @@ def test_color_sum_equals_per_monomial_loop(spec, r):
         legs = [leg_data(p, q, r) for p, q in M.legs]
         expected, den = _color_sum_reference(
             r, t, M.n, lambda j: [leg.chi_terms(j) for leg in legs])
-        vec, vec_den = _color_sum(_central_inverse(r, t), t, legs)
+        vec, vec_den = _color_sum_times_gauss(r, t, legs)
         assert vec_den == den, (spec, r, t)
         assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected), (spec, r, t)
 
@@ -626,7 +642,7 @@ def test_color_sum_with_every_monomial_alike(r, n, sign):
     legs = [leg_data(sign * 2, 1, r)] * (n + 4)
     expected, den = _color_sum_reference(
         r, 1, n + 4, lambda j: [leg.chi_terms(j) for leg in legs])
-    vec, vec_den = _color_sum(_central_inverse(r, 1), 1, legs)
+    vec, vec_den = _color_sum_times_gauss(r, 1, legs)
     assert vec_den == den
     assert _reduce_int_vector(r, vec) == _reduce_int_vector(r, expected)
 
@@ -636,9 +652,39 @@ def test_color_sum_with_no_live_class():
     # at j = +-2 (mod 5): no class of colors keeps both legs, and xi vanishes.
     M = manifold("X(15/1,5/3)")
     legs = [leg_data(p, q, 15) for p, q in M.legs]
-    assert _color_sum(_central_inverse(15, 1), 1, legs) == ([0] * 15, 1)
+    assert _color_sum(_central_inverse(15, 1), 1, legs)[:2] == ([0] * 15, 1)
     assert xi_closed_form(M, 15, 1).is_zero()
     assert xi_statesum(M, 15, 1).is_zero()
+
+
+@st.composite
+def _gauss_factors(draw):
+    """``(r, factors)``: an odd level up to 315, prime powers and products of
+    primes among them, and 1 to 5 Gauss-sum factors ``(x, m)`` with ``m | r``
+    and ``gcd(x, m) = 1``."""
+    r = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27, 31, 45, 49, 63,
+                              75, 81, 101, 105, 121, 125, 225, 243, 311, 315]))
+    divisor = st.sampled_from([m for m in range(1, r + 1) if r % m == 0])
+    factor = divisor.flatmap(lambda m: st.tuples(
+        st.integers(-(10**6), 10**6).filter(lambda x: gcd(x, m) == 1), st.just(m)))
+    return r, draw(st.lists(factor, min_size=1, max_size=5))
+
+
+@given(_gauss_factors())
+@settings(deadline=None, max_examples=150)
+def test_gauss_product_collapses_to_one_gauss_sum(case):
+    # Gauss's evaluation G(x; m) = (x/m) eps_m sqrt(m), checked against the
+    # schoolbook product of the Gauss vectors themselves modulo Phi_r.
+    r, factors = case
+    k, m_star = _gauss_product(r, factors)
+    assert r % m_star == 0
+    assert all(m_star % (p * p) for p in range(3, m_star + 1, 2))  # squarefree
+    assert k * k * m_star == math.prod(m for _, m in factors)
+    expected = [1] + [0] * (r - 1)
+    for x, m in factors:
+        expected = _schoolbook_ring_mul(expected, _gauss_vector(r, m, x))
+    collapsed = [k * c for c in _gauss_vector(r, m_star)]
+    assert _reduce_int_vector(r, collapsed) == _reduce_int_vector(r, expected)
 
 
 @pytest.mark.parametrize("spec", ["X(5/3)", "X(2/1,-2/1)", "X(2/1,3/1,5/1)",
@@ -660,8 +706,9 @@ def test_one_central_inverse_per_record(spec, r):
 
 
 def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
-    """Count number builds, products, ``Phi_r`` reductions and unpacks."""
-    counts = {"init": 0, "raw": 0, "mul": 0, "reduce": 0, "unpack": 0}
+    """Count number builds, products, ``Phi_r`` reductions, and the operands
+    packed into and the products unpacked from group-ring products."""
+    counts = {"init": 0, "raw": 0, "mul": 0, "reduce": 0, "pack": 0, "unpack": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -678,33 +725,40 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted("mul", mul))
     monkeypatch.setattr(wrt, "_reduce_int_vector",
                         counted("reduce", wrt._reduce_int_vector))
+    monkeypatch.setattr(cyclotomic, "_pack", counted("pack", cyclotomic._pack))
     monkeypatch.setattr(cyclotomic, "_unpack", counted("unpack", cyclotomic._unpack))
     return counts
 
 
-@pytest.mark.parametrize(
-    "spec,r,t",
-    [
-        ("X(5/2,-5/3,6/1,-7/2)", 61, 1),
-        ("X(2/1,-2/1,3/1,-3/1)", 45, 2),  # H = 0, non-unit colors
-        ("X(6/1,5/4)", 9, 1),  # a leg with c = 3
-        ("X(3/1)", 7, 3),
-        ("X(2/1,3/1,7/1)", 31, 1),
-        ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2),
-        ("X(2/1,3/1,7/1)", 21, 1),  # legs with c = 3 and 7
-        ("X(2/1,3/1,5/1)", 49, 1),  # composite level, every leg coprime
-        ("X(-2/1,3/1,6/1)", 15, 2),  # H = 0 and a leg with c = 3
-    ],
-)
-def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t):
+# (spec, r, t, operands of the record's one product)
+ONE_NUMBER_CASES = [
+    ("X(5/2,-5/3,6/1,-7/2)", 61, 1, 2),
+    ("X(2/1,-2/1,3/1,-3/1)", 45, 2, 3),  # H = 0, non-unit colors
+    ("X(6/1,5/4)", 9, 1, 2),  # a leg with c = 3
+    ("X(3/1)", 7, 3, 2),
+    ("X(2/1,3/1,7/1)", 31, 1, 2),
+    ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2, 3),  # Gauss sums of conductor 3
+    ("X(2/1,3/1,7/1)", 21, 1, 2),  # legs with c = 3 and 7
+    ("X(2/1,3/1,5/1)", 49, 1, 2),  # composite level, every leg coprime
+    ("X(-2/1,3/1,6/1)", 15, 2, 3),  # H = 0 and a leg with c = 3
+]
+
+
+@pytest.mark.parametrize("spec,r,t,operands", ONE_NUMBER_CASES,
+                         ids=[f"{spec}-{r}-{t}" for spec, r, t, _ in ONE_NUMBER_CASES])
+def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t, operands):
     # The color sum and the prefactor are one packed product, unpacked once
-    # and reduced modulo Phi_r once into the record's one number.  Only the
-    # central power E^(n-2) of n >= 4 legs is a product of its own.
+    # and reduced modulo Phi_r once into the record's one number.  The
+    # record's Gauss sums collapse into an integer and at most one Gauss
+    # vector, so the product takes W, E (E twice when H = 0) and that vector
+    # only when its conductor m* is above 1: "operands".  Only the central
+    # power E^(n-2) of n >= 4 legs is a product of its own, of n - 2 operands.
     M = manifold(spec)
     counts = _count_cyclotomic_calls(monkeypatch)
     xi_closed_form(M, r, t)
+    central = M.n - 2 if M.n >= 4 else 0
     assert counts == {"init": 0, "raw": 1, "mul": 0, "reduce": 1,
-                      "unpack": 1 + (M.n >= 4)}
+                      "pack": operands + central, "unpack": 1 + (M.n >= 4)}
 
 
 @pytest.mark.parametrize(
@@ -747,11 +801,13 @@ def test_formula_keeps_the_digests_at_the_highest_levels(pin):
 
 def test_all_coprime_and_trefoil_build_one_cyclotomic_number(monkeypatch):
     # Two records, one unpack each: the all-coprime restatement sums its
-    # colors and its central power E^2 without packing.
+    # colors and its central power E^2 without packing, and packs them with
+    # E and conj(g_r); the trefoil's closed form packs E twice.
     counts = _count_cyclotomic_calls(monkeypatch)
     xi_all_coprime(manifold("X(2/1,3/1,5/1,7/1)"), 13)
     tref_xi_closed(11, 3)
-    assert counts == {"init": 0, "raw": 2, "mul": 0, "reduce": 2, "unpack": 2}
+    assert counts == {"init": 0, "raw": 2, "mul": 0, "reduce": 2, "pack": 5,
+                      "unpack": 2}
 
 
 def _integral_candidates(r: int):
