@@ -49,21 +49,24 @@ from .wrt import (
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
-# The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), a
-# closed-form record of X(2,3,7) took 0.009 s and 16 MB at r = 4001, 0.04 s
-# at 10007 and 0.11 s and 23 MB at 19997, about r^1.3, and one of X(-2,3,6)
-# (H = 0, whose product takes E twice) 0.017 s at 4001.  At a composite level
-# the one reduction modulo Phi_r weighs more: X(2,3,7) took 0.20 s at 3999,
-# 0.19 s of it in the reduction, and 3.5 s at 20001, 3.4 s of it in the
-# reduction.  The level was set when the formula summed its colors one by
-# one, at about r^2 in time and memory (X(2,3,7) took 0.7-0.9 s and 80 MB at
-# 4001 and 24 s and 1.56 GB at 20001); it is kept, so that the same requests
-# are refused.
+# The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), the
+# second closed-form record of X(2,3,7) in a process took 0.005 s and 16 MB
+# at r = 4001, 0.012 s at 10007 and 0.027 s and 21 MB at 19997, about r^1.1,
+# and one of X(-2,3,6) (H = 0, which multiplies by E twice) 0.004 s at 4001.
+# At a composite level the one reduction modulo Phi_r weighs most: X(2,3,7)
+# took 0.24 s at 3999, 0.23 s of it in the reduction, and 4.5 s at 20001,
+# 4.48 s of it in the reduction.  The level was set when the formula summed
+# its colors one by one, at about r^2 in time and memory (X(2,3,7) took
+# 0.7-0.9 s and 80 MB at 4001 and 24 s and 1.56 GB at 20001); it is kept, so
+# that the same requests are refused.
 MAX_LEVEL = 4001
-# The most legs of a manifold.  A CLI call for one record of n legs of 2 took
-# 0.16, 0.8 and 2.1 s at r = 31, 101 and 151 for n = 64, and 0.35, 5.9 and
-# 14 s for n = 128 (same machine): the closed formula's time grows about as
-# n^2.8 there.
+# The most legs of a manifold.  When the formula summed its colors one by one,
+# a CLI call for one record of n legs of 2 took 0.16, 0.8 and 2.1 s at r = 31,
+# 101 and 151 for n = 64, and 0.35, 5.9 and 14 s for n = 128, about n^2.8.
+# With E multiplied by running sums, the second such record in a process took
+# 1.7, 4.2 and 3.6 ms for n = 64 and 3.5, 5.9 and 9.0 ms for n = 128
+# (in-process, same machine).  The ceiling is kept, so that the same requests
+# are refused.
 MAX_LEGS = 64
 # The highest estimated cost n^3 r^2 of one closed-form record of n legs at
 # level r, which bounds legs and level jointly.  It was fitted when the
@@ -72,13 +75,15 @@ MAX_LEGS = 64
 # (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10), 8.8 s
 # at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10), and 16 legs at
 # r = 4001 (2.6e11) 42 s, about n^2.2 r^1.9.  With the colors summed by
-# completing the square and a record's Gauss sums multiplied in closed form,
-# the same records took 0.010, 0.20, 0.18, 0.69, 1.1 and 0.73 s, 16 legs at
-# 4001 2.2 s, and 8 legs of 3 at 3999 (cost 8.2e9) 0.50 s, 0.2-0.3 s of it in
-# the reduction modulo Phi_r (same machine): beyond three legs the central
-# power E^(n-2) and the legs' rotations weigh most.  The ceiling is kept, so
-# that the same requests are refused: every manifold of at most 8 legs runs
-# at MAX_LEVEL.
+# completing the square, the Gauss sums multiplied in closed form and E
+# multiplied by running sums, the second such record in a process took
+# 0.005, 0.018, 0.023, 0.085, 0.022 and 0.008 s, 16 legs at 4001 0.028 s,
+# 64 legs at 4001 0.16 s, and 8 legs of 3 at 3999 (cost 8.2e9) 0.33 s (same
+# machine).  What is left grows about linearly in n; the reduction modulo
+# Phi_r, which depends on the factors of r, weighs most at composite levels
+# (0.31 of the 0.33 s at 3999, 0.075 of the 0.085 s at 2001).  The ceiling
+# is kept, so that the same requests are refused: every manifold of at most
+# 8 legs runs at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle

@@ -9,11 +9,13 @@ Dedekind sums (no continued fraction is expanded).  The sum is not walked
 color by color: completing the square on each class of colors modulo
 ``lcm(c_k)`` makes it one vector times one Gauss sum.  By Gauss's evaluation
 a record's Gauss sums multiply, in closed form, to an integer times at most
-one Gauss sum, so a record is one product in the group ring ``Z[C_r]`` of
-:mod:`seifertwrt.cyclotomic` with at most one Gauss-sum operand.  On
-top of it sit the normalizations ``tau'_r`` and ``Theta_r``, a numerical
-evaluator in the shape of Rozansky's residue formula for cross-checks
-(mpmath only, at 30 digits by default), and the
+one Gauss sum.  The central vertex's ``E`` (:func:`_central_inverse`) is a
+ramp along the powers of ``x^(4t)``, so multiplying by it is one pass of
+running sums in the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`
+(:func:`_times_central`): a record takes a packed product only for a Gauss
+sum of conductor above 1.  On top of it sit the normalizations ``tau'_r``
+and ``Theta_r``, a numerical evaluator in the shape of Rozansky's residue
+formula for cross-checks (mpmath only, at 30 digits by default), and the
 circle-bundle-over-the-trefoil-family closed form.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -127,6 +130,38 @@ def _central_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
+def _times_central(vec: list[int], t: int) -> list[int]:
+    """``vec * E`` in ``Z[C_r]`` exactly, for ``E`` of :func:`_central_inverse`
+    at ``(r, t)`` (``r = len(vec)``), by running sums and no product.
+
+    ``E = x^(2t) sum_k k w^k`` with ``w = x^(4t)``, which generates ``C_r``.
+    Read ``x^(2t) vec`` along the powers of ``w``: ``u_a`` is its coefficient
+    of ``w^a``, that is ``vec[4ta - 2t]``.  The product's coefficient of
+    ``w^a`` is ``T_a = sum_k k u_(a-k)``, and ``T_(a+1) = T_a + sum(u) -
+    r u_(a+1)``: every term moves one step up the ramp, and the one that
+    leaves its top ``k = r - 1`` comes back at ``k = 0``.  The start
+    ``T_0 = sum_(b>0) (r - b) u_b`` is the sum of the prefix sums
+    ``u_1 + ... + u_a`` over ``a < r``.  One pass of ``O(r)`` additions and
+    products by ``r``.
+    """
+    r = len(vec)
+    if not any(vec):  # a color sum that vanishes in Z[C_r]
+        return [0] * r
+    step, lift = 4 * t % r, 2 * t % r
+    if step == 1:  # t = 1/4, as in tau': w = x, and u is vec rotated
+        u = vec[-lift:] + vec[:-lift]
+    else:
+        u = [vec[i % r] for i in range(-lift, step * r - lift, step)]
+    total = sum(u)
+    moves = [total - r * c for c in u]
+    moves[0] = sum(accumulate(u[1:]))
+    ramp = list(accumulate(moves))  # T_a, the coefficient of x^(4ta)
+    if step == 1:
+        return ramp
+    back = pow(step, -1, r)
+    return [ramp[i % r] for i in range(0, back * r, back)]
+
+
 def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
     """The central power ``D`` of an ``n``-leg color sum and its denominator.
 
@@ -134,17 +169,22 @@ def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
     ``j != 0 (mod r)``: ``D`` is the polynomial ``(x^(2t) - x^(-2t))^(2-n)``
     for ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3``, where
     ``central`` is ``E`` at ``(r, t)`` (:func:`_central_inverse`;
-    ``r = len(central)``).
+    ``r = len(central)``), taken by ``n - 3`` passes of
+    :func:`_times_central`.
     """
     r = len(central)
     if n > 2:
-        base, power, den = central, n - 2, r ** (n - 2)
-    else:
-        base, power, den = _binomial(r, 2 * t), 2 - n, 1
-    if power > 1:
-        return _ring_mul(*[base] * power), den
-    # one factor or none: no product to take
-    return (base if power else [1] + [0] * (r - 1)), den
+        power = central
+        for _ in range(n - 3):
+            power = _times_central(power, t)
+        return power, r ** (n - 2)
+    if n == 2:
+        return [1] + [0] * (r - 1), 1
+    power = _binomial(r, 2 * t)
+    if n == 0:  # its square: the binomial times x^(2t) less x^(-2t)
+        k = 2 * t % r
+        power = [u - v for u, v in zip(power[-k:] + power[:-k], power[k:] + power[:k])]
+    return power, 1
 
 
 def _color_sum(
@@ -300,13 +340,14 @@ def xi_closed_form(
     ``H != 0`` and ``G(t; c)`` of each leg with ``c > 1``; by Gauss's
     evaluation their product is an integer ``k`` times one Gauss sum
     ``G(1; m*)``, where ``m*`` is squarefree and divides ``r``
-    (:func:`_gauss_product`).  The record is then one product ``W * E``
-    (``W * E * E`` when ``H = 0``), times ``G(1; m*)`` only when
-    ``m* > 1``, rotated by the record's root of unity and reduced modulo
-    ``Phi_r`` once, for every record: legs sharing a factor with ``r``,
-    ``gcd(H, r) > 1`` and ``H = 0`` included.  When ``gcd(r, P*H) = 1``
-    the factors are ``G(-t; r)`` and ``G(a; r)``, so ``m* = 1`` and the
-    Gauss sums are the integer ``(a t / r) r``.
+    (:func:`_gauss_product`).  The record is then ``W * E`` (``W * E * E``
+    when ``H = 0``), each factor ``E`` one pass of running sums
+    (:func:`_times_central`), times ``G(1; m*)`` by one packed product only
+    when ``m* > 1``, rotated by the record's root of unity and reduced
+    modulo ``Phi_r`` once, for every record: legs sharing a factor with
+    ``r``, ``gcd(H, r) > 1`` and ``H = 0`` included.  When
+    ``gcd(r, P*H) = 1`` the factors are ``G(-t; r)`` and ``G(a; r)``, so
+    ``m* = 1`` and the Gauss sums are the integer ``(a t / r) r``.
     """
     t = _check_level(r, t)
     tops = top_invariants(M)
@@ -328,16 +369,17 @@ def xi_closed_form(
     # and the Gauss sum G(t; c) of each leg with c > 1.
     central = _central_inverse(r, t)  # E, for the prefactor and the color sum
     W, den, factor = _color_sum(central, t, legs)
+    W = _times_central(W, t)
     factors = [factor] + [(t, leg.c) for leg in legs]
     if tops.sign_H_abs:
-        parts, sign, den = [central], -1, 2 * r * r * den
+        sign, den = -1, 2 * r * r * den
         factors.append((-t, r))
     else:
-        parts, sign, den = [central, central], 1, r * r * den
+        W, sign, den = _times_central(W, t), 1, r * r * den
     k, m_star = _gauss_product(r, factors)
     if m_star > 1:
-        parts.append(_gauss_vector(r, m_star))
-    return _reduced(r, _ring_mul(W, *parts), t * exponent, sign * k * scalar, den)
+        W = _ring_mul(W, _gauss_vector(r, m_star))
+    return _reduced(r, W, t * exponent, sign * k * scalar, den)
 
 
 class InvariantResult(NamedTuple):

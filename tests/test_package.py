@@ -120,6 +120,21 @@ def test_closed_formula_uses_no_packed_layout():
     assert imported & GROUP_RING_HELPERS == {"_binomial", "_gauss_vector", "_ring_mul"}
 
 
+def test_trefoil_closed_form_keeps_the_packed_product():
+    # The general formula multiplies by E through running sums
+    # (``_times_central``); the trefoil's closed form takes its E * E as a
+    # packed product, so ``closed_matches_general`` compares the two.
+    tree = ast.parse((SRC / "wrt.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(functions["tref_xi_closed"])
+              if isinstance(node, ast.Call)}
+    assert "_times_central" in functions
+    assert "_ring_mul" in called
+    assert "_times_central" not in called
+
+
 def test_cli_start_up_imports_no_rarely_used_module():
     # ``import seifertwrt.cli`` and ``build_parser()`` are what every
     # invocation pays before its first record.  ``-S`` keeps ``site`` from

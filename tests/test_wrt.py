@@ -37,9 +37,11 @@ from seifertwrt.wrt import (
     HypothesisViolated,
     InvariantResult,
     _central_inverse,
+    _central_power,
     _color_sum,
     _gauss_product,
     _theta_is_integral,
+    _times_central,
     leg_data,
     tau_prime,
     tau_rozansky_numeric,
@@ -556,6 +558,40 @@ def test_ring_mul_at_slot_bounds(r, fill_a, fill_b):
 
 
 @st.composite
+def _ramp_cases(draw):
+    """``(r, t, vec)``: an odd level up to 151, prime powers and composites
+    among them, any unit ``t``, and the zero vector, a single monomial or a
+    dense vector with coefficients up to ``2^200``."""
+    r = draw(st.one_of(
+        st.sampled_from([9, 15, 21, 25, 27, 45, 63, 75, 105, 125]),
+        st.integers(1, 75).map(lambda k: 2 * k + 1)))
+    t = draw(st.sampled_from([u for u in range(1, r) if gcd(u, r) == 1]))
+    coeff = st.integers(-(2**200), 2**200)
+    monomial = st.tuples(st.integers(0, r - 1), coeff).map(
+        lambda ic: [ic[1] if i == ic[0] else 0 for i in range(r)])
+    dense = st.lists(coeff, min_size=r, max_size=r)
+    return r, t, draw(st.one_of(st.just([0] * r), monomial, dense))
+
+
+@given(_ramp_cases())
+@settings(deadline=None, max_examples=200)
+def test_running_sums_multiply_by_central_inverse(case):
+    # vec * E by the running sums along w = x^(4t) is the packed product in
+    # Z[C_r] itself, with no reduction modulo Phi_r.
+    r, t, vec = case
+    assert _times_central(vec, t) == _ring_mul(vec, _central_inverse(r, t))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("r", [3, 9, 25, 31, 45, 105])
+def test_central_power_by_passes_equals_packed_power(r, n):
+    # n - 3 passes of the running sums on E are E^(n-2) as one packed product.
+    for t in sorted({1, 2, r - 1, mod_inverse(4, r)}):
+        E = _central_inverse(r, t)
+        assert _central_power(E, t, n) == (_ring_mul(*[E] * (n - 2)), r ** (n - 2))
+
+
+@st.composite
 def _color_sums_with_parts(draw):
     """``(r, t, legs, parts)``: :class:`LegData` of 1 to 6 legs with star
     shifts at an odd level ``r`` up to 75, composite ones among them, and
@@ -730,35 +766,45 @@ def _count_cyclotomic_calls(monkeypatch) -> dict[str, int]:
     return counts
 
 
-# (spec, r, t, operands of the record's one product)
+# (spec, r, t, m*: the conductor of the record's one Gauss sum)
 ONE_NUMBER_CASES = [
-    ("X(5/2,-5/3,6/1,-7/2)", 61, 1, 2),
-    ("X(2/1,-2/1,3/1,-3/1)", 45, 2, 3),  # H = 0, non-unit colors
-    ("X(6/1,5/4)", 9, 1, 2),  # a leg with c = 3
-    ("X(3/1)", 7, 3, 2),
-    ("X(2/1,3/1,7/1)", 31, 1, 2),
+    ("X(5/2,-5/3,6/1,-7/2)", 61, 1, 1),
+    ("X(2/1,-2/1,3/1,-3/1)", 45, 2, 1),  # H = 0, non-unit colors
+    ("X(6/1,5/4)", 9, 1, 1),  # a leg with c = 3
+    ("X(3/1)", 7, 3, 1),
+    ("X(2/1,3/1,7/1)", 31, 1, 1),
     ("X(2/1,3/1,5/1,7/1,9/2)", 15, 2, 3),  # Gauss sums of conductor 3
-    ("X(2/1,3/1,7/1)", 21, 1, 2),  # legs with c = 3 and 7
-    ("X(2/1,3/1,5/1)", 49, 1, 2),  # composite level, every leg coprime
-    ("X(-2/1,3/1,6/1)", 15, 2, 3),  # H = 0 and a leg with c = 3
+    ("X(2/1,3/1,7/1)", 21, 1, 1),  # legs with c = 3 and 7
+    ("X(2/1,3/1,5/1)", 49, 1, 1),  # composite level, every leg coprime
+    ("X(-2/1,3/1,6/1)", 15, 2, 1),  # H = 0 and a leg with c = 3
+    ("X(2/1,3/1,5/1,7/1,-2/1,3/2)", 15, 1, 3),  # six legs: E^4 by three passes
+    ("X(2/1,-2/1,3/1,-3/1,5/1,-5/1)", 13, 1, 1),  # six legs, H = 0
 ]
 
 
-@pytest.mark.parametrize("spec,r,t,operands", ONE_NUMBER_CASES,
+@pytest.mark.parametrize("spec,r,t,m_star", ONE_NUMBER_CASES,
                          ids=[f"{spec}-{r}-{t}" for spec, r, t, _ in ONE_NUMBER_CASES])
-def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t, operands):
-    # The color sum and the prefactor are one packed product, unpacked once
-    # and reduced modulo Phi_r once into the record's one number.  The
-    # record's Gauss sums collapse into an integer and at most one Gauss
-    # vector, so the product takes W, E (E twice when H = 0) and that vector
-    # only when its conductor m* is above 1: "operands".  Only the central
-    # power E^(n-2) of n >= 4 legs is a product of its own, of n - 2 operands.
-    M = manifold(spec)
+def test_closed_form_builds_one_cyclotomic_number(monkeypatch, spec, r, t, m_star):
+    # The record is one vector of Z[C_r], reduced modulo Phi_r once into the
+    # record's one number.  The central power E^(n-2) and the prefactor's E
+    # (E twice when H = 0) are running sums (wrt._times_central), not packed
+    # products.  The record's Gauss sums collapse into an integer and one
+    # Gauss sum G(1; m*): only when m* > 1 is that vector a packed product,
+    # of two operands, unpacked once.
+    m_stars = []
+
+    def gauss_product(r, factors):
+        k, m = _gauss_product(r, factors)
+        m_stars.append(m)
+        return k, m
+
+    monkeypatch.setattr(wrt, "_gauss_product", gauss_product)
     counts = _count_cyclotomic_calls(monkeypatch)
-    xi_closed_form(M, r, t)
-    central = M.n - 2 if M.n >= 4 else 0
+    xi_closed_form(manifold(spec), r, t)
+    assert m_stars == [m_star]
+    products = 1 if m_star > 1 else 0
     assert counts == {"init": 0, "raw": 1, "mul": 0, "reduce": 1,
-                      "pack": operands + central, "unpack": 1 + (M.n >= 4)}
+                      "pack": 2 * products, "unpack": products}
 
 
 @pytest.mark.parametrize(
