@@ -53,9 +53,10 @@ MAX_PRECISION = 1000  # the most --precision digits
 # second closed-form record of X(2,3,7) in a process took 0.005 s and 16 MB
 # at r = 4001, 0.012 s at 10007 and 0.027 s and 21 MB at 19997, about r^1.1,
 # and one of X(-2,3,6) (H = 0, which multiplies by E twice) 0.004 s at 4001.
-# At a composite level the one reduction modulo Phi_r weighs most: X(2,3,7)
-# took 0.24 s at 3999, 0.23 s of it in the reduction, and 4.5 s at 20001,
-# 4.48 s of it in the reduction.  The level was set when the formula summed
+# The reduction modulo Phi_r, a long division until it went through the
+# binomial factors of x^r - 1, took 0.23 of 0.24 s at 3999 and 4.48 of 4.5 s
+# at 20001; now X(2,3,7) takes 0.006 s at 3999 (0.002 s in the reduction)
+# and 0.032 s at 20001 (0.013 s).  The level was set when the formula summed
 # its colors one by one, at about r^2 in time and memory (X(2,3,7) took
 # 0.7-0.9 s and 80 MB at 4001 and 24 s and 1.56 GB at 20001); it is kept, so
 # that the same requests are refused.
@@ -79,11 +80,14 @@ MAX_LEGS = 64
 # multiplied by running sums, the second such record in a process took
 # 0.005, 0.018, 0.023, 0.085, 0.022 and 0.008 s, 16 legs at 4001 0.028 s,
 # 64 legs at 4001 0.16 s, and 8 legs of 3 at 3999 (cost 8.2e9) 0.33 s (same
-# machine).  What is left grows about linearly in n; the reduction modulo
-# Phi_r, which depends on the factors of r, weighs most at composite levels
-# (0.31 of the 0.33 s at 3999, 0.075 of the 0.085 s at 2001).  The ceiling
-# is kept, so that the same requests are refused: every manifold of at most
-# 8 legs runs at MAX_LEVEL.
+# machine).  The reduction modulo Phi_r then weighed most at composite levels
+# (0.31 of the 0.33 s at 3999, 0.075 of the 0.085 s at 2001).  Through the
+# binomial factors of x^r - 1 it takes 2^(k+1) - 2 passes of O(r) for k
+# primes of r: the same records took 0.003, 0.009, 0.005, 0.011, 0.011 and
+# 0.008 s, 16 legs at 4001 0.020 s, 64 legs at 4001 0.11 s, and 8 legs of 3
+# at 3999 0.015 s, 0.003 s of it in the reduction.  What is left grows about
+# linearly in n.  The ceiling is kept, so that the same requests are
+# refused: every manifold of at most 8 legs runs at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle

@@ -6,6 +6,10 @@ reduced modulo the r-th cyclotomic polynomial.  All arithmetic (including
 inversion and Galois twists) is exact; a numerical embedding into C is
 available at float or arbitrary mpmath precision for cross-checks only.  Both
 routes build their vectors of ``Z[C_r] = Z[x]/(x^r - 1)`` here, products too.
+``Phi_r`` is described once, by Moebius inversion, as the binomials
+``x^d - 1`` of the divisors ``d`` of ``r`` (:func:`_binomial_factors`): a
+vector is reduced by multiplying and dividing by them, each step one pass of
+``O(r)`` (:func:`_reduce_int_vector`), with no long division.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from itertools import accumulate
+from math import gcd, lcm, prod
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
-from .numtheory import NonInvertible, mod_inverse
+from .numtheory import NonInvertible, mod_inverse, prime_factors
 
 Rational = int | Fraction
 
@@ -42,50 +48,27 @@ class NotADivisor(ValueError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient of ``n >= 1`` by trial-division factorization."""
+    """Euler's totient of ``n >= 1``, from its primes (:func:`prime_factors`)."""
     if n < 1:
         raise InvalidLevel(f"totient needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    primes = prime_factors(n)
+    return n // prod(primes) * prod(p - 1 for p in primes)
 
 
-def _divmod_monic(
-    num: Sequence[int], den: Sequence[int], terms: Sequence[tuple[int, int]] = ()
-) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomial ``num`` by a monic ``den``.
+@lru_cache(maxsize=None)
+def _binomial_factors(r: int) -> tuple[list[int], list[int]]:
+    """The ``d | r`` of ``Phi_r = prod_(d | r) (x^d - 1)^mu(r/d)``, by sign.
 
-    Coefficient lists are low-degree first; the remainder is padded to
-    ``len(den) - 1`` entries.  Each step subtracts a multiple of ``den`` at its
-    nonzero coefficients only: the pairs ``(i, den[i])`` with ``i < deg`` and
-    ``den[i] != 0``, which ``terms`` may hold ready.
+    Returns ``(minus, plus)``: the ``d`` with ``mu(r/d) = -1``, largest
+    first, and those with ``mu(r/d) = +1`` and ``d < r``.  So
+    ``Psi = (x^r - 1)/Phi_r`` is the product of ``x^d - 1`` over ``minus``
+    divided by the product over ``plus``.  Only the ``d = r/s`` with ``s``
+    squarefree count.  ``minus`` is empty only at ``r = 1``.
     """
-    deg = len(den) - 1
-    work = list(num) + [0] * (deg - len(num))
-    terms = terms or _nonzero_terms(den)
-    quotient = [0] * (len(work) - deg)
-    for k in range(len(work) - deg - 1, -1, -1):
-        c = work[k + deg]
-        if c:
-            quotient[k] = c
-            for i, d in terms:
-                work[k + i] -= c * d
-    return quotient, work[:deg]
-
-
-def _nonzero_terms(den: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The pairs ``(i, den[i])`` of a monic ``den`` below its leading term
-    with ``den[i] != 0``."""
-    return tuple((i, d) for i, d in enumerate(den[:-1]) if d)
+    signed = [(r, 1)]
+    for p in prime_factors(r):
+        signed += [(d // p, -mu) for d, mu in signed]
+    return [d for d, mu in signed if mu < 0], [d for d, mu in signed[1:] if mu > 0]
 
 
 @lru_cache(maxsize=None)
@@ -95,21 +78,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise InvalidLevel(f"cyclotomic polynomial needs n >= 1, got {n}")
     if n == 1:
         return (-1, 1)
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, exactly.
-    quotient = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            quotient, remainder = _divmod_monic(quotient, cyclotomic_polynomial(d))
-            if any(remainder):
-                raise ValueError("division left a nonzero remainder")
-    return tuple(quotient)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """``Phi_n``'s nonzero coefficients below its leading one, as the pairs
-    ``(i, coefficient)`` that :func:`_divmod_monic` subtracts."""
-    return _nonzero_terms(cyclotomic_polynomial(n))
+    # Phi_n is monic of degree phi, so it is x^phi less x^phi mod Phi_n.
+    phi = euler_phi(n)
+    return tuple(-c for c in _reduce_int_vector(n, [0] * phi + [1])) + (1,)
 
 
 def _check_level(r: int, t: int | None = 1) -> int:
@@ -124,8 +95,53 @@ def _check_level(r: int, t: int | None = 1) -> int:
 
 
 def _reduce_int_vector(r: int, vec: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``."""
-    return _divmod_monic(vec, cyclotomic_polynomial(r), _cyclotomic_terms(r))[1]
+    """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``.
+
+    ``R = vec mod Phi_r`` has degree below ``phi``, so ``R * Psi`` with
+    ``Psi = (x^r - 1)/Phi_r`` has degree below ``r``, and it is
+    ``vec * Psi`` modulo ``x^r - 1``.  So ``vec`` is multiplied by ``Psi``,
+    folded into ``Z[C_r]``, and divided by ``Psi`` exactly.  ``Psi`` is a
+    quotient of binomials (:func:`_binomial_factors`), each taken as
+    ``1 - x^d`` (the signs cancel): every step is one pass over the vector.
+    The largest ``d = r/p`` of ``minus`` is not multiplied and divided: for
+    any ``u`` of ``Z[C_r]`` the product ``u (1 - x^d)`` folds to a multiple
+    of ``1 - x^d``, and the quotient is ``u_i - u_(r - d + i mod d)`` for
+    ``i < r - d``.  At a prime power ``r`` that is all there is.
+    """
+    (top, *minus), plus = _binomial_factors(r)
+    for d in minus:
+        vec = _times_binomial(vec, d)
+    for d in plus:
+        vec = _over_binomial(vec, d)
+    vec = _cyclic(vec, r)
+    vec = list(map(sub, vec[: r - top], vec[r - top :] * (r // top - 1)))
+    for d in plus:
+        vec = _times_binomial(vec, d)
+    for d in minus:
+        vec = _over_binomial(vec, d)
+    return vec
+
+
+def _times_binomial(vec: list[int], d: int) -> list[int]:
+    """The polynomial ``vec * (1 - x^d)``, ``d`` entries longer."""
+    return list(map(sub, vec + [0] * d, [0] * d + vec))
+
+
+def _over_binomial(vec: list[int], d: int) -> list[int]:
+    """The exact quotient ``vec / (1 - x^d)``, ``d`` entries shorter: the
+    running sums ``q_i = vec_i + q_(i-d)`` along each class modulo ``d``."""
+    out = vec[: len(vec) - d]
+    for c in range(d):
+        out[c::d] = accumulate(out[c::d])
+    return out
+
+
+def _cyclic(vec: list[int], r: int) -> list[int]:
+    """The polynomial ``vec`` modulo ``x^r - 1``: ``r`` entries."""
+    out = vec[:r] + [0] * (r - len(vec))
+    for k in range(r, len(vec), r):
+        out[: len(vec) - k] = map(add, out, vec[k : k + r])
+    return out
 
 
 class CyclotomicNumber:
@@ -146,15 +162,11 @@ class CyclotomicNumber:
             raise DivisionByZero("denominator must be nonzero")
         coeffs = list(coeffs)
         common = 1
-        if all(isinstance(c, int) for c in coeffs):
-            ints = _substitute(coeffs, 1, r)
-        else:
-            folded = _substitute([Fraction(c) for c in coeffs], 1, r)
-            for c in folded:
-                common = common * c.denominator // gcd(common, c.denominator)
-            ints = [int(c * common) for c in folded]
-        reduced = _reduce_int_vector(r, ints)
-        num, final_den = _normalize(reduced, den * common)
+        if not all(isinstance(c, int) for c in coeffs):
+            fracs = [Fraction(c) for c in coeffs]
+            common = lcm(*(c.denominator for c in fracs))
+            coeffs = [int(c * common) for c in fracs]
+        num, final_den = _normalize(_reduce_int_vector(r, coeffs), den * common)
         self.r = r
         self._num = num
         self._den = final_den

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 class NonInvertible(ValueError):
@@ -51,6 +51,17 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError as exc:
         raise NonInvertible(f"{a} is not invertible modulo {m}") from exc
+
+
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of ``n >= 1``, increasing, by trial division."""
+    if n == 1:
+        return ()
+    p = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)  # least prime
+    while n % p == 0:
+        n //= p
+    return (p,) + prime_factors(n)
 
 
 def jacobi(a: int, b: int) -> int:

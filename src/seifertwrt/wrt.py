@@ -37,7 +37,13 @@ from .cyclotomic import (
     _ring_mul,
     euler_phi,
 )
-from .numtheory import dedekind_integer, jacobi, mod_inverse, s_surd_residue
+from .numtheory import (
+    dedekind_integer,
+    jacobi,
+    mod_inverse,
+    prime_factors,
+    s_surd_residue,
+)
 from .seifert import SeifertData, b_counts_closed_form, top_invariants
 
 
@@ -122,12 +128,13 @@ def _central_inverse(r: int, t: int) -> list[int]:
     ``E = sum_k k * x^(2t(1+2k))``.  With ``w = x^(4t)`` this is
     ``x^(2t) * sum_k k w^k``, and ``sum_{k<r} k w^k = r / (w - 1)`` at every
     ``w != 1`` with ``w^r = 1``; so the identity holds at ``x = zeta^j`` for
-    every ``j != 0 (mod r)``, whether or not ``j`` is a unit.
+    every ``j != 0 (mod r)``, whether or not ``j`` is a unit.  The index
+    ``i = 2t(1 + 2k)`` holds ``k = (i - 2t) (4t)^-1 mod r``: a progression
+    of step ``(4t)^-1`` in ``i``.
     """
-    vec = [0] * r
-    for k in range(r):
-        vec[(2 * t * (1 + 2 * k)) % r] = k
-    return vec
+    step = pow(4 * t, -1, r)
+    start = -2 * t * step
+    return [k % r for k in range(start, start + step * r, step)]
 
 
 def _times_central(vec: list[int], t: int) -> list[int]:
@@ -293,20 +300,10 @@ def _gauss_product(r: int, factors) -> tuple[int, int]:
             M *= m
             k *= jacobi(x, m)
             e += m % 4 == 3
-    m_star, rest, prime = 1, r, 3
-    while rest > 1:  # the odd primes of r by trial division
-        if prime * prime > rest:
-            prime = rest
-        if rest % prime == 0:
-            while rest % prime == 0:
-                rest //= prime
-            odd, part = False, M
-            while part % prime == 0:
-                part //= prime
-                odd = not odd
-            if odd:
-                m_star *= prime
-        prime += 2
+    m_star = M  # every prime of M divides r: strip the squares
+    for prime in prime_factors(r):
+        while m_star % prime**2 == 0:
+            m_star //= prime**2
     e -= m_star % 4 == 3
     return (-1) ** (e // 2) * k * math.isqrt(M // m_star), m_star
 

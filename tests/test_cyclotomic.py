@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 import mpmath
 import pytest
@@ -17,7 +18,6 @@ from seifertwrt.cyclotomic import (
     LevelMismatch,
     NotADivisor,
     _binomial,
-    _divmod_monic,
     _gauss_vector,
     _pack,
     _reduce_int_vector,
@@ -106,6 +106,40 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
         assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n), n
 
 
+# The reference for the reduction: a long division by ``Phi_n``, which is
+# built recursively from ``x^n - 1``.  It shares no code with the package,
+# which reduces through the binomial factors of ``x^n - 1`` instead.
+def _divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomial ``num`` by a monic ``den``.
+
+    Coefficient lists are low-degree first; the remainder is padded to
+    ``len(den) - 1`` entries.  Each step subtracts a multiple of ``den`` at
+    its nonzero coefficients below the leading one.
+    """
+    deg = len(den) - 1
+    work = list(num) + [0] * (deg - len(num))
+    terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
+    quotient = [0] * (len(work) - deg)
+    for k in range(len(work) - deg - 1, -1, -1):
+        c = work[k + deg]
+        if c:
+            quotient[k] = c
+            for i, d in terms:
+                work[k + i] -= c * d
+    return quotient, work[:deg]
+
+
+@lru_cache(maxsize=None)
+def _reference_phi(n: int) -> tuple[int, ...]:
+    """``Phi_n``: ``x^n - 1`` divided by every ``Phi_d`` with ``d | n``, ``d < n``."""
+    quotient = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            quotient, remainder = _divmod_monic(quotient, list(_reference_phi(d)))
+            assert not any(remainder), (n, d)
+    return tuple(quotient)
+
+
 @given(
     st.lists(st.integers(-(2**70), 2**70), max_size=40),
     st.lists(st.integers(-5, 5), max_size=12).map(lambda low: low + [1]),
@@ -122,43 +156,38 @@ def test_divmod_monic_identity(num, den):
     assert back == num + [0] * (size - len(num))
 
 
-# A reference reducer that shares no code with ``_divmod_monic``: it never
-# divides, it adds multiples of precomputed rows ``x^k mod Phi_r``.
+def test_cyclotomic_polynomial_matches_the_recursive_reference():
+    for n in range(1, 316):
+        assert cyclotomic_polynomial(n) == _reference_phi(n), n
+
+
+# A reference reducer that does not divide: it folds ``x^r = 1``, then adds
+# multiples of precomputed rows ``x^k mod Phi_r``, built from ``_reference_phi``.
 @lru_cache(maxsize=None)
-def _reduction_rows(r: int) -> tuple[tuple[int, ...], ...]:
-    """Rows ``x^k mod Phi_r`` (basis coefficients, length phi) for k = phi .. 2r-4."""
-    phi = euler_phi(r)
-    top = [-c for c in cyclotomic_polynomial(r)[:phi]]  # x^phi in the basis
-    rows = [tuple(top)]
-    current = list(top)
-    for _ in range(phi + 1, 2 * r - 3):
-        shifted = [0] + current[: phi - 1]
-        lead = current[phi - 1]
-        if lead:
-            for i in range(phi):
-                shifted[i] += lead * top[i]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
+def _reduction_columns(r: int) -> tuple[tuple[int, ...], ...]:
+    """The rows ``x^k mod Phi_r`` for ``k = phi .. r-1``, by columns: column
+    ``i`` holds each row's coefficient of ``x^i``."""
+    phi_r = _reference_phi(r)
+    phi = len(phi_r) - 1
+    top = [-c for c in phi_r[:phi]]  # x^phi in the basis
+    rows = [top]
+    for _ in range(phi + 1, r):
+        lead = rows[-1][-1]
+        rows.append([a + lead * b for a, b in zip([0] + rows[-1][:-1], top)])
+    return tuple(zip(*rows))
 
 
 def _reference_reduce(r: int, vec: list[int]) -> list[int]:
     """Reduce an integer coefficient vector (power basis) modulo ``Phi_r``."""
-    phi = euler_phi(r)
-    if len(vec) <= phi:
-        return vec + [0] * (phi - len(vec))
-    rows = _reduction_rows(r)
-    out = vec[:phi] + [0] * (phi - min(phi, len(vec)))
-    for k in range(phi, len(vec)):
-        c = vec[k]
-        if c:
-            row = rows[k - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+    folded = [0] * r
+    for k, c in enumerate(vec):
+        folded[k % r] += c
+    columns = _reduction_columns(r)
+    high = folded[len(columns) :]
+    return [c + sum(map(mul, col, high)) for c, col in zip(folded, columns)]
 
 
-REDUCE_LEVELS = (3, 5, 9, 15, 21, 25, 27, 45, 61, 63, 101, 105)
+REDUCE_LEVELS = (3, 5, 9, 15, 21, 25, 27, 45, 61, 63, 101, 105, 1155, 3003)
 BIG = 2**600
 
 
@@ -175,8 +204,11 @@ def _vector(rng: random.Random, kind: str, n: int) -> list[int]:
 
 @pytest.mark.parametrize("r", REDUCE_LEVELS)
 def test_reduce_matches_row_table_at_every_length(r):
+    # Above 105, the lengths around phi, r and 2r - 3 stand for every length.
     rng = random.Random(r)
-    for n in range(2 * r - 2):
+    phi = euler_phi(r)
+    lengths = range(2 * r - 2) if r <= 105 else (0, 1, phi - 1, phi, r - 1, r, 2 * r - 3)
+    for n in lengths:
         for kind in ("dense", "sparse", "big"):
             vec = _vector(rng, kind, n)
             assert _reduce_int_vector(r, vec) == _reference_reduce(r, vec), (n, kind)
@@ -205,6 +237,35 @@ def _vectors(r: int):
 def test_reduce_matches_row_table(case):
     r, vec = case
     assert _reduce_int_vector(r, vec) == _reference_reduce(r, vec)
+
+
+def test_reduce_matches_row_table_at_3999():
+    # A level of three primes at the top of the range, dense and +-2^600.
+    rng = random.Random(3999)
+    for kind in ("dense", "big"):
+        vec = _vector(rng, kind, 3999)
+        assert _reduce_int_vector(3999, vec) == _reference_reduce(3999, vec), kind
+
+
+@pytest.mark.parametrize("r", [45, 105, 315, 1155])
+def test_reduce_keeps_the_value_at_every_sampled_primitive_root(r):
+    # No cyclotomic polynomial at all: a vector and its reduction are the
+    # same number at each primitive root zeta^u, in 60-digit arithmetic.
+    rng = random.Random(r)
+    units = [u for u in range(1, r) if gcd(u, r) == 1]
+    with mpmath.workdps(60):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k) / r) for k in range(r)]
+
+        def at(vec: list[int], u: int):
+            return mpmath.fsum(c * roots[u * k % r] for k, c in enumerate(vec) if c)
+
+        for kind in ("dense", "big"):
+            vec = _vector(rng, kind, r)
+            reduced = _reduce_int_vector(r, vec)
+            scale = sum(map(abs, vec)) + sum(map(abs, reduced))
+            for u in [1, r - 1] + rng.sample(units, 4):
+                assert abs(at(reduced, u) - at(vec, u)) < scale * mpmath.mpf(10) ** -50, (
+                    kind, u)
 
 
 def test_cyclotomic_imports_no_route_module():
@@ -274,6 +335,15 @@ def test_widen_matches_packing_at_the_wider_width(case, extra, turns):
     wider = width + extra
     value = _pack(vec, width) + turns * ((1 << 8 * width * r) - 1)
     assert _widen(value, r, width, wider) == _pack(vec, wider)
+
+
+@given(levels, st.lists(small_fracs, max_size=40))
+def test_constructor_is_the_sum_of_its_root_powers(r, coeffs):
+    # Rational coefficients over mixed denominators, folded past x^r = 1.
+    expected = CyclotomicNumber.zero(r)
+    for k, c in enumerate(coeffs):
+        expected = expected + root_power(r, k) * c
+    assert CyclotomicNumber(r, coeffs) == expected
 
 
 @given(levels, st.integers(-30, 30))

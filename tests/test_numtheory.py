@@ -18,6 +18,7 @@ from seifertwrt.numtheory import (
     good_expansion,
     jacobi,
     mod_inverse,
+    prime_factors,
     s_surd_residue,
     sign,
 )
@@ -318,3 +319,15 @@ def test_s_surd_residue_domain():
         s_surd_residue(3, 1, 4)
     with pytest.raises(NonInvertible):
         s_surd_residue(3, 1, 9)
+
+
+def test_prime_factors_match_a_sieve():
+    top = 5000
+    composite = [False] * (top + 1)
+    primes = []
+    for p in range(2, top + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = [True] * len(composite[p * p :: p])
+    for n in range(1, top + 1):
+        assert prime_factors(n) == tuple(p for p in primes if n % p == 0), n
