@@ -49,45 +49,22 @@ from .wrt import (
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
 MAX_PRECISION = 1000  # the most --precision digits
-# The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), the
-# second closed-form record of X(2,3,7) in a process took 0.005 s and 16 MB
-# at r = 4001, 0.012 s at 10007 and 0.027 s and 21 MB at 19997, about r^1.1,
-# and one of X(-2,3,6) (H = 0, which multiplies by E twice) 0.004 s at 4001.
-# The reduction modulo Phi_r, a long division until it went through the
-# binomial factors of x^r - 1, took 0.23 of 0.24 s at 3999 and 4.48 of 4.5 s
-# at 20001; now X(2,3,7) takes 0.006 s at 3999 (0.002 s in the reduction)
-# and 0.032 s at 20001 (0.013 s).  The level was set when the formula summed
-# its colors one by one, at about r^2 in time and memory (X(2,3,7) took
-# 0.7-0.9 s and 80 MB at 4001 and 24 s and 1.56 GB at 20001); it is kept, so
-# that the same requests are refused.
+# The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), a record
+# of X(2,3,7) (``_tau_record`` with no checks, after the level's first) took
+# 11 ms at r = 4001 and 13 ms at 3999.  The value is kept, so that the same
+# requests are refused.
 MAX_LEVEL = 4001
-# The most legs of a manifold.  When the formula summed its colors one by one,
-# a CLI call for one record of n legs of 2 took 0.16, 0.8 and 2.1 s at r = 31,
-# 101 and 151 for n = 64, and 0.35, 5.9 and 14 s for n = 128, about n^2.8.
-# With E multiplied by running sums, the second such record in a process took
-# 1.7, 4.2 and 3.6 ms for n = 64 and 3.5, 5.9 and 9.0 ms for n = 128
-# (in-process, same machine).  The ceiling is kept, so that the same requests
-# are refused.
+# The most legs of a manifold.  A record of 64 legs of 2 took 2.0, 4.9 and
+# 6.8 ms at r = 31, 101 and 151, and of 128 legs 4.2, 11 and 17 ms (same
+# machine and way).  The value is kept, so that the same requests are refused.
 MAX_LEGS = 64
 # The highest estimated cost n^3 r^2 of one closed-form record of n legs at
-# level r, which bounds legs and level jointly.  It was fitted when the
-# formula summed its colors one by one: in-process, a record of n legs of 2
-# took 0.66 s at n = 3 and r = 4001 (cost 4.3e8), 3.5 s at 8 and 4001
-# (8.2e9), 1.3 s at 16 and 1001 (4.1e9), 5.6 s at 16 and 2001 (1.6e10), 8.8 s
-# at 32 and 1001 (3.3e10) and 5.1 s at 64 and 301 (2.4e10), and 16 legs at
-# r = 4001 (2.6e11) 42 s, about n^2.2 r^1.9.  With the colors summed by
-# completing the square, the Gauss sums multiplied in closed form and E
-# multiplied by running sums, the second such record in a process took
-# 0.005, 0.018, 0.023, 0.085, 0.022 and 0.008 s, 16 legs at 4001 0.028 s,
-# 64 legs at 4001 0.16 s, and 8 legs of 3 at 3999 (cost 8.2e9) 0.33 s (same
-# machine).  The reduction modulo Phi_r then weighed most at composite levels
-# (0.31 of the 0.33 s at 3999, 0.075 of the 0.085 s at 2001).  Through the
-# binomial factors of x^r - 1 it takes 2^(k+1) - 2 passes of O(r) for k
-# primes of r: the same records took 0.003, 0.009, 0.005, 0.011, 0.011 and
-# 0.008 s, 16 legs at 4001 0.020 s, 64 legs at 4001 0.11 s, and 8 legs of 3
-# at 3999 0.015 s, 0.003 s of it in the reduction.  What is left grows about
-# linearly in n.  The ceiling is kept, so that the same requests are
-# refused: every manifold of at most 8 legs runs at MAX_LEVEL.
+# level r: a joint bound on legs and level.  A record of n legs of 2 at
+# r = 4001 took 11, 20, 36 and 198 ms for n = 3, 8, 16 and 64, and one of 8
+# legs of 3 took 29 ms at 3999; at the ceiling, 16 legs took 14 ms at 1561
+# and 64 legs 8.6 ms at 195 (same machine and way).  The value is kept, so
+# that the same requests are refused; every manifold of at most 8 legs runs
+# at MAX_LEVEL.
 MAX_RECORD_COST = 10**10
 # The highest sum of q_k + 1 over the legs p_k/q_k of a manifold: a bound on
 # the legs' size.  At r = 5, X(1/99999) took 4.5 ms and 5.0 ms with --oracle
@@ -196,12 +173,9 @@ def _judge(names, M, r, t, xi, budget=BRUTE_BUDGET) -> dict[str, bool | None]:
     return checks
 
 
-def _tau_record(M: SeifertData | ValueError, r: int, t: int | None,
+def _tau_record(M: SeifertData, r: int, t: int | None,
                 names: tuple[str, ...], precision: int | None) -> dict:
-    """The record of ``M`` at level ``r``; ``M`` may be the error its spec
-    raised when parsed, which is raised here, at the spec's first record."""
-    if isinstance(M, ValueError):
-        raise M
+    """The record of ``M`` at level ``r``, judged by the checks ``names``."""
     try:
         result = tau_prime(M, r, precision=precision, t=t)
         if not (isfinite(result.tau.real) and isfinite(result.tau.imag)):
@@ -211,25 +185,12 @@ def _tau_record(M: SeifertData | ValueError, r: int, t: int | None,
     return _record(result, _judge(names, M, r, result.t, result.xi))
 
 
-def _parsed(spec: str) -> SeifertData | ValueError:
-    """The manifold ``spec`` describes, or the error parsing it raised."""
-    try:
-        return parse_manifold(spec)
-    except ValueError as exc:
-        return exc
-
-
-def _within_ceilings(spec: str, M: SeifertData | ValueError, top: int) -> None:
+def _within_ceilings(spec: str, M: SeifertData, top: int) -> None:
     """Refuse the manifold ``M``, parsed from ``spec``, when it has more than
     ``MAX_LEGS`` legs, has legs ``p/q`` whose ``q + 1`` sum to more than
     ``MAX_DENOMINATOR_SUM``, or has a record at the highest level ``top``
     whose estimated cost is above ``MAX_RECORD_COST``.
-
-    A ``spec`` that does not parse passes: its first record raises the parse
-    error, in task order, as it would without the ceilings.
     """
-    if isinstance(M, ValueError):
-        return
     if M.n > MAX_LEGS:
         raise ValueError(f"{spec!r} has {M.n} legs, above the ceiling of "
                          f"{MAX_LEGS} legs")
@@ -352,7 +313,10 @@ def _parse_levels(args) -> list[int]:
         raise ValueError("no levels given: use --r and/or --r-range")
     for r in levels:
         _check_level(r)
-    return sorted(levels)
+    levels = sorted(levels)
+    for r in levels:  # t in the records' order: the lowest level is named
+        _check_level(r, args.t)
+    return levels
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
@@ -381,9 +345,10 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 def _cmd_tau(args) -> list[dict]:
     levels = _parse_levels(args)
-    manifolds = [_parsed(spec) for spec in args.manifolds]
-    for spec, M in zip(args.manifolds, manifolds):
-        _within_ceilings(spec, M, levels[-1])
+    manifolds = []
+    for spec in args.manifolds:  # the whole request is refused before a record
+        manifolds.append(parse_manifold(spec))
+        _within_ceilings(spec, manifolds[-1], levels[-1])
     names = tuple(dict.fromkeys(args.checks))
     tasks = [(M, r, args.t, names, args.precision)
              for M in manifolds for r in levels]
@@ -527,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tref = sub.add_parser("tref-table",
                             help="closed-form trefoil-surgery table")
     add_common(p_tref, manifolds=False)
+    p_tref.set_defaults(t=None)
 
     p_scan = sub.add_parser("integrality-scan",
                             help="algebraic-integrality check over levels")

@@ -5,6 +5,8 @@ combinatorial recursions.  These are the primitives the rest of the package
 is assembled from -- modular inverses, Jacobi symbols, Dedekind sums in
 integers, and the negative continued-fraction ("good") expansion of a
 rational, whose entries ``selftest`` reads as the reference plumbing's chains.
+No level is validated here: :func:`seifertwrt.cyclotomic._check_level` is
+the one level validator.
 """
 
 from __future__ import annotations
@@ -149,14 +151,3 @@ def good_expansion(p: int, q: int) -> tuple[int, ...]:
         b, a = a, m * a - b
     return tuple(ms)
 
-
-def s_surd_residue(p: int, q: int, r: int) -> int:
-    """The residue ``-12 s^surd(q, p) mod r`` entering the fibered-sum exponent.
-
-    Computed as ``-(12 p s(q, p)) * p^-1 (mod r)`` (:func:`dedekind_integer`).
-    Requires ``gcd(p, q) = gcd(p, r) = 1`` and odd ``r >= 3``.
-    """
-    if r < 3 or r % 2 == 0:
-        raise InvalidModulus(f"level must be odd and >= 3, got {r}")
-    p_prime = mod_inverse(p, r)
-    return -dedekind_integer(q, p) * p_prime % r

@@ -21,12 +21,12 @@ from .cyclotomic import (
     _binomial,
     _check_level,
     _fold,
+    _pack,
     _reduce_int_vector,
     _ring_mul,
     _rotate,
     _slot_width,
     _substitute,
-    _substitutions,
     _unpack,
     _widen,
     gauss_sum,
@@ -162,10 +162,9 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
                         * prod(2 * (r - 1) ** len(c) for c in chains))
     packed = {chain: [_widen(table.rows[j - 1], r, table.width, width) for j in colors]
               for chain, table in tables.items()}
-    at = _substitutions(central, width)
     total = 0
     for i, j in enumerate(colors):
-        value = at(j)
+        value = _pack(_substitute(central, j, r), width)
         for chain in chains:
             value = _fold(value * packed[chain][i], r, width)
         total += value

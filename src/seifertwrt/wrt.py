@@ -9,14 +9,16 @@ Dedekind sums (no continued fraction is expanded).  The sum is not walked
 color by color: completing the square on each class of colors modulo
 ``lcm(c_k)`` makes it one vector times one Gauss sum.  By Gauss's evaluation
 a record's Gauss sums multiply, in closed form, to an integer times at most
-one Gauss sum.  The central vertex's ``E`` (:func:`_central_inverse`) is a
-ramp along the powers of ``x^(4t)``, so multiplying by it is one pass of
-running sums in the group ring ``Z[C_r]`` of :mod:`seifertwrt.cyclotomic`
-(:func:`_times_central`): a record takes a packed product only for a Gauss
-sum of conductor above 1.  On top of it sit the normalizations ``tau'_r``
-and ``Theta_r``, a numerical evaluator in the shape of Rozansky's residue
-formula for cross-checks (mpmath only, at 30 digits by default), and the
-circle-bundle-over-the-trefoil-family closed form.
+one Gauss sum.  The central vertex's ``E``, built with every other central
+power by :func:`_central_power`, is a ramp along the powers of ``x^(4t)``,
+so multiplying by it is one pass of running sums in the group ring
+``Z[C_r]`` of :mod:`seifertwrt.cyclotomic` (:func:`_times_central`): a
+record takes a packed product only for a Gauss sum of conductor above 1.
+On top of it sit the normalizations ``tau'_r`` and ``Theta_r``, a numerical
+evaluator in the shape of Rozansky's residue formula for cross-checks
+(mpmath only, at 30 digits by default, reading each leg through the same
+integer ``12 p s(q, p)``), and the circle-bundle-over-the-trefoil-family
+closed form.
 """
 
 from __future__ import annotations
@@ -30,20 +32,13 @@ from typing import NamedTuple
 from .cyclotomic import (
     CyclotomicNumber,
     HypothesisViolated,
-    _binomial,
     _check_level,
     _gauss_vector,
     _reduce_int_vector,
     _ring_mul,
     euler_phi,
 )
-from .numtheory import (
-    dedekind_integer,
-    jacobi,
-    mod_inverse,
-    prime_factors,
-    s_surd_residue,
-)
+from .numtheory import dedekind_integer, jacobi, mod_inverse, prime_factors
 from .seifert import SeifertData, b_counts_closed_form, top_invariants
 
 
@@ -122,23 +117,8 @@ def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
     )
 
 
-def _central_inverse(r: int, t: int) -> list[int]:
-    """``E`` in ``Z[C_r]`` with ``E(zeta^j) = r / (zeta^(2tj) - zeta^(-2tj))``.
-
-    ``E = sum_k k * x^(2t(1+2k))``.  With ``w = x^(4t)`` this is
-    ``x^(2t) * sum_k k w^k``, and ``sum_{k<r} k w^k = r / (w - 1)`` at every
-    ``w != 1`` with ``w^r = 1``; so the identity holds at ``x = zeta^j`` for
-    every ``j != 0 (mod r)``, whether or not ``j`` is a unit.  The index
-    ``i = 2t(1 + 2k)`` holds ``k = (i - 2t) (4t)^-1 mod r``: a progression
-    of step ``(4t)^-1`` in ``i``.
-    """
-    step = pow(4 * t, -1, r)
-    start = -2 * t * step
-    return [k % r for k in range(start, start + step * r, step)]
-
-
 def _times_central(vec: list[int], t: int) -> list[int]:
-    """``vec * E`` in ``Z[C_r]`` exactly, for ``E`` of :func:`_central_inverse`
+    """``vec * E`` in ``Z[C_r]`` exactly, for ``E`` of :func:`_central_power`
     at ``(r, t)`` (``r = len(vec)``), by running sums and no product.
 
     ``E = x^(2t) sum_k k w^k`` with ``w = x^(4t)``, which generates ``C_r``.
@@ -169,43 +149,50 @@ def _times_central(vec: list[int], t: int) -> list[int]:
     return [ramp[i % r] for i in range(0, back * r, back)]
 
 
-def _central_power(central: list[int], t: int, n: int) -> tuple[list[int], int]:
+def _times_difference(vec: list[int], a: int) -> list[int]:
+    """``vec * (x^a - x^-a)`` in ``Z[C_r]`` (``r = len(vec)``): two rotations."""
+    k = a % len(vec)
+    return [u - v for u, v in zip(vec[-k:] + vec[:-k], vec[k:] + vec[:k])]
+
+
+def _central_power(r: int, t: int, n: int) -> tuple[list[int], int]:
     """The central power ``D`` of an ``n``-leg color sum and its denominator.
 
     ``D(zeta^j) = (zeta^(2tj) - zeta^(-2tj))^(2-n)`` at every color
     ``j != 0 (mod r)``: ``D`` is the polynomial ``(x^(2t) - x^(-2t))^(2-n)``
-    for ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3``, where
-    ``central`` is ``E`` at ``(r, t)`` (:func:`_central_inverse`;
-    ``r = len(central)``), taken by ``n - 3`` passes of
-    :func:`_times_central`.
+    for ``n <= 2``, and ``E^(n-2)`` over ``r^(n-2)`` for ``n >= 3``, taken
+    by ``n - 3`` passes of :func:`_times_central`.
+
+    ``E = sum_k k * x^(2t(1+2k))`` has ``E(zeta^j) = r / (zeta^(2tj) -
+    zeta^(-2tj))``.  With ``w = x^(4t)`` it is ``x^(2t) * sum_k k w^k``, and
+    ``sum_{k<r} k w^k = r / (w - 1)`` at every ``w != 1`` with ``w^r = 1``;
+    so the identity holds at ``x = zeta^j`` for every ``j != 0 (mod r)``,
+    whether or not ``j`` is a unit.  The index ``i = 2t(1 + 2k)`` holds
+    ``k = (i - 2t) (4t)^-1 mod r``: a progression of step ``(4t)^-1`` in
+    ``i``.
     """
-    r = len(central)
-    if n > 2:
-        power = central
-        for _ in range(n - 3):
-            power = _times_central(power, t)
-        return power, r ** (n - 2)
-    if n == 2:
-        return [1] + [0] * (r - 1), 1
-    power = _binomial(r, 2 * t)
-    if n == 0:  # its square: the binomial times x^(2t) less x^(-2t)
-        k = 2 * t % r
-        power = [u - v for u, v in zip(power[-k:] + power[:-k], power[k:] + power[:k])]
-    return power, 1
+    if n < 3:
+        power = [1] + [0] * (r - 1)
+        for _ in range(2 - n):
+            power = _times_difference(power, 2 * t)
+        return power, 1
+    step = pow(4 * t, -1, r)
+    start = -2 * t * step
+    power = [k % r for k in range(start, start + step * r, step)]  # E
+    for _ in range(n - 3):
+        power = _times_central(power, t)
+    return power, r ** (n - 2)
 
 
-def _color_sum(
-    central: list[int], t: int, legs
-) -> tuple[list[int], int, tuple[int, int]]:
+def _color_sum(r: int, t: int, legs) -> tuple[list[int], int, tuple[int, int]]:
     """``sum_{j=1}^{r-1} prod_k chi_k(j) * D(x^j)`` as ``(W, den, (x, m))``:
     the sum is ``W / den`` times the Gauss sum ``G(x; m)``
     (:func:`_gauss_vector` ``(r, m, x)``), with ``gcd(x, m) = 1`` and ``m | r``.
 
     ``chi_k(j)`` is the sum of :meth:`LegData.chi_terms` of ``legs[k]``, each
     pair ``(s, e)`` read as ``s * x^(t*e)``, and ``D``, ``den`` are
-    :func:`_central_power`'s (``central`` is ``E`` at ``(r, t)``;
-    ``r = len(central)``).  ``W`` times the Gauss sum equals the sum at every
-    primitive ``r``-th root ``x = zeta``, so modulo ``Phi_r``, not in
+    :func:`_central_power`'s.  ``W`` times the Gauss sum equals the sum at
+    every primitive ``r``-th root ``x = zeta``, so modulo ``Phi_r``, not in
     ``Z[C_r]`` itself.
 
     A leg with ``c = 1`` has both branches active, and at ``y = x^j`` its
@@ -232,8 +219,7 @@ def _color_sum(
     the caller, which multiplies it with the record's other Gauss sums in
     closed form (:func:`_gauss_product`).
     """
-    r = len(central)
-    F, den = _central_power(central, t, len(legs))
+    F, den = _central_power(r, t, len(legs))
     quad = const = 0  # the legs with c = 1 at rho: -quad rho^2 + const
     shared, L = [], 1
     for leg in legs:
@@ -242,8 +228,7 @@ def _color_sum(
             L = math.lcm(L, leg.c)
             continue
         b = leg.pc_prime * leg.q * leg.q_star + leg.p_star
-        k = 2 * t * b % r
-        F = [u - v for u, v in zip(F[-k:] + F[:-k], F[k:] + F[:k])]
+        F = _times_difference(F, 2 * t * b)
         quad += leg.pc_prime * leg.q
         const -= b * leg.q_star
     N = r // L
@@ -364,8 +349,7 @@ def xi_closed_form(
     # The prefactor is (E/r)^(2 - |sign H|), times (-2 g_r)^-1 = -conj(g_r)/(2r)
     # when H != 0 (|g_r|^2 = r for odd r; conj(g_r) at zeta^t is G(-t; r)),
     # and the Gauss sum G(t; c) of each leg with c > 1.
-    central = _central_inverse(r, t)  # E, for the prefactor and the color sum
-    W, den, factor = _color_sum(central, t, legs)
+    W, den, factor = _color_sum(r, t, legs)
     W = _times_central(W, t)
     factors = [factor] + [(t, leg.c) for leg in legs]
     if tops.sign_H_abs:
@@ -492,7 +476,9 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
         P_prime = mod_inverse(tops.P, r)
         two_prime = mod_inverse(2, r)
         four_prime = mod_inverse(4, r)
-        m12_total = sum(s_surd_residue(p, q, r) for p, q in M.legs)
+        # -12 s^surd(q, p) = -(12 p s(q, p)) p^-1 (mod r) of each leg
+        m12_total = sum(-dedekind_integer(q, p) * mod_inverse(p, r)
+                        for p, q in M.legs)
         s_hp = tops.sign_H_over_P
         eps_sq = 1 if r % 4 == 1 else -1
         angle = s_hp * (eps_sq + Fraction(3 * (r - 2), r))
@@ -536,5 +522,5 @@ def tref_xi_closed(r: int, t: int = 1) -> CyclotomicNumber:
         raise HypothesisViolated(f"closed trefoil form needs gcd(r, 3) = 1, got {r}")
     if r % 3 == 1:
         return CyclotomicNumber.zero(r)
-    central = _central_inverse(r, t)
-    return _reduced(r, _ring_mul(central, central), -4 * t, 2 * r, r * r)
+    E = _central_power(r, t, 3)[0]
+    return _reduced(r, _ring_mul(E, E), -4 * t, 2 * r, r * r)

@@ -228,26 +228,41 @@ def test_tau_jobs_match_serial(capsys, children_at_once):
         assert out1 == out2
 
 
+def plant_faults(monkeypatch, faulty) -> None:
+    """``cli.tau_prime`` raises a ``ValueError`` at the records ``(spec, r)``
+    of ``faulty``.  A request is validated before its first record, so this
+    is how an error reaches a record; forked children inherit the patch."""
+    planted = {(parse_manifold(spec), r) for spec, r in faulty}
+    original = cli.tau_prime
+
+    def tau_prime(M, r, **kwargs):
+        if (M, r) in planted:
+            raise ValueError(f"planted fault in {M} at r={r}")
+        return original(M, r, **kwargs)
+
+    monkeypatch.setattr(cli, "tau_prime", tau_prime)
+
+
 @pytest.mark.parametrize(
     "manifolds",
     [
-        ["X(4/2)", "X(2/1,3/1)", "X(5/2)"],
-        ["X(2/1,3/1)", "X(4/2)", "X(5/2)"],
-        ["X(2/1,3/1)", "X(5/2)", "X(4/2)"],
-        # Two bad entries: at --jobs 3 this process's share meets X(4/2)
-        # while a child's meets X(6/4), which comes first in task order.
-        ["X(2/1,3/1)", "X(6/4)", "X(5/2)", "X(4/2)"],
+        ["X(3/2)", "X(2/1,3/1)", "X(5/2)"],
+        ["X(2/1,3/1)", "X(3/2)", "X(5/2)"],
+        ["X(2/1,3/1)", "X(5/2)", "X(3/2)"],
+        # Two faults: at --jobs 3 this process's share meets X(3/2) while a
+        # child's meets X(7/4), which comes first in task order.
+        ["X(2/1,3/1)", "X(7/4)", "X(5/2)", "X(3/2)"],
     ],
 )
-def test_tau_jobs_error_parity(capsys, children_at_once, manifolds):
+def test_tau_jobs_error_parity(capsys, monkeypatch, children_at_once, manifolds):
+    plant_faults(monkeypatch, [("X(3/2)", 5), ("X(7/4)", 5)])
     results = {
         jobs: run_cli(capsys, "tau", *manifolds, "--r", "5", "--jobs", jobs)
         for jobs in ("1", "2", "3", "8")
     }
-    first_bad = next(m for m in manifolds if m in ("X(4/2)", "X(6/4)"))
+    first_bad = next(m for m in manifolds if m in ("X(3/2)", "X(7/4)"))
     serial = results["1"]
-    assert serial == (2, "", f"error: surgery coefficient {first_bad[2:-1]} "
-                             "is not reduced\n")
+    assert serial == (2, "", f"error: planted fault in {first_bad} at r=5\n")
     for jobs, result in results.items():
         assert result == serial, jobs
 
@@ -314,20 +329,26 @@ def test_tau_jobs_short_request_starts_no_process(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("manifolds", "children"),
+    ("faulty", "children"),
     [
-        (["X(2/1,3/1)", "X(5/2,-5/3,6/1)", "X(-2/1,3/1,6/1)"], 2),
-        # The error is in this process's share after the switch.
-        (["X(2/1,3/1)", "X(4/2)", "X(5/2)"], 2),
-        # The error is in the serial prefix: raised before any child starts.
-        (["X(4/2)", "X(2/1,3/1)", "X(5/2)"], 0),
+        ((), 2),
+        # The error is task 3, in this process's share after the switch.
+        ((("X(5/2,-5/3,6/1)", 5),), 2),
+        # The error is task 4, in a child's share.
+        ((("X(5/2,-5/3,6/1)", 7),), 2),
+        # The error is task 1, in the serial prefix: raised before any child
+        # starts.
+        ((("X(2/1,3/1)", 7),), 0),
     ],
 )
-def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, manifolds,
+def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, faulty,
                                              children):
     use_cpus(monkeypatch, 3)
-    argv = ["tau", *manifolds, "--r", "5,7,9", "--oracle", "--format", "json"]
+    plant_faults(monkeypatch, faulty)
+    argv = ["tau", "X(2/1,3/1)", "X(5/2,-5/3,6/1)", "X(-2/1,3/1,6/1)",
+            "--r", "5,7,9", "--oracle", "--format", "json"]
     serial = run_cli(capsys, *argv)
+    assert serial[0] == (2 if faulty else 0)
     # The request's start and the checks before tasks 0, 1 and 2 read 0 s;
     # the check before task 3 reads 1 s, so tasks 3..8 go to 3 shares.
     clock = itertools.chain(itertools.repeat(0.0, 4), itertools.repeat(1.0))
@@ -335,6 +356,29 @@ def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, manifolds,
     started = count_starts(monkeypatch)
     assert run_cli(capsys, *argv, "--jobs", "3") == serial
     assert len(started) == children
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("X(2/0)", "X(2/1,3/1,7/1)", "X(5/2)", "--r-range", "3:301"),
+         "surgery coefficient 2/0 has a zero entry"),
+        (("X(2/1,3/1,7/1)", "X(4/2)", "X(5/2)", "--r-range", "3:301"),
+         "surgery coefficient 4/2 is not reduced"),
+        (("X(2/1,3/1,7/1)", "X(5/2)", "garbage", "--r-range", "3:301"),
+         "cannot parse manifold 'garbage': expected X(p/q,...)"),
+        # 4001 is a unit at every level but the last.
+        (("X(2/1,3/1,7/1)", "--r-range", "3:4001", "--t", "4001"),
+         "evaluation parameter 4001 is not a unit mod 4001"),
+    ],
+)
+def test_request_is_refused_before_its_first_record(capsys, monkeypatch, argv,
+                                                    message):
+    calls = []
+    monkeypatch.setattr(cli, "tau_prime", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "tau", *argv, "--oracle")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert calls == []
 
 
 def test_tau_rozansky_skip_marker(capsys):

@@ -33,13 +33,12 @@ GROUP_RING_HELPERS = {
     "_rotate",
     "_slot_width",
     "_substitute",
-    "_substitutions",
     "_unpack",
     "_widen",
 }
 # The helpers that know the packed (Kronecker) layout of a vector.
-PACKED_LAYOUT = {"_bias", "_fold", "_pack", "_rotate", "_slot_width",
-                 "_substitutions", "_unpack", "_widen"}
+PACKED_LAYOUT = {"_bias", "_fold", "_pack", "_rotate", "_slot_width", "_unpack",
+                 "_widen"}
 
 
 def test_every_exported_name_resolves():
@@ -117,7 +116,7 @@ def test_closed_formula_uses_no_packed_layout():
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert PACKED_LAYOUT <= GROUP_RING_HELPERS
     assert not PACKED_LAYOUT & (imported | called)
-    assert imported & GROUP_RING_HELPERS == {"_binomial", "_gauss_vector", "_ring_mul"}
+    assert imported & GROUP_RING_HELPERS == {"_gauss_vector", "_ring_mul"}
 
 
 def test_trefoil_closed_form_keeps_the_packed_product():

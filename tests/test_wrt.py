@@ -29,14 +29,13 @@ from seifertwrt.cyclotomic import (
     _ring_mul,
     root_power,
 )
-from seifertwrt.numtheory import jacobi, mod_inverse, s_surd_residue
+from seifertwrt.numtheory import dedekind_integer, jacobi, mod_inverse
 from seifertwrt.seifert import SeifertData, top_invariants
 from seifertwrt.statesum import _edge_inverse, xi_statesum
 from seifertwrt.wrt import (
     TREFOIL_ZERO,
     HypothesisViolated,
     InvariantResult,
-    _central_inverse,
     _central_power,
     _color_sum,
     _gauss_product,
@@ -85,7 +84,7 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
     exponent = (
         -3 * tops.sign_H_over_P
         + P_prime * tops.H
-        + sum(s_surd_residue(p, q, r) for p, q in M.legs)
+        - sum(dedekind_integer(q, p) * mod_inverse(p, r) for p, q in M.legs)
     )
     scalar = jacobi(abs(tops.P), r) * tops.sign_P
     if ((r + 1) // 2) % 2 == 1:
@@ -99,7 +98,7 @@ def xi_all_coprime(M: SeifertData, r: int) -> CyclotomicNumber:
             ((1, 2 * pp * j), (-1, -2 * pp * j)) for pp in p_primes
         ]
 
-    central = _central_inverse(r, t)
+    central = _central_power(r, t, 3)[0]
     # (zeta^(2t) - zeta^(-2t))^(|sign H| - 2) = (E/r)^(2 - |sign H|), and for
     # H != 0 (-2 g_r)^-1 = -conj(g_r) / (2r), conj(g_r) being g_r at zeta^-t.
     if tops.sign_H_abs:
@@ -132,7 +131,8 @@ def test_three_sphere_is_normalized():
         assert abs(res.tau - 1) < 1e-12
 
 
-@pytest.mark.parametrize("central_inverse", [_central_inverse, _edge_inverse],
+@pytest.mark.parametrize("central_inverse",
+                         [lambda r, t: _central_power(r, t, 3)[0], _edge_inverse],
                          ids=["wrt", "statesum"])
 @pytest.mark.parametrize("r", range(3, 64, 2))
 def test_central_inverse_identity_at_every_color(central_inverse, r):
@@ -365,7 +365,7 @@ def _refuse_leg_expansion(monkeypatch, route: str) -> None:
 
 def test_rozansky_route_expands_no_leg(monkeypatch):
     # The residue form reads each leg through top_invariants and the Dedekind
-    # route of s_surd_residue: neither good_expansion nor plumbing runs, so a
+    # integers 12 p s(q, p): neither good_expansion nor plumbing runs, so a
     # fault there cannot agree with itself through this check.
     M = manifold("X(5/2,-5/3,6/1,-7/2)")
     expected = tau_rozansky_numeric(M, 11)
@@ -500,7 +500,7 @@ def _color_sum_reference(r, t, n, factors):
     """The per-monomial loop: each monomial ``s*x^e`` of color ``j`` adds
     ``s * D[m]`` at index ``e + j*m`` for every index ``m`` of ``D``."""
     if n > 2:
-        base, power, den = _central_inverse(r, t), n - 2, r ** (n - 2)
+        base, power, den = _central_power(r, t, 3)[0], n - 2, r ** (n - 2)
     else:
         base, power, den = [0] * r, 2 - n, 1
         base[(2 * t) % r] += 1
@@ -579,7 +579,7 @@ def test_running_sums_multiply_by_central_inverse(case):
     # vec * E by the running sums along w = x^(4t) is the packed product in
     # Z[C_r] itself, with no reduction modulo Phi_r.
     r, t, vec = case
-    assert _times_central(vec, t) == _ring_mul(vec, _central_inverse(r, t))
+    assert _times_central(vec, t) == _ring_mul(vec, _central_power(r, t, 3)[0])
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -587,8 +587,8 @@ def test_running_sums_multiply_by_central_inverse(case):
 def test_central_power_by_passes_equals_packed_power(r, n):
     # n - 3 passes of the running sums on E are E^(n-2) as one packed product.
     for t in sorted({1, 2, r - 1, mod_inverse(4, r)}):
-        E = _central_inverse(r, t)
-        assert _central_power(E, t, n) == (_ring_mul(*[E] * (n - 2)), r ** (n - 2))
+        E = _central_power(r, t, 3)[0]
+        assert _central_power(r, t, n) == (_ring_mul(*[E] * (n - 2)), r ** (n - 2))
 
 
 @st.composite
@@ -614,7 +614,7 @@ def _color_sums_with_parts(draw):
     part = st.one_of(
         st.sampled_from([c for c in range(1, r + 1) if r % c == 0]).flatmap(
             lambda c: st.sampled_from([_gauss_vector(r, c, t), _gauss_vector(r, c, -t)])),
-        st.just(_central_inverse(r, t)),
+        st.just(_central_power(r, t, 3)[0]),
         fill.map(lambda c: [c] * r),
         st.lists(st.integers(-(2**40), 2**40), min_size=r, max_size=r),
     )
@@ -624,7 +624,7 @@ def _color_sums_with_parts(draw):
 def _color_sum_times_gauss(r, t, legs, parts=()):
     """:func:`_color_sum`'s ``W`` times its Gauss vector and the vectors
     ``parts``, and its denominator."""
-    vec, den, (x, m) = _color_sum(_central_inverse(r, t), t, legs)
+    vec, den, (x, m) = _color_sum(r, t, legs)
     assert r % m == 0 and gcd(x, m) == 1
     return _ring_mul(vec, _gauss_vector(r, m, x), *parts), den
 
@@ -688,7 +688,7 @@ def test_color_sum_with_no_live_class():
     # at j = +-2 (mod 5): no class of colors keeps both legs, and xi vanishes.
     M = manifold("X(15/1,5/3)")
     legs = [leg_data(p, q, 15) for p, q in M.legs]
-    assert _color_sum(_central_inverse(15, 1), 1, legs)[:2] == ([0] * 15, 1)
+    assert _color_sum(15, 1, legs)[:2] == ([0] * 15, 1)
     assert xi_closed_form(M, 15, 1).is_zero()
     assert xi_statesum(M, 15, 1).is_zero()
 
@@ -727,17 +727,18 @@ def test_gauss_product_collapses_to_one_gauss_sum(case):
                                   "X(3/2,5/1,-7/3,4/1)"])
 @pytest.mark.parametrize("r", [9, 17, 45])
 def test_one_central_inverse_per_record(spec, r):
-    # The prefactor and the color sum share one E, whatever the leg count.
+    # One central power per record, whatever the leg count: the prefactor's
+    # E and E^2 are passes of running sums, not vectors of their own.
     calls = []
 
-    def spy(r_, t_):
-        calls.append((r_, t_))
-        return _central_inverse(r_, t_)
+    def spy(r_, t_, n_):
+        calls.append((r_, t_, n_))
+        return _central_power(r_, t_, n_)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wrt, "_central_inverse", spy)
+        mp.setattr(wrt, "_central_power", spy)
         xi = xi_closed_form(manifold(spec), r, 2)
-    assert calls == [(r, 2)]
+    assert calls == [(r, 2, manifold(spec).n)]
     assert xi == xi_statesum(manifold(spec), r, 2)
 
 
