@@ -181,7 +181,7 @@ def _tau_record(M: SeifertData, r: int, t: int | None,
         if not (isfinite(result.tau.real) and isfinite(result.tau.imag)):
             raise OverflowError
     except OverflowError:  # a tau' no double holds, on either numeric path
-        raise OverflowError(f"{M} at r={r}") from None
+        raise ValueError(f"tau' is outside the double range ({M} at r={r})") from None
     return _record(result, _judge(names, M, r, result.t, result.xi))
 
 
@@ -248,22 +248,20 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
             send_end.close()
             children.append((child, recv_end))
         shares.append(_run_share(tasks[0::jobs]))
-        for child, recv_end in children:
+        for k, (child, recv_end) in enumerate(children, start=1):
             try:
                 shares.append(recv_end.recv())
             except EOFError:
-                shares.append(None)
+                child.join()
+                raise RuntimeError(
+                    f"worker process for share {k} exited with code "
+                    f"{child.exitcode} before sending its records"
+                ) from None
     finally:
         # Closing the read end first lets a child still sending fail and exit.
         for child, recv_end in children:
             recv_end.close()
             child.join()
-    for k, share in enumerate(shares[1:], start=1):
-        if share is None:
-            raise RuntimeError(
-                f"worker process for share {k} exited with code "
-                f"{children[k - 1][0].exitcode} before sending its records"
-            )
     errors = [
         (k + jobs * len(records), exc)
         for k, (records, exc) in enumerate(shares)
@@ -311,10 +309,10 @@ def _parse_levels(args) -> list[int]:
         levels.update(odd)
     if not levels:
         raise ValueError("no levels given: use --r and/or --r-range")
-    for r in levels:
-        _check_level(r)
     levels = sorted(levels)
-    for r in levels:  # t in the records' order: the lowest level is named
+    for r in levels:  # the lowest bad level is named, before any bad --t
+        _check_level(r)
+    for r in levels:
         _check_level(r, args.t)
     return levels
 
@@ -519,9 +517,6 @@ def main(argv=None) -> int:
         _emit(records, args.format, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # from _tau_record
-        print(f"error: tau' is outside the double range ({exc})", file=sys.stderr)
         return 2
     failed = any(value is False for rec in records for value in rec["checks"].values())
     return 1 if failed else 0

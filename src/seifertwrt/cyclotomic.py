@@ -199,10 +199,6 @@ class CyclotomicNumber:
 
     # -- structural accessors -------------------------------------------------
 
-    @property
-    def denominator(self) -> int:
-        return self._den
-
     def coefficients(self) -> tuple[Fraction, ...]:
         """Basis coefficients (powers ``zeta^0 .. zeta^{phi-1}``) as Fractions."""
         return tuple(Fraction(n, self._den) for n in self._num)
@@ -328,10 +324,6 @@ class CyclotomicNumber:
         reduced = _reduce_int_vector(self.r, _substitute(self._num, t, self.r))
         return CyclotomicNumber._raw(self.r, reduced, self._den)
 
-    def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugation, i.e. the Galois twist by -1."""
-        return self.galois(-1)
-
     # -- numerics and comparisons --------------------------------------------
 
     def to_complex(self, precision: int | None = None):
@@ -412,12 +404,6 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
         den //= g
         num = [n // g for n in num]
     return tuple(num), den
-
-
-def root_power(r: int, k: int) -> CyclotomicNumber:
-    """The root of unity ``zeta_r ** k`` as an exact cyclotomic number."""
-    _check_level(r)
-    return CyclotomicNumber(r, [0] * (k % r) + [1])
 
 
 def gauss_sum(r: int, c: int) -> CyclotomicNumber:

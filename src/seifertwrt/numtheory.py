@@ -111,11 +111,6 @@ def dedekind_integer(q: int, p: int) -> int:
     return flip * d
 
 
-def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum ``s(q, p)``, as :func:`dedekind_integer` over ``12 p``."""
-    return Fraction(dedekind_integer(q, p), 12 * p)
-
-
 # The most expansions kept.  An expansion of p/q has up to q + 1 entries
 # (X(1/99999) keeps about 0.8 MB), so the cache is bounded.  Only selftest
 # expands legs, all of them small; no record path calls the expansion.

@@ -67,7 +67,7 @@ def _edge_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
-def _central_power(n: int, r: int, t: int) -> tuple[list[int], int]:
+def _central_power(r: int, t: int, n: int) -> tuple[list[int], int]:
     """``D`` in ``Z[C_r]`` and ``den`` with ``D(zeta^j) / den = chi[j]^(2-n)`` at
     every ``j != 0 (mod r)``: ``x^(2t) - x^(-2t)``, ``1``, or ``E^(n-2)`` over
     ``r^(n-2)`` (:func:`_edge_inverse`).  ``D`` stays modulo ``x^r - 1`` only,
@@ -155,7 +155,7 @@ def xi_statesum(M: SeifertData, r: int, t: int = 1) -> CyclotomicNumber:
     tables = {chain: leg_sum_dp(chain, r, t) for chain in set(chains)}
     colors = [j for j in range(1, (r + 1) // 2)
               if all(tables[chain].rows[j - 1] for chain in chains)]
-    central, den = _central_power(M.n, r, t)
+    central, den = _central_power(r, t, M.n)
     scale = 2 ** (1 + sum(map(len, chains)))  # the colors -j; 2 per DP step
     central = [scale * a for a in central]
     width = _slot_width(max(len(colors), 1) * sum(map(abs, central))

@@ -59,7 +59,6 @@ class LegData(NamedTuple):
 
     p: int
     q: int
-    r: int
     c: int
     q_star: int
     p_star: int
@@ -81,7 +80,7 @@ class LegData(NamedTuple):
         # The formula does not call this: _color_sum reads the same branches
         # once per class of colors.  The tests and the benchmark's share of
         # active colors call it r - 1 times per record.
-        _, q, _, c, q_star, p_star, pc_prime, _, _, _ = self
+        _, q, c, q_star, p_star, pc_prime, _, _, _ = self
         out = ()
         d = j - q_star
         if d % c == 0:
@@ -106,7 +105,6 @@ def leg_data(p: int, q: int, r: int, shift: int = 0) -> LegData:
     return LegData(
         p=p,
         q=q,
-        r=r,
         c=c,
         q_star=q_star,
         p_star=p_star,
@@ -414,13 +412,7 @@ def tau_prime(
     just the exact ``xi`` embedded numerically.
     """
     t = _check_level(r, t)
-    return _result(M, r, t, xi_closed_form(M, r, t), precision)
-
-
-def _result(
-    M: SeifertData, r: int, t: int, xi: CyclotomicNumber, precision: int | None
-) -> InvariantResult:
-    """Bundle an exact ``xi`` of ``M`` at ``zeta**t`` with its invariants."""
+    xi = xi_closed_form(M, r, t)
     b_plus, b_minus, nu = b_counts_closed_form(M)
     return InvariantResult(
         manifold=M,

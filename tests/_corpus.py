@@ -1,4 +1,4 @@
-"""Shared test corpus and memoized evaluation caches.
+"""Shared test corpus, memoized evaluation caches and the roots of unity.
 
 The corpus spans leg counts 1..4, positive and negative leg numerators,
 entries sharing factors with the levels (so composite-conductor Gauss sums
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from seifertwrt import parse_manifold, xi_closed_form, xi_statesum
+from seifertwrt import CyclotomicNumber, parse_manifold, xi_closed_form, xi_statesum
 
 CORPUS_SPECS: tuple[str, ...] = (
     # one leg
@@ -83,6 +83,11 @@ SAMPLE_SPECS: tuple[str, ...] = (
     "X(5/1,5/2,5/3)",
     "X(2/1,3/1,5/1,7/1)",
 )
+
+
+def root_power(r: int, k: int) -> CyclotomicNumber:
+    """The root of unity ``zeta_r ** k`` as an exact cyclotomic number."""
+    return CyclotomicNumber(r, [0] * (k % r) + [1])
 
 
 @lru_cache(maxsize=None)

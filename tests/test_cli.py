@@ -243,6 +243,28 @@ def plant_faults(monkeypatch, faulty) -> None:
     monkeypatch.setattr(cli, "tau_prime", tau_prime)
 
 
+def plant_overflow(monkeypatch, spec: str, r: int) -> None:
+    """``wrt.xi_closed_form`` gives ``(spec, r)`` an ``xi`` far outside the
+    double range, so its ``tau'`` overflows; forked children inherit it."""
+    M = parse_manifold(spec)
+    original = wrt.xi_closed_form
+
+    def xi_closed_form(M_, r_, t):
+        if (M_, r_) == (M, r):
+            return CyclotomicNumber(r, [10**400])
+        return original(M_, r_, t)
+
+    monkeypatch.setattr(wrt, "xi_closed_form", xi_closed_form)
+
+
+# The message of each faulty manifold's record at r = 5 in the parity test.
+FAULTS = {
+    "X(3/2)": "planted fault in X(3/2) at r=5",
+    "X(7/4)": "planted fault in X(7/4) at r=5",
+    "X(9/4)": "tau' is outside the double range (X(9/4) at r=5)",
+}
+
+
 @pytest.mark.parametrize(
     "manifolds",
     [
@@ -252,17 +274,20 @@ def plant_faults(monkeypatch, faulty) -> None:
         # Two faults: at --jobs 3 this process's share meets X(3/2) while a
         # child's meets X(7/4), which comes first in task order.
         ["X(2/1,3/1)", "X(7/4)", "X(5/2)", "X(3/2)"],
+        # A tau' beyond a double, in a child's share at --jobs 3.
+        ["X(2/1,3/1)", "X(5/2)", "X(9/4)"],
     ],
 )
 def test_tau_jobs_error_parity(capsys, monkeypatch, children_at_once, manifolds):
     plant_faults(monkeypatch, [("X(3/2)", 5), ("X(7/4)", 5)])
+    plant_overflow(monkeypatch, "X(9/4)", 5)
     results = {
         jobs: run_cli(capsys, "tau", *manifolds, "--r", "5", "--jobs", jobs)
         for jobs in ("1", "2", "3", "8")
     }
-    first_bad = next(m for m in manifolds if m in ("X(3/2)", "X(7/4)"))
+    first_bad = next(m for m in manifolds if m in FAULTS)
     serial = results["1"]
-    assert serial == (2, "", f"error: planted fault in {first_bad} at r=5\n")
+    assert serial == (2, "", f"error: {FAULTS[first_bad]}\n")
     for jobs, result in results.items():
         assert result == serial, jobs
 
@@ -491,6 +516,8 @@ def test_usage_errors_exit_two(capsys, argv):
                             "level 4001"),
         (("--r-range", "3:1000000000000"), "--r-range '3:1000000000000' reaches "
          "level 999999999999, above the highest level 4001"),
+        # The lowest bad level is named, not the first given.
+        (("--r", "10,4"), "level must be odd and >= 3, got 4"),
     ],
 )
 def test_usage_error_names_the_given_value(capsys, argv, message):
@@ -500,7 +527,7 @@ def test_usage_error_names_the_given_value(capsys, argv, message):
 @pytest.mark.parametrize(
     ("spaced", "joined", "message"),
     [
-        (("--r-range", "-3:5"), ("--r-range=-3:5",), "got 1"),
+        (("--r-range", "-3:5"), ("--r-range=-3:5",), "got -3"),
         (("--r", "-3,5"), ("--r=-3,5",), "got -3"),
     ],
 )
@@ -617,10 +644,8 @@ def test_level_ceiling_admits_the_checked_levels_up_to_151(capsys):
 def test_tau_beyond_a_double_exits_two(capsys, monkeypatch, precision):
     # An xi far outside the double range: the float embedding overflows, and
     # the mpmath one gives a tau' that no double holds.  Both name the record.
-    def huge(M, r, precision=None, t=None):
-        return wrt._result(M, r, 4, CyclotomicNumber(r, [10**400]), precision)
-
-    monkeypatch.setattr(cli, "tau_prime", huge)
+    monkeypatch.setattr(wrt, "xi_closed_form",
+                        lambda M, r, t: CyclotomicNumber(r, [10**400]))
     for fmt in ("json", "csv", "text"):
         assert run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5", *precision,
                        "--format", fmt) == (

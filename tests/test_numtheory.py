@@ -14,7 +14,6 @@ from seifertwrt.numtheory import (
     NotCoprime,
     ZeroNumerator,
     dedekind_integer,
-    dedekind_sum,
     good_expansion,
     jacobi,
     mod_inverse,
@@ -101,6 +100,11 @@ def test_jacobi_rejects_even_modulus():
 )
 def test_dedekind_values(q, p, value):
     assert dedekind_sum(q, p) == dedekind_sum_by_definition(q, p) == value
+
+
+def dedekind_sum(q: int, p: int) -> Fraction:
+    """The Dedekind sum ``s(q, p)``: :func:`dedekind_integer` over ``12 p``."""
+    return Fraction(dedekind_integer(q, p), 12 * p)
 
 
 def _sawtooth(x: Fraction) -> Fraction:

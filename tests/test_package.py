@@ -1,6 +1,7 @@
-"""Package-level guards: the public namespace, the oldest supported Python, the
-one home of ``Z[C_r]``, the CLI's start-up imports, the records' value
-semantics and the suite's own warning filters."""
+"""Package-level guards: the public namespace, no public definition that
+``src/`` leaves unnamed, the oldest supported Python, the one home of
+``Z[C_r]``, the CLI's start-up imports, the records' value semantics and the
+suite's own warning filters."""
 
 from __future__ import annotations
 
@@ -44,6 +45,46 @@ PACKED_LAYOUT = {"_bias", "_fold", "_pack", "_rotate", "_slot_width", "_unpack",
 def test_every_exported_name_resolves():
     missing = [name for name in seifertwrt.__all__ if not hasattr(seifertwrt, name)]
     assert missing == []
+
+
+# Public definitions that nothing in ``src/`` names, each kept because the
+# benchmark harness reads it.
+NAMED_ONLY_OUTSIDE_SRC = {
+    "cyclotomic_polynomial": "perfbench/spans.py reads its cache statistics",
+    "LegData.chi_terms": "perfbench/spans.py measures the share of active colors",
+    "CyclotomicNumber.coefficients": "perfbench/make_reference.py reads the "
+                                     "oracle's xi through it",
+}
+
+
+def test_every_public_definition_is_named_elsewhere_in_src():
+    """Every public function, class and method defined in ``src/`` is named
+    somewhere else in ``src/``: as a name, an attribute or an import alias.
+
+    The check goes by name alone, so it cannot see a definition whose name
+    other objects share, such as a property ``denominator`` beside
+    ``Fraction.denominator``.
+    """
+    named, defined = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+    unnamed = {name for name in defined
+               for short in [name.rpartition(".")[2]]
+               if not short.startswith("_") and short not in named}
+    assert unnamed == set(NAMED_ONLY_OUTSIDE_SRC)
 
 
 def test_sources_parse_as_python_3_10():
@@ -173,7 +214,7 @@ RECORDS = {
     "LegSumTable": (lambda: leg_sum_dp((2, 3), 5),
                     ("r", "t", "framings", "width", "rows")),
     "LegData": (lambda: leg_data(5, 2, 7),
-                ("p", "q", "r", "c", "q_star", "p_star", "pc_prime", "sf", "jac",
+                ("p", "q", "c", "q_star", "p_star", "pc_prime", "sf", "jac",
                  "exponent_const")),
     "InvariantResult": (lambda: tau_prime(X237, 5),
                         ("manifold", "r", "t", "xi", "nu", "b_plus", "b_minus",

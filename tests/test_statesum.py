@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import CORPUS_SPECS, get_xi_formula, manifold
+from _corpus import CORPUS_SPECS, get_xi_formula, manifold, root_power
 from test_seifert import _dense_signature_counts, good_plumbing, linking_matrix
 from seifertwrt.cyclotomic import (
     CyclotomicNumber,
@@ -18,7 +18,6 @@ from seifertwrt.cyclotomic import (
     _substitute,
     _unpack,
     gauss_sum,
-    root_power,
 )
 from seifertwrt.cli import BRUTE_BUDGET
 from seifertwrt.seifert import SeifertData, plumbing
@@ -219,7 +218,6 @@ def test_closed_leg_handles_single_vertex_chain():
         leg = LegData(
             p=1,
             q=1,
-            r=r,
             c=1,
             q_star=1,
             p_star=0,
@@ -365,8 +363,6 @@ def test_statesum_zero_color_column_is_zero():
 def test_s_matrix_entry_identities():
     # s_plus * s_minus * central^2 = -4r and 1/g = conj(g)/r underpin the
     # framing correction; check them through the public pieces.
-    from seifertwrt.cyclotomic import gauss_sum, root_power
-
     for r in (5, 7, 9):
         central = root_power(r, 2) - root_power(r, -2)
         g = gauss_sum(r, r)
@@ -398,7 +394,7 @@ def test_central_power_matches_generic_inverse_at_every_color(r):
     # D(zeta^j) / den against chi[j]^(2-n) by the generic inverse, at every
     # color j, the non-units of composite levels included.
     for n in range(1, 6):
-        D, den = _central_power(n, r, 2)
+        D, den = _central_power(r, 2, n)
         expected = central_powers_by_unit_lift(n, r, 2)
         for j in range(1, r):
             assert CyclotomicNumber(r, _substitute(D, j, r), den) == expected[j], (n, j)
@@ -484,7 +480,7 @@ def close_dense(total: CyclotomicNumber, chains, r: int, t: int) -> CyclotomicNu
     b_plus, b_minus, b_zero = _dense_signature_counts(linking_matrix(chains))
     c = CyclotomicNumber(r, _binomial(r, 2 * t))
     g = gauss_sum(r, r).galois(t)
-    den = c ** (b_zero + 1) * g**b_plus * g.conjugate() ** b_minus
+    den = c ** (b_zero + 1) * g**b_plus * g.galois(-1) ** b_minus
     den = den * ((-2) ** b_plus * 2**b_minus)
     phase = root_power(r, t * (3 * (b_plus - b_minus) - sum(map(sum, chains))))
     return total * phase / den

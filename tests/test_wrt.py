@@ -18,6 +18,7 @@ from _corpus import (
     get_xi_formula,
     get_xi_oracle,
     manifold,
+    root_power,
 )
 from seifertwrt import cyclotomic, wrt
 from seifertwrt.cli import _xi_pairs
@@ -27,7 +28,6 @@ from seifertwrt.cyclotomic import (
     _gauss_vector,
     _reduce_int_vector,
     _ring_mul,
-    root_power,
 )
 from seifertwrt.numtheory import dedekind_integer, jacobi, mod_inverse
 from seifertwrt.seifert import SeifertData, top_invariants
@@ -241,8 +241,8 @@ def test_leg_data_fields():
     assert (leg.c, leg.q_star, leg.p_star, leg.exponent_const) == (1, 1, 0, 0)
     assert leg.jac == -1 and leg.sf == 1
     # (q_star, p_star, pc_prime, sf, jac, exponent_const)
-    assert leg_data(-5, 3, 7)[4:] == (2, 1, 4, 1, 1, -1)
-    assert leg_data(7, 5, 9)[4:] == (3, -2, 4, 1, 1, 2)
+    assert leg_data(-5, 3, 7)[3:] == (2, 1, 4, 1, 1, -1)
+    assert leg_data(7, 5, 9)[3:] == (3, -2, 4, 1, 1, 2)
     leg9 = leg_data(6, 1, 9)
     assert leg9.c == 3
     assert (leg9.pc_prime * 2) % 3 == 1
