@@ -248,17 +248,20 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
             send_end.close()
             children.append((child, recv_end))
         shares.append(_run_share(tasks[0::jobs]))
+        dead = []
         for k, (child, recv_end) in enumerate(children, start=1):
             try:
                 shares.append(recv_end.recv())
-            except EOFError:
+            except EOFError:  # the other shares are still read, see below
                 child.join()
-                raise RuntimeError(
-                    f"worker process for share {k} exited with code "
-                    f"{child.exitcode} before sending its records"
-                ) from None
+                dead.append(f"worker process for share {k} exited with code "
+                            f"{child.exitcode} before sending its records")
+        if dead:
+            raise RuntimeError(dead[0])
     finally:
-        # Closing the read end first lets a child still sending fail and exit.
+        # A forked child keeps its own copy of its pipe's read end, so closing
+        # ours cannot free a child blocked in a send larger than the pipe's
+        # buffer: every share is read above, even after a dead child.
         for child, recv_end in children:
             recv_end.close()
             child.join()

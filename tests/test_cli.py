@@ -328,6 +328,22 @@ def test_tau_jobs_child_death_raises(monkeypatch, children_at_once):
     assert multiprocessing.active_children() == []
 
 
+def test_tau_jobs_one_child_death_reads_the_other_shares(monkeypatch,
+                                                         children_at_once):
+    # Share 1 (r=7) dies while share 2 (r=9) sends more than a pipe's buffer
+    # holds; that child finishes its send only if the parent reads it.
+    def send_share(conn, tasks):
+        if tasks[0][1] == 7:
+            os._exit(3)
+        with conn:
+            conn.send((["x" * 200_000], None))
+
+    monkeypatch.setattr(cli, "_send_share", send_share)
+    with pytest.raises(RuntimeError, match="share 1 exited with code 3"):
+        main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("affinity", [True, False])
 def test_tau_jobs_capped_at_usable_cpus(capsys, monkeypatch, affinity):
     monkeypatch.setattr(cli, "CHILD_START_S", 0)
