@@ -9,7 +9,7 @@ Subcommands::
 
 Output formats: human ``text`` (default), ``json`` (one object per line),
 ``csv``.  Exit codes: 0 all requested checks passed, 1 some check failed,
-2 usage or domain error.
+2 usage or domain error, or a ``--jobs`` child lost before sending its records.
 """
 
 from __future__ import annotations
@@ -205,15 +205,16 @@ def _within_ceilings(spec: str, M: SeifertData, top: int) -> None:
                          f"{MAX_RECORD_COST}")
 
 
-def _run_share(tasks: list[tuple]) -> tuple[list[dict], Exception | None]:
-    """The records of ``tasks`` in order, up to the first error, and that error."""
-    records = []
+def _run_share(tasks: list[tuple]) -> list[dict | Exception]:
+    """The records of ``tasks`` in order, ending with the first error if any."""
+    outcomes = []
     for task in tasks:
         try:
-            records.append(_tau_record(*task))
+            outcomes.append(_tau_record(*task))
         except Exception as exc:
-            return records, exc
-    return records, None
+            outcomes.append(exc)
+            break
+    return outcomes
 
 
 def _send_share(conn, tasks: list[tuple]) -> None:
@@ -228,51 +229,51 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     ``_cmd_tau`` calls this only for the records left once a request has run
     for ``CHILD_START_S``; shorter requests never start a child.  Task ``i``
     runs in share ``i % jobs``. Shares ``1..jobs-1`` run in child processes
-    and send ``(records, first_error)`` back over a one-way pipe, while share
-    0 runs here. Records come back in task order, and the first error in task
-    order is raised, as a serial loop would raise it.
+    and send their outcomes back over a one-way pipe, while share 0 runs
+    here. Records come back in task order, and the first error in task order
+    is raised, as a serial loop would raise it.  A child that exits before
+    sending its share ends the run at once with a ``ChildProcessError``, and
+    every share not read by then is stopped.
     """
     # Imported here: serial runs need no child processes, and the import
     # adds start-up time and resident memory.
     import multiprocessing
 
     children = []
-    shares = []
+    shares = [None]  # this process's share, then each child's once read
     try:
         for k in range(1, jobs):
             recv_end, send_end = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_send_share, args=(send_end, tasks[k::jobs])
-            )
+            child = multiprocessing.Process(target=_send_share,
+                                            args=(send_end, tasks[k::jobs]))
             child.start()
             send_end.close()
             children.append((child, recv_end))
-        shares.append(_run_share(tasks[0::jobs]))
-        dead = []
+        shares[0] = _run_share(tasks[0::jobs])
         for k, (child, recv_end) in enumerate(children, start=1):
             try:
                 shares.append(recv_end.recv())
-            except EOFError:  # the other shares are still read, see below
+            except EOFError:
                 child.join()
-                dead.append(f"worker process for share {k} exited with code "
-                            f"{child.exitcode} before sending its records")
-        if dead:
-            raise RuntimeError(dead[0])
+                raise ChildProcessError(
+                    f"worker process for share {k} exited with code "
+                    f"{child.exitcode} before sending its records") from None
     finally:
         # A forked child keeps its own copy of its pipe's read end, so closing
         # ours cannot free a child blocked in a send larger than the pipe's
-        # buffer: every share is read above, even after a dead child.
+        # buffer: every share not read is stopped before it is joined.
+        for child, _ in children[len(shares) - 1:]:
+            child.terminate()
         for child, recv_end in children:
             recv_end.close()
             child.join()
-    errors = [
-        (k + jobs * len(records), exc)
-        for k, (records, exc) in enumerate(shares)
-        if exc is not None
-    ]
-    if errors:
-        raise min(errors, key=lambda item: item[0])[1]
-    return [shares[i % jobs][0][i // jobs] for i in range(len(tasks))]
+    records = []
+    for i in range(len(tasks)):
+        outcome = shares[i % jobs][i // jobs]
+        if isinstance(outcome, Exception):
+            raise outcome
+        records.append(outcome)
+    return records
 
 
 def _usable_cpus() -> int:
@@ -518,7 +519,7 @@ def main(argv=None) -> int:
             return _cmd_selftest(args, out)
         records = RECORD_COMMANDS[args.command](args)
         _emit(records, args.format, out)
-    except ValueError as exc:
+    except (ValueError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = any(value is False for rec in records for value in rec["checks"].values())

@@ -395,11 +395,7 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if den < 0:
         den = -den
         num = [-n for n in num]
-    g = den
-    for n in num:
-        g = gcd(g, n)
-        if g == 1:
-            break
+    g = gcd(den, *num)
     if g > 1:
         den //= g
         num = [n // g for n in num]

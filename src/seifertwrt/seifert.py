@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .numtheory import NotCoprime, sign
@@ -102,9 +102,7 @@ class TopInvariants(NamedTuple):
 
 
 def top_invariants(M: SeifertData) -> TopInvariants:
-    P = 1
-    for p, _ in M.legs:
-        P *= p
+    P = prod(p for p, _ in M.legs)
     H = sum(q * (P // p) for p, q in M.legs)
     return TopInvariants(
         P=P,

@@ -130,8 +130,6 @@ def _times_central(vec: list[int], t: int) -> list[int]:
     products by ``r``.
     """
     r = len(vec)
-    if not any(vec):  # a color sum that vanishes in Z[C_r]
-        return [0] * r
     step, lift = 4 * t % r, 2 * t % r
     if step == 1:  # t = 1/4, as in tau': w = x, and u is vec rotated
         u = vec[-lift:] + vec[:-lift]

@@ -9,6 +9,9 @@ import multiprocessing
 import os
 import re
 import shlex
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -321,27 +324,133 @@ def test_tau_jobs_start_one_child_per_extra_share(capsys, monkeypatch,
     assert (code, out) == run_cli(capsys, *argv)[:2]
 
 
-def test_tau_jobs_child_death_raises(monkeypatch, children_at_once):
+def test_tau_jobs_success_terminates_no_child(capsys, monkeypatch,
+                                              children_at_once):
+    # A child whose share was read is left to exit by itself.
+    terminated = []
+    monkeypatch.setattr(multiprocessing.Process, "terminate",
+                        lambda self: terminated.append(self))
+    started = count_starts(monkeypatch)
+    argv = ["tau", "X(2/1,3/1)", "X(5/2)", "--r", "5,7,9", "--format", "json"]
+    assert run_cli(capsys, *argv, "--jobs", "3") == run_cli(capsys, *argv)
+    assert (len(started), terminated) == (2, [])
+
+
+def test_tau_jobs_child_death_raises(capsys, monkeypatch, children_at_once):
     monkeypatch.setattr(cli, "_send_share", lambda conn, tasks: os._exit(3))
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+    code, out, err = run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5,7,9",
+                             "--jobs", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: worker process for share 1 exited with code 3 "
+                   "before sending its records\n")
     assert multiprocessing.active_children() == []
 
 
-def test_tau_jobs_one_child_death_reads_the_other_shares(monkeypatch,
-                                                         children_at_once):
+def test_tau_jobs_one_child_death_stops_the_other_shares(capsys, monkeypatch,
+                                                        children_at_once):
     # Share 1 (r=7) dies while share 2 (r=9) sends more than a pipe's buffer
-    # holds; that child finishes its send only if the parent reads it.
+    # holds; that child is stopped, not read.
     def send_share(conn, tasks):
         if tasks[0][1] == 7:
             os._exit(3)
         with conn:
-            conn.send((["x" * 200_000], None))
+            conn.send(["x" * 200_000])
 
     monkeypatch.setattr(cli, "_send_share", send_share)
-    with pytest.raises(RuntimeError, match="share 1 exited with code 3"):
-        main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+    code, _, err = run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5,7,9",
+                           "--jobs", "3")
+    assert code == 2
+    assert err.startswith("error: worker process for share 1 exited with code 3")
     assert multiprocessing.active_children() == []
+
+
+def run_fresh(*args: str, timeout: float = 20) -> tuple[int, str, str]:
+    """Run ``python *args`` in a fresh interpreter that imports this
+    ``seifertwrt``: its exit code, stdout and stderr.  A run past ``timeout``
+    seconds fails the test, and its whole process group is killed, so a hung
+    request cannot hang the suite or leave a child running."""
+    src = str(Path(seifertwrt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    return proc.returncode, out, err
+
+
+# A request whose this-process share raises (or whose second child fails to
+# start) while a child sends a share larger than a pipe's buffer.  The script
+# prints the exception it got and the children still alive afterwards.
+CHILD_LEFT_SENDING = """
+import errno, multiprocessing, sys
+from seifertwrt import cli
+
+cli.CHILD_START_S = 0
+cli._usable_cpus = lambda: 3
+def send_share(conn, tasks):
+    with conn:
+        conn.send(["x" * 200_000])
+cli._send_share = send_share
+if sys.argv[1] == "interrupt":
+    def run_share(tasks):
+        raise KeyboardInterrupt
+    cli._run_share = run_share
+else:
+    start, started = multiprocessing.Process.start, []
+    def start_once(self):
+        if started:
+            raise OSError(errno.EAGAIN, "fork refused")
+        started.append(self)
+        start(self)
+    multiprocessing.Process.start = start_once
+try:
+    cli.main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+except BaseException as exc:
+    print(type(exc).__name__, multiprocessing.active_children())
+"""
+
+
+# An OSError of errno EAGAIN is raised as its subclass BlockingIOError.
+@pytest.mark.parametrize(("case", "raised"), [("interrupt", "KeyboardInterrupt"),
+                                              ("fork", "BlockingIOError")])
+def test_tau_jobs_error_here_stops_a_child_mid_send(case, raised):
+    assert run_fresh("-c", CHILD_LEFT_SENDING, case) == (0, f"{raised} []\n", "")
+
+
+# Forces a --jobs request to start its children at once, each of which exits
+# with code 3 before sending its share.
+LOST_SHARE = """
+import os, sys
+from seifertwrt import cli
+
+cli.CHILD_START_S = 0
+cli._usable_cpus = lambda: 3
+cli._send_share = lambda conn, tasks: os._exit(3)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "seifertwrt.cli", "tau", "garbage", "--r", "5"],
+        ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "4"],
+        ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "5", "--t", "5"],
+        ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "4003"],
+        ["-c", LOST_SHARE, "tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"],
+    ],
+)
+def test_error_requests_print_one_line_and_exit_2(args):
+    code, out, err = run_fresh(*args)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("affinity", [True, False])
