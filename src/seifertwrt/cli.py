@@ -9,7 +9,8 @@ Subcommands::
 
 Output formats: human ``text`` (default), ``json`` (one object per line),
 ``csv``.  Exit codes: 0 all requested checks passed, 1 some check failed,
-2 usage or domain error, or a ``--jobs`` child lost before sending its records.
+2 usage or domain error, or a ``--jobs`` child that could not be started or
+was lost before sending its records.
 """
 
 from __future__ import annotations
@@ -232,8 +233,8 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     and send their outcomes back over a one-way pipe, while share 0 runs
     here. Records come back in task order, and the first error in task order
     is raised, as a serial loop would raise it.  A child that exits before
-    sending its share ends the run at once with a ``ChildProcessError``, and
-    every share not read by then is stopped.
+    sending its share, or that cannot be started, ends the run at once with a
+    ``ChildProcessError``, and every share not read by then is stopped.
     """
     # Imported here: serial runs need no child processes, and the import
     # adds start-up time and resident memory.
@@ -246,7 +247,12 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
             recv_end, send_end = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_send_share,
                                             args=(send_end, tasks[k::jobs]))
-            child.start()
+            try:
+                child.start()
+            except OSError as exc:  # e.g. fork refused with EAGAIN
+                raise ChildProcessError(
+                    f"could not start the worker process for share {k}: "
+                    f"{exc}") from None
             send_end.close()
             children.append((child, recv_end))
         shares[0] = _run_share(tasks[0::jobs])

@@ -36,6 +36,7 @@ from .cyclotomic import (
     _gauss_vector,
     _reduce_int_vector,
     _ring_mul,
+    _root_table,
     euler_phi,
 )
 from .numtheory import dedekind_integer, jacobi, mod_inverse, prime_factors
@@ -459,8 +460,8 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
     import mpmath
 
     with mpmath.workdps(precision):
-        # e_r(x) = exp(2 pi i x / r), computed once for every residue x.
-        e_r = [mpmath.expjpi(mpmath.mpf(2 * x) / r) for x in range(r)]
+        # e_r(x) = exp(2 pi i x / r) for every residue x: the level's table.
+        e_r = _root_table(r, precision)
         # e_r(x) - e_r(-x), the factor of the central vertex and of each leg.
         diff = [e_r[x] - e_r[-x % r] for x in range(r)]
         P_prime = mod_inverse(tops.P, r)

@@ -410,17 +410,23 @@ else:
         start(self)
     multiprocessing.Process.start = start_once
 try:
-    cli.main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+    outcome = cli.main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
 except BaseException as exc:
-    print(type(exc).__name__, multiprocessing.active_children())
+    outcome = type(exc).__name__
+print(outcome, multiprocessing.active_children())
 """
 
 
-# An OSError of errno EAGAIN is raised as its subclass BlockingIOError.
-@pytest.mark.parametrize(("case", "raised"), [("interrupt", "KeyboardInterrupt"),
-                                              ("fork", "BlockingIOError")])
-def test_tau_jobs_error_here_stops_a_child_mid_send(case, raised):
-    assert run_fresh("-c", CHILD_LEFT_SENDING, case) == (0, f"{raised} []\n", "")
+# An interrupt propagates; a refused fork exits 2 with one error line.
+@pytest.mark.parametrize(("case", "outcome"), [("interrupt", "KeyboardInterrupt"),
+                                               ("fork", "2")])
+def test_tau_jobs_error_here_stops_a_child_mid_send(case, outcome):
+    code, out, err = run_fresh("-c", CHILD_LEFT_SENDING, case)
+    assert (code, out) == (0, f"{outcome} []\n")
+    if case == "fork":
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
 
 
 # Forces a --jobs request to start its children at once, each of which exits

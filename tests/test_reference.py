@@ -5,7 +5,8 @@ high_level request (levels 3 to 101), each checked against the plumbing state
 sum when the file was written.  Rerunning ``tau --format json`` on all of them
 keeps the records byte-identical from change to change.  The file is read,
 never written.  The traced run's span recorder is checked to still reach
-every layer that ``BENCHMARK.json`` reports.
+every layer that ``BENCHMARK.json`` reports, and a short run of the benchmark
+itself, in a fresh interpreter, must find every output it checks correct.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import seifertwrt.cli as cli
 
@@ -84,3 +88,16 @@ def test_traced_benchmark_reaches_every_layer(tmp_path):
     assert layer["statesum.leg_sum_dp.calls"] > 0
     assert layer["seifert.signature_counts.self_s"] > 0
     assert layer["cyclotomic.inverse.calls"] == 0  # the oracle inverts nothing
+
+
+@pytest.mark.parametrize("workload,limit", [("verify", "14"), ("batch", "2")])
+def test_benchmark_smoke_run_checks_every_output(workload, limit):
+    # A short run of the benchmark in a fresh interpreter: every output it
+    # checks (the oracle and residue verdicts, the reference records) holds.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--limit", limit],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["failed"] == 0 and summary["attempted"] == int(limit), summary

@@ -408,7 +408,8 @@ def test_rozansky_hypotheses():
 
 @pytest.mark.parametrize("spec,r", [("X(2/1,3/1,5/1,7/1)", 11), ("X(3/2,4/1,5/3)", 13)])
 def test_rozansky_computes_each_root_once(monkeypatch, spec, r):
-    # One table of the r roots e_r(x) per call, plus the prefactor's phase.
+    # At most the level's r roots e_r(x), each computed once, plus the
+    # prefactor's phase.
     calls = []
     expjpi = mpmath.expjpi
 
