@@ -12,17 +12,18 @@ vector is reduced by multiplying and dividing by them, each step one pass of
 ``O(r)`` (:func:`_reduce_int_vector`), with no long division.
 :func:`_check_level` is the package's one level validator.
 
-The embedding reads the roots ``zeta_r^k``, ``k < r``, from one table per
-level and precision (:func:`_root_table`), which the residue form of ``wrt``
-reads too; each root is computed on its first read.  At most 16 tables are
-kept.  Full at ``r = 4001``, a float table takes 0.4 MB, a 30-digit one
-1.6 MB and a 1000-digit one 5.1 MB, so the tables hold at most about 82 MB.
+The residue form of ``wrt`` fills one table of the roots ``zeta_r^k``,
+``k < r``, per level and precision (:func:`_root_table`), and the mpmath
+embedding reads it, computing the roots it does not find, by the call the
+term-by-term sum made, without keeping them.  At most 16 tables are kept.
+Full at ``r = 4001``, a 30-digit table takes 1.9 MB and a 1000-digit one
+5.1 MB, so the tables hold at most about 82 MB.  The float embedding computes
+its roots as it sums.
 """
 
 from __future__ import annotations
 
 import cmath
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -92,38 +93,47 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _RootTable(dict):
-    """The roots ``zeta_r^k = e^(2 pi i k/r)``, ``k < r``, each made on first read.
+    """The roots ``zeta_r^k = e^(2 pi i k/r)``, ``k < r``, at ``digits`` decimal
+    digits.
 
-    ``complex`` values when ``digits`` is ``None``, else mpmath complexes
-    computed at ``digits`` decimal digits.  Each entry is computed as the
-    embedding once computed it term by term, so sums over the table are
-    unchanged to the last bit.  Computing only the roots that are read keeps
-    a sparse number cheap: a rational one reads one root, where a whole
-    1000-digit table at ``r = 4001`` takes seconds.
+    A root is kept when it is first read by subscript, as the residue form
+    reads all ``r`` of them.  :meth:`root` computes one without keeping it,
+    for the embedding, which reads a level's roots once in most requests:
+    keeping a root it reads once costs more than computing it.  Each root is
+    ``mpmath.expjpi(mpmath.mpf(2 * k) / r)`` at that precision, the call the
+    embedding once made term by term, so sums over the table are unchanged to
+    the last bit.  Readers hold that precision already, so computing a root
+    costs that call and no more; a reader at another precision gets the root
+    computed at ``digits`` all the same.
     """
 
-    __slots__ = ("r", "digits")
+    __slots__ = ("r", "digits", "_prec", "_mpmath")
 
-    def __init__(self, r: int, digits: int | None):
+    def __init__(self, r: int, digits: int):
+        import mpmath
+
         super().__init__()
-        self.r, self.digits = r, digits
+        self.r, self.digits, self._mpmath = r, digits, mpmath
+        self._prec = mpmath.libmp.dps_to_prec(digits)
+
+    def root(self, k: int):
+        """``zeta_r^k`` at ``digits``, computed and not kept."""
+        mpmath = self._mpmath
+        if mpmath.mp.prec == self._prec:
+            return mpmath.expjpi(mpmath.mpf(2 * k) / self.r)
+        with mpmath.workdps(self.digits):
+            return mpmath.expjpi(mpmath.mpf(2 * k) / self.r)
 
     def __missing__(self, k: int):
-        if self.digits is None:
-            root = cmath.exp(2j * cmath.pi * k / self.r)
-        else:
-            import mpmath
-
-            with mpmath.workdps(self.digits):
-                root = mpmath.expjpi(mpmath.mpf(2 * k) / self.r)
-        self[k] = root
+        root = self[k] = self.root(k)
         return root
 
 
 @lru_cache(maxsize=16)
-def _root_table(r: int, digits: int | None = None) -> _RootTable:
-    """The roots of unity of level ``r`` at ``digits`` (``None``: floats): a
-    constant of the level, read by every embedding and by the residue form."""
+def _root_table(r: int, digits: int) -> _RootTable:
+    """The roots of unity of level ``r`` at ``digits`` decimal digits: a
+    constant of the level, filled by the residue form and read by the mpmath
+    embedding."""
     return _RootTable(r, digits)
 
 
@@ -373,22 +383,28 @@ class CyclotomicNumber:
         """Numerical value: a ``complex`` (default) or an ``mpmath.mpc``.
 
         ``precision`` is in decimal digits; when given, mpmath evaluates the
-        embedding with that working precision.  The nonzero coordinates are
-        summed in order, each times its root from the table of this level
-        and precision (:func:`_root_table`, at most 16 tables of at most
-        5.1 MB each).
+        embedding with that working precision: each nonzero coordinate, in
+        order, times its root from the table of this level and precision
+        (:func:`_root_table`, at most 16 tables of at most 5.1 MB each), or
+        computed and not kept when the residue form has not filled it.
         """
-        roots = _root_table(self.r, precision)
         if precision is None:
-            context, total = nullcontext(), 0j
-        else:
-            import mpmath
-
-            context, total = mpmath.workdps(precision), mpmath.mpc(0)
-        with context:
+            total = 0j
             for k, n in enumerate(self._num):
                 if n:
-                    total += n * roots[k]
+                    total += n * cmath.exp(2j * cmath.pi * k / self.r)
+            return total / self._den
+        import mpmath
+
+        roots = _root_table(self.r, precision)
+        with mpmath.workdps(precision):
+            total = mpmath.mpc(0)
+            for k, n in enumerate(self._num):
+                if n:
+                    root = roots.get(k)
+                    if root is None:
+                        root = roots.root(k)
+                    total += n * root
             return total / self._den
 
     def __bool__(self) -> bool:

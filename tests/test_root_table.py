@@ -1,8 +1,9 @@
 """The table of roots of unity that the embedding and the residue form read.
 
 The reference below is the embedding as it was computed term by term, one
-root per nonzero coordinate.  Reading the roots from the level's table must
-give the same ``complex`` and the same mpmath values to the last bit.
+root per nonzero coordinate.  The mpmath embedding reads its roots from the
+level's table and the float one computes them as it sums; both must give the
+reference's values to the last bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 import seifertwrt.cli as cli
 from _corpus import CORPUS_SPECS, get_xi_formula, manifold
 from seifertwrt.cyclotomic import _root_table
-from seifertwrt.wrt import tau_prime
+from seifertwrt.wrt import tau_prime, tau_rozansky_numeric
 
 SMALL_LEVELS = tuple(range(3, 62, 2))
 TOP_LEVELS = (3989, 3999, 4001)
@@ -82,34 +83,47 @@ def test_embedding_matches_reference_at_top_levels(r):
 
 @pytest.mark.parametrize("r", (3, 15, 61, 4001))
 def test_table_entries_are_the_direct_roots(r):
-    table = _root_table(r)
-    assert [bits(table[k]) for k in range(r)] == [
-        bits(cmath.exp(2j * cmath.pi * k / r)) for k in range(r)]
     for digits in (30, 50):
-        table = _root_table(r, digits)
+        _root_table.cache_clear()
         with mpmath.workdps(digits):
             direct = [mpmath.expjpi(mpmath.mpf(2 * k) / r) for k in range(r)]
-        assert [bits(table[k]) for k in range(r)] == [bits(z) for z in direct]
+            table = _root_table(r, digits)
+            read = [bits(table[k]) for k in range(r)]
+        assert read == [bits(z) for z in direct]
+        # A first read at another precision still computes at ``digits``.
+        _root_table.cache_clear()
+        table = _root_table(r, digits)
+        assert [bits(table[k]) for k in range(r)] == read
 
 
-def test_embedding_computes_only_the_roots_it_reads():
-    # A rational xi reads one root even at 1000 digits and r = 4001, and
-    # zero reads none.
+def test_residue_form_fills_the_table_and_the_embedding_keeps_no_root(monkeypatch):
+    # The embedding computes the roots it does not find and keeps none, even
+    # for a rational xi at 1000 digits and r = 4001.
     _root_table.cache_clear()
     lens = get_xi_formula("X(2/1)", 4001)
     assert lens.is_rational() and not lens.is_zero()
     assert bits(lens.to_complex(1000)) == bits(reference_to_complex(lens, 1000))
-    assert list(_root_table(4001, 1000)) == [0]
-    zero = get_xi_formula("X(-2/1,3/1,6/1)", 7)
-    assert zero.is_zero() and zero.to_complex(1000) == 0
-    assert len(_root_table(7, 1000)) == 0
+    assert len(_root_table(4001, 1000)) == 0
+    # The residue form keeps all r roots; the embedding then reads them and
+    # computes none.
+    r, M = 13, manifold("X(2/1,3/1,5/1)")
+    xi = tau_prime(M, r).xi
+    cold = bits(xi.to_complex(30))
+    assert len(_root_table(r, 30)) == 0
+    tau_rozansky_numeric(M, r, precision=30)
+    assert sorted(_root_table(r, 30)) == list(range(r))
+    calls = []
+    expjpi = mpmath.expjpi
+    monkeypatch.setattr(mpmath, "expjpi", lambda x: calls.append(x) or expjpi(x))
+    assert bits(xi.to_complex(30)) == cold and calls == []
 
 
 def test_table_cache_is_bounded(capsys):
     assert _root_table.cache_info().maxsize == 16
     _root_table.cache_clear()
-    # 20 levels 3..41, each one float table (no record there is zero).
-    assert cli.main(["tau", "X(2/1,3/1,5/1)", "--r-range", "3:41", "--format", "json"]) == 0
+    # 20 levels 3..41, each one 30-digit table.
+    assert cli.main(["tau", "X(2/1,3/1,5/1)", "--r-range", "3:41", "--precision", "30",
+                     "--format", "json"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 20
     info = _root_table.cache_info()
     assert info.misses == 20 and info.currsize == 16
