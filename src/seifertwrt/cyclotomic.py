@@ -13,19 +13,19 @@ vector is reduced by multiplying and dividing by them, each step one pass of
 :func:`_check_level` is the package's one level validator.
 
 The residue form of ``wrt`` fills one table of the roots ``zeta_r^k``,
-``k < r``, per level and precision (:func:`_root_table`), and the mpmath
-embedding reads it, computing the roots it does not find, by the call the
-term-by-term sum made, without keeping them.  At most 16 tables are kept.
-Full at ``r = 4001``, a 30-digit table takes 1.9 MB and a 1000-digit one
-5.1 MB, so the tables hold at most about 82 MB.  The float embedding computes
-its roots as it sums.
+``k < r``, per level and precision (:func:`_root_table`), all ``r`` at once,
+so a table is empty or whole.  The mpmath embedding reads a whole table and
+otherwise computes each root by :func:`_root`, the call the term-by-term sum
+made, without keeping it.  At most 16 tables are kept.  Full at ``r = 4001``,
+a 30-digit table takes 1.9 MB and a 1000-digit one 5.1 MB, so the tables hold
+at most about 82 MB.  The float embedding computes its roots as it sums.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import add, sub
@@ -92,49 +92,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(-c for c in _reduce_int_vector(n, [0] * phi + [1])) + (1,)
 
 
-class _RootTable(dict):
-    """The roots ``zeta_r^k = e^(2 pi i k/r)``, ``k < r``, at ``digits`` decimal
-    digits.
-
-    A root is kept when it is first read by subscript, as the residue form
-    reads all ``r`` of them.  :meth:`root` computes one without keeping it,
-    for the embedding, which reads a level's roots once in most requests:
-    keeping a root it reads once costs more than computing it.  Each root is
-    ``mpmath.expjpi(mpmath.mpf(2 * k) / r)`` at that precision, the call the
-    embedding once made term by term, so sums over the table are unchanged to
-    the last bit.  Readers hold that precision already, so computing a root
-    costs that call and no more; a reader at another precision gets the root
-    computed at ``digits`` all the same.
-    """
-
-    __slots__ = ("r", "digits", "_prec", "_mpmath")
-
-    def __init__(self, r: int, digits: int):
-        import mpmath
-
-        super().__init__()
-        self.r, self.digits, self._mpmath = r, digits, mpmath
-        self._prec = mpmath.libmp.dps_to_prec(digits)
-
-    def root(self, k: int):
-        """``zeta_r^k`` at ``digits``, computed and not kept."""
-        mpmath = self._mpmath
-        if mpmath.mp.prec == self._prec:
-            return mpmath.expjpi(mpmath.mpf(2 * k) / self.r)
-        with mpmath.workdps(self.digits):
-            return mpmath.expjpi(mpmath.mpf(2 * k) / self.r)
-
-    def __missing__(self, k: int):
-        root = self[k] = self.root(k)
-        return root
-
-
 @lru_cache(maxsize=16)
-def _root_table(r: int, digits: int) -> _RootTable:
-    """The roots of unity of level ``r`` at ``digits`` decimal digits: a
-    constant of the level, filled by the residue form and read by the mpmath
-    embedding."""
-    return _RootTable(r, digits)
+def _root_table(r: int, digits: int) -> list:
+    """The roots ``zeta_r^k``, ``k < r``, of level ``r`` at ``digits`` decimal
+    digits: a constant of the level, empty until the residue form fills it
+    whole with :func:`_root`, and read by the mpmath embedding."""
+    return []
+
+
+def _root(r: int, k: int):
+    """``zeta_r^k = e^(2 pi i k/r)`` at mpmath's working precision: the call
+    the embedding once made term by term, so that sums over the table are
+    unchanged to the last bit."""
+    import mpmath
+
+    return mpmath.expjpi(mpmath.mpf(2 * k) / r)
 
 
 def _check_level(r: int, t: int | None = 1) -> int:
@@ -384,9 +356,10 @@ class CyclotomicNumber:
 
         ``precision`` is in decimal digits; when given, mpmath evaluates the
         embedding with that working precision: each nonzero coordinate, in
-        order, times its root from the table of this level and precision
-        (:func:`_root_table`, at most 16 tables of at most 5.1 MB each), or
-        computed and not kept when the residue form has not filled it.
+        order, times its root, read from the table of this level and
+        precision when the residue form has filled it (:func:`_root_table`,
+        at most 16 tables of at most 5.1 MB each), and otherwise computed by
+        :func:`_root` and not kept.
         """
         if precision is None:
             total = 0j
@@ -397,14 +370,12 @@ class CyclotomicNumber:
         import mpmath
 
         roots = _root_table(self.r, precision)
+        root = roots.__getitem__ if roots else partial(_root, self.r)
         with mpmath.workdps(precision):
             total = mpmath.mpc(0)
             for k, n in enumerate(self._num):
                 if n:
-                    root = roots.get(k)
-                    if root is None:
-                        root = roots.root(k)
-                    total += n * root
+                    total += n * root(k)
             return total / self._den
 
     def __bool__(self) -> bool:
@@ -435,12 +406,12 @@ class CyclotomicNumber:
         for k, n in enumerate(self._num):
             if n == 0:
                 continue
-            mag = abr = abs(n)
+            mag = abs(n)
             if k == 0:
-                body = f"{abr}"
+                body = f"{mag}"
             else:
                 z = "z" if k == 1 else f"z^{k}"
-                body = z if mag == 1 else f"{abr}*{z}"
+                body = z if mag == 1 else f"{mag}*{z}"
             if not terms:
                 terms.append(body if n > 0 else f"-{body}")
             else:

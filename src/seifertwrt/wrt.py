@@ -36,6 +36,7 @@ from .cyclotomic import (
     _gauss_vector,
     _reduce_int_vector,
     _ring_mul,
+    _root,
     _root_table,
     euler_phi,
 )
@@ -461,7 +462,11 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
 
     with mpmath.workdps(precision):
         # e_r(x) = exp(2 pi i x / r) for every residue x: the level's table.
+        # It is filled in one assignment, so an interrupted fill leaves it
+        # empty and the embedding never meets part of a table.
         e_r = _root_table(r, precision)
+        if not e_r:
+            e_r[:] = [_root(r, x) for x in range(r)]
         # e_r(x) - e_r(-x), the factor of the central vertex and of each leg.
         diff = [e_r[x] - e_r[-x % r] for x in range(r)]
         P_prime = mod_inverse(tops.P, r)

@@ -2,7 +2,8 @@
 
 The reference below is the embedding as it was computed term by term, one
 root per nonzero coordinate.  The mpmath embedding reads its roots from the
-level's table and the float one computes them as it sums; both must give the
+level's table once the residue form has filled it whole, and computes them
+otherwise; the float one computes them as it sums.  All must give the
 reference's values to the last bit.
 """
 
@@ -81,19 +82,15 @@ def test_embedding_matches_reference_at_top_levels(r):
             assert bits(got) == bits(reference_to_complex(xi, precision)), (spec, precision)
 
 
-@pytest.mark.parametrize("r", (3, 15, 61, 4001))
+@pytest.mark.parametrize("r", (5, 13, 61, 4001))
 def test_table_entries_are_the_direct_roots(r):
+    M = manifold("X(2/1,3/1,7/1)")
     for digits in (30, 50):
         _root_table.cache_clear()
+        tau_rozansky_numeric(M, r, precision=digits)
         with mpmath.workdps(digits):
             direct = [mpmath.expjpi(mpmath.mpf(2 * k) / r) for k in range(r)]
-            table = _root_table(r, digits)
-            read = [bits(table[k]) for k in range(r)]
-        assert read == [bits(z) for z in direct]
-        # A first read at another precision still computes at ``digits``.
-        _root_table.cache_clear()
-        table = _root_table(r, digits)
-        assert [bits(table[k]) for k in range(r)] == read
+        assert [bits(z) for z in _root_table(r, digits)] == [bits(z) for z in direct]
 
 
 def test_residue_form_fills_the_table_and_the_embedding_keeps_no_root(monkeypatch):
@@ -111,11 +108,36 @@ def test_residue_form_fills_the_table_and_the_embedding_keeps_no_root(monkeypatc
     cold = bits(xi.to_complex(30))
     assert len(_root_table(r, 30)) == 0
     tau_rozansky_numeric(M, r, precision=30)
-    assert sorted(_root_table(r, 30)) == list(range(r))
+    assert len(_root_table(r, 30)) == r
     calls = []
     expjpi = mpmath.expjpi
     monkeypatch.setattr(mpmath, "expjpi", lambda x: calls.append(x) or expjpi(x))
     assert bits(xi.to_complex(30)) == cold and calls == []
+
+
+def test_interrupted_fill_leaves_the_table_empty(monkeypatch):
+    # The embedding reads a table whole or not at all, so a fill that fails
+    # partway must keep none of the roots it computed.
+    _root_table.cache_clear()
+    r, M = 13, manifold("X(2/1,3/1,5/1)")
+    calls = []
+    expjpi = mpmath.expjpi
+
+    def failing_expjpi(x):
+        calls.append(x)
+        if len(calls) == 7:
+            raise RuntimeError("interrupted")
+        return expjpi(x)
+
+    monkeypatch.setattr(mpmath, "expjpi", failing_expjpi)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        tau_rozansky_numeric(M, r, precision=30)
+    monkeypatch.undo()
+    assert len(_root_table(r, 30)) == 0
+    xi = tau_prime(M, r).xi
+    assert bits(xi.to_complex(30)) == bits(reference_to_complex(xi, 30))
+    tau_rozansky_numeric(M, r, precision=30)
+    assert len(_root_table(r, 30)) == r
 
 
 def test_table_cache_is_bounded(capsys):
