@@ -13,7 +13,6 @@ the chains in one pass.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -152,29 +151,38 @@ def signature_counts(chains: tuple[tuple[int, ...], ...]) -> tuple[int, int, int
     last pivot is zero pairs with the center, and every further one is a null
     direction; without one, the center's remaining framing is a pivot, null
     if zero.  Congruence preserves inertia, so this is exact.
+
+    Each pivot, and the center, is an integer numerator over a positive
+    denominator: ``m - 1/(pn/pd) = (m pn - pd)/pn``, with the sign of ``pn``
+    moved to the numerator, so every sign is a numerator's.
     """
     b_plus = b_minus = zero_ends = 0
-    center = Fraction(0)
+    cn, cd = 0, 1  # the center's framing cn/cd
     for chain in chains:
-        pivot = None  # the previous vertex's; None at the free end and after a pair
+        # the previous vertex's pivot pn/pd; pd = 0 at the free end and after a pair
+        pn = pd = 0
         for m in chain:
-            if pivot == 0:  # this vertex completes a hyperbolic pair
+            if pd and not pn:  # this vertex completes a hyperbolic pair
                 b_plus += 1
                 b_minus += 1
-                pivot = None
+                pd = 0
             else:
-                pivot = Fraction(m) if pivot is None else m - 1 / pivot
-                if pivot > 0:
+                pn, pd = (m * pn - pd, pn) if pd else (m, 1)
+                if pd < 0:
+                    pn, pd = -pn, -pd
+                if pn > 0:
                     b_plus += 1
-                elif pivot < 0:
+                elif pn < 0:
                     b_minus += 1
-        if pivot == 0:
+        if pd and not pn:
             zero_ends += 1
-        elif pivot is not None:
-            center -= 1 / pivot
+        elif pd:  # the center minus pd/pn
+            cn, cd = cn * pn - pd * cd, cd * pn
+            if cd < 0:
+                cn, cd = -cn, -cd
     if zero_ends:
         return b_plus + 1, b_minus + 1, zero_ends - 1
-    return b_plus + (center > 0), b_minus + (center < 0), int(center == 0)
+    return b_plus + (cn > 0), b_minus + (cn < 0), int(cn == 0)
 
 
 def b_counts_closed_form(M: SeifertData) -> tuple[int, int, int]:

@@ -12,6 +12,7 @@ genuine two-route check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import NamedTuple, Sequence
@@ -67,15 +68,33 @@ def _edge_inverse(r: int, t: int) -> list[int]:
     return vec
 
 
+@lru_cache(maxsize=16)
+def _level_constants(r: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                              tuple[int, ...], int]:
+    """The constants of the level ``(r, t)`` that every record reads:
+    ``E`` (:func:`_edge_inverse`), the Gauss sum ``g = g_t`` and ``conj(g) =
+    g(x^-1)`` as integer vectors, and the integer ``g^2 = conj(g)^2`` (``±r``).
+
+    ``g`` is the classical Gauss sum twisted to ``zeta^t``, reduced modulo
+    ``Phi_r``.  At most 16 levels are kept; at ``r = 4001`` an entry takes
+    about 0.2 MB, so the cache holds at most about 3.2 MB.
+    """
+    g = gauss_sum(r, r).galois(t)
+    g_vec = g.integer_coefficients()[0]  # over the denominator 1
+    return (tuple(_edge_inverse(r, t)), g_vec, tuple(_substitute(g_vec, -1, r)),
+            int((g * g).as_rational()))
+
+
 def _central_power(r: int, t: int, n: int) -> tuple[list[int], int]:
     """``D`` in ``Z[C_r]`` and ``den`` with ``D(zeta^j) / den = chi[j]^(2-n)`` at
     every ``j != 0 (mod r)``: ``x^(2t) - x^(-2t)``, ``1``, or ``E^(n-2)`` over
-    ``r^(n-2)`` (:func:`_edge_inverse`).  ``D`` stays modulo ``x^r - 1`` only,
-    as ``x -> x^j`` does not respect ``Phi_r`` at a non-unit ``j``.
+    ``r^(n-2)`` (``E`` of :func:`_level_constants`).  ``D`` stays modulo
+    ``x^r - 1`` only, as ``x -> x^j`` does not respect ``Phi_r`` at a non-unit
+    ``j``.
     """
     if n <= 2:
         return (_binomial(r, 2 * t) if n == 1 else [1] + [0] * (r - 1)), 1
-    return _ring_mul(*[_edge_inverse(r, t)] * (n - 2)), r ** (n - 2)
+    return _ring_mul(*[_level_constants(r, t)[0]] * (n - 2)), r ** (n - 2)
 
 
 def _close(total: list[int], den: int, chains, r: int, t: int):
@@ -89,19 +108,18 @@ def _close(total: list[int], den: int, chains, r: int, t: int):
     component count, the factor ``c^-(count+1) zeta^(-t*framing_total)
     s_+^-b_+ s_-^-b_-`` is ``zeta^(t(3(b_+ - b_-) - framing_total))`` times
     ``c^-(b_0+1) g^-b_+ conj(g)^-b_- (-2)^-b_+ 2^-b_-``, with ``c^-1 = E / r``
-    (:func:`_edge_inverse`) and ``g^-b = g^(b mod 2) / (g^2)^ceil(b/2)`` for the
-    integer ``g^2 = conj(g)^2``: one :func:`_ring_mul` of at most ``b_0 + 4``
-    vectors.
+    and ``g^-b = g^(b mod 2) / (g^2)^ceil(b/2)`` for the integer ``g^2 =
+    conj(g)^2``: one :func:`_ring_mul` of at most ``b_0 + 4`` vectors.  ``E``,
+    ``g``, ``conj(g)`` and ``g^2`` are the level's (:func:`_level_constants`),
+    computed once per level, not per record.
     """
     b_plus, b_minus, b_zero = signature_counts(chains)
-    g = gauss_sum(r, r).galois(t)
-    g_vec = g.integer_coefficients()[0]  # over the denominator 1
-    nums = ([_edge_inverse(r, t)] * (b_zero + 1) + [g_vec] * (b_plus % 2)
-            + [_substitute(g_vec, -1, r)] * (b_minus % 2))  # conj(g) = g(x^-1)
+    E, g, g_conj, g_sq = _level_constants(r, t)
+    nums = [E] * (b_zero + 1) + [g] * (b_plus % 2) + [g_conj] * (b_minus % 2)
     shift = t * (3 * (b_plus - b_minus) - sum(map(sum, chains))) % r
     num = _ring_mul(total[-shift:] + total[:-shift], *nums)  # times zeta^shift
     den *= (-2) ** b_plus * 2**b_minus * r ** (b_zero + 1)
-    den *= int((g * g).as_rational()) ** ((b_plus + 1) // 2 + (b_minus + 1) // 2)
+    den *= g_sq ** ((b_plus + 1) // 2 + (b_minus + 1) // 2)
     return CyclotomicNumber._raw(r, _reduce_int_vector(r, num), den)
 
 

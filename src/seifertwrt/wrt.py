@@ -24,7 +24,6 @@ closed form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
@@ -477,12 +476,13 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
                         for p, q in M.legs)
         s_hp = tops.sign_H_over_P
         eps_sq = 1 if r % 4 == 1 else -1
-        angle = s_hp * (eps_sq + Fraction(3 * (r - 2), r))
+        # angle = s_hp (eps_sq + 3 (r - 2)/r), an integer over r.
+        angle = s_hp * (eps_sq * r + 3 * (r - 2))
         pref = (
             mpmath.mpc(0, 1)
             / (2 * mpmath.sqrt(r))
-            # e^(i*pi/4)**angle, kept exact in the rational exponent:
-            * mpmath.expjpi(mpmath.mpf(angle.numerator) / (4 * angle.denominator))
+            # e^(i*pi/4)**(angle/r), kept exact in the rational exponent:
+            * mpmath.expjpi(mpmath.mpf(angle) / (4 * r))
             * (jacobi(abs(tops.P), r) * tops.sign_P)
             * e_r[(four_prime * (P_prime * tops.H + m12_total)) % r]
             / diff[two_prime]

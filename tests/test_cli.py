@@ -12,10 +12,11 @@ import shlex
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seifertwrt
@@ -928,5 +929,7 @@ def test_one_parser_parses_each_request_afresh(first, first_checks):
     )
 )
 @settings(deadline=None, max_examples=200)
+@example(CyclotomicNumber(15, [4, 0, -6, 9]))  # integral: the denominator 1
+@example(CyclotomicNumber(15, [4, 0, Fraction(-6, 5), Fraction(9, 10)]))
 def test_record_pairs_match_fraction_coefficients(xi):
     assert _xi_pairs(xi) == [[c.numerator, c.denominator] for c in xi.coefficients()]

@@ -19,13 +19,17 @@ from seifertwrt.cyclotomic import (
     _unpack,
     gauss_sum,
 )
+from seifertwrt import cli
 from seifertwrt.cli import BRUTE_BUDGET
+from seifertwrt.numtheory import mod_inverse
 from seifertwrt.seifert import SeifertData, plumbing
 from seifertwrt.statesum import (
     BudgetExceeded,
     LegSumTable,
     _central_power,
     _chi,
+    _edge_inverse,
+    _level_constants,
     leg_sum_dp,
     xi_statesum,
     xi_statesum_brute,
@@ -35,6 +39,7 @@ from seifertwrt.wrt import (
     HypothesisViolated,
     LegData,
     leg_data,
+    xi_closed_form,
 )
 
 # -- reference routes: per-leg tables by lists, enumeration and Gauss sums ----
@@ -425,6 +430,64 @@ def test_gauss_sum_squares_to_a_signed_level(r):
     for t in (t for t in range(1, r) if gcd(t, r) == 1):
         g = gauss_sum(r, r).galois(t)
         assert (g * g).as_rational() == (-1) ** ((r - 1) // 2) * r
+
+
+@pytest.mark.parametrize("r", [3, 5, 9, 15, 21, 25, 4001])
+def test_level_constants_equal_a_fresh_evaluation(r):
+    # E, g_t, conj(g_t) and g_t^2 of the cache against their definitions:
+    # conj by the automorphism zeta -> zeta^-1, the square by a product.
+    for t in sorted({1, 2, r - 1, mod_inverse(4, r)}):
+        entry = _level_constants(r, t)
+        assert type(entry) is tuple and len(entry) == 4
+        E, g, g_conj, g_sq = entry
+        assert all(type(v) is tuple for v in (E, g, g_conj)) and type(g_sq) is int
+        fresh = gauss_sum(r, r).galois(t)
+        assert E == tuple(_edge_inverse(r, t))
+        assert CyclotomicNumber(r, g) == fresh
+        assert CyclotomicNumber(r, g_conj) == fresh.galois(r - 1)
+        assert fresh * fresh == g_sq
+
+
+def test_level_constants_cache_is_bounded():
+    assert _level_constants.cache_info().maxsize == 16
+    _level_constants.cache_clear()
+    M = manifold("X(2/1,3/1,5/1)")
+    for r in range(3, 42, 2):  # 20 levels
+        xi_statesum(M, r)
+    info = _level_constants.cache_info()
+    assert info.misses == 20 and info.currsize == 16
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_level_constants_are_keyed_by_the_twist(order):
+    # One level, two twists, in either order: neither reads the other's g_t.
+    M, r = manifold("X(2/1,-5/3,7/2)"), 15
+    assert xi_closed_form(M, r, 1) != xi_closed_form(M, r, 2)
+    _level_constants.cache_clear()
+    for t in order:
+        assert xi_statesum(M, r, t) == xi_closed_form(M, r, t)
+
+
+@pytest.mark.parametrize("fault", ["negated g^2", "swapped g and conj(g)"])
+def test_faulty_level_constants_fail_the_oracle_check(monkeypatch, fault):
+    # Each fault of the cached constants must make the oracle check fail on
+    # some corpus record at r = 5..15; the loop stops at the first.
+    from seifertwrt import statesum
+
+    level_constants = statesum._level_constants
+
+    def faulty(r, t):
+        E, g, g_conj, g_sq = level_constants(r, t)
+        if fault == "negated g^2":
+            return E, g, g_conj, -g_sq
+        return E, g_conj, g, g_sq
+
+    monkeypatch.setattr(statesum, "_level_constants", faulty)
+    assert any(
+        cli._judge(("oracle",), manifold(spec), r, 1, get_xi_formula(spec, r))["oracle"]
+        is False
+        for r in range(5, 16, 2) for spec in CORPUS_SPECS
+    )
 
 
 @pytest.mark.parametrize("spec,r", [("X(1/5000)", 5), ("X(-7/3000,5/2,3/1)", 7)])
