@@ -124,8 +124,6 @@ def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
 def _xi_pairs(xi: CyclotomicNumber) -> list[list[int]]:
     """``xi``'s basis coefficients as ``[numerator, denominator]`` in lowest terms."""
     num, den = xi.integer_coefficients()
-    if den == 1:  # every integral xi: each coordinate is already in lowest terms
-        return [[n, 1] for n in num]
     return [[n // g, den // g] for n in num for g in (gcd(n, den),)]
 
 
