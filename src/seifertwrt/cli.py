@@ -8,9 +8,12 @@ Subcommands::
     selftest          randomized formula-vs-oracle consistency drill
 
 Output formats: human ``text`` (default), ``json`` (one object per line),
-``csv``.  Exit codes: 0 all requested checks passed, 1 some check failed,
-2 usage or domain error, or a ``--jobs`` child that could not be started or
-was lost before sending its records.
+``csv``.  Each record is written as soon as it is computed, and a request
+holds one record at a time.  A request refused before its first record
+writes nothing to stdout; one that fails later has written the records
+before the failure.  Exit codes: 0 all requested checks passed, 1 some check
+failed, 2 usage or domain error, a ``--jobs`` child that could not be started
+or was lost before sending its records, or a stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -206,42 +209,38 @@ def _within_ceilings(spec: str, M: SeifertData, top: int) -> None:
                          f"{MAX_RECORD_COST}")
 
 
-def _run_share(tasks: list[tuple]) -> list[dict | Exception]:
-    """The records of ``tasks`` in order, ending with the first error if any."""
-    outcomes = []
-    for task in tasks:
-        try:
-            outcomes.append(_tau_record(*task))
-        except Exception as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
 def _send_share(conn, tasks: list[tuple]) -> None:
-    """Child-process target: compute one share and send it to the parent."""
+    """Child-process target: send the records of ``tasks`` one at a time,
+    ending with the first error if any."""
     with conn:
-        conn.send(_run_share(tasks))
+        for task in tasks:
+            try:
+                record = _tau_record(*task)
+            except Exception as exc:
+                conn.send(exc)
+                break
+            conn.send(record)
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
-    """``_tau_record`` over ``tasks`` in ``jobs`` processes, this one included.
+def _run_tasks(tasks: list[tuple], jobs: int):
+    """``_tau_record`` over ``tasks`` in ``jobs`` processes, this one included:
+    the records in task order, as they are due.
 
-    ``_cmd_tau`` calls this only for the records left once a request has run
+    ``_tau_records`` calls this only for the records left once a request has run
     for ``CHILD_START_S``; shorter requests never start a child.  Task ``i``
-    runs in share ``i % jobs``. Shares ``1..jobs-1`` run in child processes
-    and send their outcomes back over a one-way pipe, while share 0 runs
-    here. Records come back in task order, and the first error in task order
-    is raised, as a serial loop would raise it.  A child that exits before
-    sending its share, or that cannot be started, ends the run at once with a
-    ``ChildProcessError``, and every share not read by then is stopped.
+    runs in share ``i % jobs``.  Shares ``1..jobs-1`` run in child processes,
+    each sending its records one at a time over a one-way pipe, while this
+    process computes a share-0 task when it is due.  The first error in task
+    order is raised, as a serial loop would raise it.  A child that exits
+    before sending its records, or that cannot be started, ends the run at
+    once with a ``ChildProcessError``.  However the run ends, every child
+    whose records were not all read is stopped before it is joined.
     """
     # Imported here: serial runs need no child processes, and the import
     # adds start-up time and resident memory.
     import multiprocessing
 
     children = []
-    shares = [None]  # this process's share, then each child's once read
     try:
         for k in range(1, jobs):
             recv_end, send_end = multiprocessing.Pipe(duplex=False)
@@ -255,31 +254,34 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
                     f"{exc}") from None
             send_end.close()
             children.append((child, recv_end))
-        shares[0] = _run_share(tasks[0::jobs])
-        for k, (child, recv_end) in enumerate(children, start=1):
+        for i, task in enumerate(tasks):
+            k = i % jobs
+            if k == 0:
+                yield _tau_record(*task)
+                continue
+            child, recv_end = children[k - 1]
             try:
-                shares.append(recv_end.recv())
+                outcome = recv_end.recv()
             except EOFError:
                 child.join()
                 raise ChildProcessError(
                     f"worker process for share {k} exited with code "
                     f"{child.exitcode} before sending its records") from None
+            if isinstance(outcome, Exception) or i + jobs >= len(tasks):
+                recv_end.close()  # its error or last record: nothing follows
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
     finally:
         # A forked child keeps its own copy of its pipe's read end, so closing
         # ours cannot free a child blocked in a send larger than the pipe's
-        # buffer: every share not read is stopped before it is joined.
-        for child, _ in children[len(shares) - 1:]:
-            child.terminate()
+        # buffer: every child whose pipe is still open here has records not
+        # read, and is stopped before it is joined.
         for child, recv_end in children:
+            if not recv_end.closed:
+                child.terminate()
             recv_end.close()
             child.join()
-    records = []
-    for i in range(len(tasks)):
-        outcome = shares[i % jobs][i // jobs]
-        if isinstance(outcome, Exception):
-            raise outcome
-        records.append(outcome)
-    return records
 
 
 def _usable_cpus() -> int:
@@ -327,31 +329,38 @@ def _parse_levels(args) -> list[int]:
     return levels
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
-    """Write ``records`` as JSON lines, one CSV table or one text line each."""
-    if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-        return
-    check_names = sorted({name for rec in records for name in rec["checks"]})
+def _emit(names: tuple[str, ...], records, fmt: str, out) -> bool:
+    """Write each of ``records``, judged by the checks ``names``, as it comes:
+    as a JSON line, a CSV row or a text line.  Whether any check failed.
+
+    The CSV header is written with the first row, so a request that fails
+    before its first record writes nothing.
+    """
     if fmt == "csv":
         import csv  # here: only CSV output needs it, and start-up would pay
 
         writer = csv.writer(out)
-        writer.writerow([*CSV_COLUMNS, *(f"check_{name}" for name in check_names)])
-        for rec in records:
-            cells = {**rec, "xi": ";".join(f"{n}/{d}" for n, d in rec["xi"])}
-            writer.writerow([*(cells[name] for name in CSV_COLUMNS),
-                             *(CHECK_STATES[rec["checks"].get(name)]
-                               for name in check_names)])
-        return
+        header = [[*CSV_COLUMNS, *(f"check_{name}" for name in sorted(names))]]
+    failed = False
     for rec in records:
-        states = (f"{name}={CHECK_STATES[value]}"
-                  for name, value in sorted(rec["checks"].items()))
-        out.write(" ".join([TEXT_LINE.format_map(rec), *states]) + "\n")
+        failed = failed or False in rec["checks"].values()
+        checks = sorted(rec["checks"].items())  # every record has every name
+        if fmt == "json":
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
+        elif fmt == "csv":
+            cells = {**rec, "xi": ";".join(f"{n}/{d}" for n, d in rec["xi"])}
+            writer.writerows([*header, [*(cells[name] for name in CSV_COLUMNS),
+                                        *(CHECK_STATES[value] for _, value in checks)]])
+            header = []
+        else:
+            states = (f"{name}={CHECK_STATES[value]}" for name, value in checks)
+            out.write(" ".join([TEXT_LINE.format_map(rec), *states]) + "\n")
+    return failed
 
 
-def _cmd_tau(args) -> list[dict]:
+def _cmd_tau(args):
+    """The check names of a ``tau`` request and an iterator over its records,
+    once the whole request has been checked."""
     levels = _parse_levels(args)
     manifolds = []
     for spec in args.manifolds:  # the whole request is refused before a record
@@ -360,25 +369,29 @@ def _cmd_tau(args) -> list[dict]:
     names = tuple(dict.fromkeys(args.checks))
     tasks = [(M, r, args.t, names, args.precision)
              for M in manifolds for r in levels]
-    max_jobs = min(args.jobs, _usable_cpus())
-    records = []
+    return names, _tau_records(tasks, min(args.jobs, _usable_cpus()))
+
+
+def _tau_records(tasks: list[tuple], max_jobs: int):
+    """The records of ``tasks`` in order, computed here until the request has
+    run for ``CHILD_START_S`` and then in at most ``max_jobs`` processes."""
     start = perf_counter()
     for i, task in enumerate(tasks):
         jobs = min(max_jobs, len(tasks) - i)
         if jobs > 1 and perf_counter() - start >= CHILD_START_S:
-            records += _run_tasks(tasks[i:], jobs)
-            break
-        records.append(_tau_record(*task))
-    return records
+            yield from _run_tasks(tasks[i:], jobs)
+            return
+        yield _tau_record(*task)
 
 
-def _cmd_tref_table(args) -> list[dict]:
+def _cmd_tref_table(args):
     # The closed form needs gcd(r, 3) = 1: other levels are left out.
     levels = [r for r in _parse_levels(args) if r % 3]
     if not levels:
         raise ValueError("tref-table needs a level r with gcd(r, 3) = 1")
-    return [_tau_record(TREFOIL_ZERO, r, None, ("closed_matches_general",),
-                        args.precision) for r in levels]
+    names = ("closed_matches_general",)
+    return names, (_tau_record(TREFOIL_ZERO, r, None, names, args.precision)
+                   for r in levels)
 
 
 RECORD_COMMANDS = {
@@ -523,13 +536,21 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             return _cmd_selftest(args, out)
-        records = RECORD_COMMANDS[args.command](args)
-        _emit(records, args.format, out)
-    except (ValueError, ChildProcessError) as exc:
+        names, records = RECORD_COMMANDS[args.command](args)
+        try:
+            return 1 if _emit(names, records, args.format, out) else 0
+        finally:
+            # Stops every --jobs child still sending when the writer raises;
+            # left to interpreter exit, such a child would be joined, not
+            # stopped, and never exit.
+            records.close()
+    except (ValueError, ChildProcessError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader left: what is still buffered goes to /dev/null, so
+            # that flushing stdout at exit raises nothing more.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failed = any(value is False for rec in records for value in rec["checks"].values())
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
 """Integer and rational number theory helpers.
 
-Everything here is exact: big integers, ``fractions.Fraction``, and small
-combinatorial recursions.  These are the primitives the rest of the package
-is assembled from -- modular inverses, Jacobi symbols, Dedekind sums in
-integers, and the negative continued-fraction ("good") expansion of a
-rational, whose entries ``selftest`` reads as the reference plumbing's chains.
+Everything here is exact: big integers and small combinatorial recursions.
+These are the primitives the rest of the package is assembled from --
+modular inverses, Jacobi symbols, Dedekind sums in integers, and the
+negative continued-fraction ("good") expansion of a rational, whose entries
+``selftest`` reads as the reference plumbing's chains.
 No level is validated here: :func:`seifertwrt.cyclotomic._check_level` is
 the one level validator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -32,7 +31,7 @@ class ZeroNumerator(ValueError):
     """Raised when a rational that must be nonzero has numerator zero."""
 
 
-def sign(x: int | Fraction) -> int:
+def sign(x: int) -> int:
     """Sign of ``x`` as an integer in ``{-1, 0, 1}``."""
     if x > 0:
         return 1

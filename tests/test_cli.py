@@ -12,6 +12,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,8 +291,11 @@ def test_tau_jobs_error_parity(capsys, monkeypatch, children_at_once, manifolds)
         for jobs in ("1", "2", "3", "8")
     }
     first_bad = next(m for m in manifolds if m in FAULTS)
+    # The records before the first fault are written, then its error line.
+    before = "".join(run_cli(capsys, "tau", m, "--r", "5")[1]
+                     for m in manifolds[:manifolds.index(first_bad)])
     serial = results["1"]
-    assert serial == (2, "", f"error: {FAULTS[first_bad]}\n")
+    assert serial == (2, before, f"error: {FAULTS[first_bad]}\n")
     for jobs, result in results.items():
         assert result == serial, jobs
 
@@ -341,7 +345,9 @@ def test_tau_jobs_child_death_raises(capsys, monkeypatch, children_at_once):
     monkeypatch.setattr(cli, "_send_share", lambda conn, tasks: os._exit(3))
     code, out, err = run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5,7,9",
                              "--jobs", "3")
-    assert (code, out) == (2, "")
+    # Task 0 is this process's, and its record is written before task 1's
+    # child is found dead.
+    assert (code, out) == (2, run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5")[1])
     assert err == ("error: worker process for share 1 exited with code 3 "
                    "before sending its records\n")
     assert multiprocessing.active_children() == []
@@ -365,17 +371,26 @@ def test_tau_jobs_one_child_death_stops_the_other_shares(capsys, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def run_fresh(*args: str, timeout: float = 20) -> tuple[int, str, str]:
-    """Run ``python *args`` in a fresh interpreter that imports this
-    ``seifertwrt``: its exit code, stdout and stderr.  A run past ``timeout``
-    seconds fails the test, and its whole process group is killed, so a hung
-    request cannot hang the suite or leave a child running."""
+def start_fresh(*args: str) -> subprocess.Popen:
+    """Start ``python *args`` in a fresh interpreter that imports this
+    ``seifertwrt``, in a session and process group of its own, with its
+    stdout and stderr piped as text.  Its stdout is block-buffered, as on a
+    pipe from a shell, even where the environment sets ``PYTHONUNBUFFERED``."""
     src = str(Path(seifertwrt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.Popen([sys.executable, *args], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
+
+
+def run_fresh(*args: str, timeout: float = 20) -> tuple[int, str, str]:
+    """Run ``python *args`` with ``start_fresh``: its exit code, stdout and
+    stderr.  A run past ``timeout`` seconds fails the test, and its whole
+    process group is killed, so a hung request cannot hang the suite or leave
+    a child running."""
+    proc = start_fresh(*args)
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -399,9 +414,9 @@ def send_share(conn, tasks):
         conn.send(["x" * 200_000])
 cli._send_share = send_share
 if sys.argv[1] == "interrupt":
-    def run_share(tasks):
+    def tau_record(*task):
         raise KeyboardInterrupt
-    cli._run_share = run_share
+    cli._tau_record = tau_record
 else:
     start, started = multiprocessing.Process.start, []
     def start_once(self):
@@ -450,7 +465,6 @@ sys.exit(cli.main(sys.argv[1:]))
         ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "4"],
         ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "5", "--t", "5"],
         ["-m", "seifertwrt.cli", "tau", "X(2/1,3/1)", "--r", "4003"],
-        ["-c", LOST_SHARE, "tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"],
     ],
 )
 def test_error_requests_print_one_line_and_exit_2(args):
@@ -458,6 +472,15 @@ def test_error_requests_print_one_line_and_exit_2(args):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
+
+
+def test_lost_share_prints_the_records_before_it_and_one_line(capsys):
+    # Task 0 (r = 5) is this process's; task 1 is the first lost share's.
+    code, out, err = run_fresh("-c", LOST_SHARE, "tau", "X(2/1,3/1)",
+                               "--r", "5,7,9", "--jobs", "3")
+    assert (code, out) == (2, run_cli(capsys, "tau", "X(2/1,3/1)", "--r", "5")[1])
+    assert err == ("error: worker process for share 1 exited with code 3 "
+                   "before sending its records\n")
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -513,6 +536,150 @@ def test_tau_jobs_switch_to_children_partway(capsys, monkeypatch, faulty,
     started = count_starts(monkeypatch)
     assert run_cli(capsys, *argv, "--jobs", "3") == serial
     assert len(started) == children
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "X(2/1,3/1)", "X(5/2)", "--r", "5,7,9"],
+        ["tau", "X(2/1,3/1)", "--r", "5,7,9", "--oracle", "--format", "json"],
+        ["tau", "X(2/1,3/1)", "--r", "5,7,9", "--rozansky", "--format", "csv"],
+        ["tref-table", "--r", "5,7,11"],
+        ["integrality-scan", "X(2/1,3/1)", "--r", "5,7,9", "--format", "csv"],
+    ],
+)
+def test_each_record_is_written_before_the_next_is_computed(monkeypatch, argv):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []  # the lines written when each record starts
+    original = cli._tau_record
+
+    def tau_record(*task):
+        written.append(out.getvalue().count("\n"))
+        return original(*task)
+
+    monkeypatch.setattr(cli, "_tau_record", tau_record)
+    assert main(argv) == 0
+    lines = out.getvalue().count("\n")
+    header = 1 if "csv" in argv else 0  # written with the first row
+    assert written == [0, *range(header + 1, lines)]
+
+
+# Runs ``main`` on the arguments given with ``--jobs 2`` on 2 CPUs, where the
+# request runs here alone for tasks 0..2 and starts its child at task 3.
+JOBS_AFTER_RECORDS = """
+import itertools, sys
+from seifertwrt import cli
+
+cli._usable_cpus = lambda: 2
+clock = itertools.chain(itertools.repeat(0.0, 4), itertools.repeat(1.0))
+cli.perf_counter = lambda: next(clock)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_tau_jobs_child_started_after_records_writes_none():
+    # The records of tasks 0..2 are still in stdout's buffer at the fork; a
+    # child that inherited them would write them again when it exits.
+    argv = ["tau", "X(2/1,3/1)", "X(5/2,-5/3,6/1)", "--r", "5,7,9",
+            "--format", "json"]
+    serial = run_fresh("-m", "seifertwrt.cli", *argv)
+    code, out, err = run_fresh("-c", JOBS_AFTER_RECORDS, *argv, "--jobs", "2")
+    assert (code, err) == (0, "")
+    records = [(rec["manifold"], rec["r"]) for rec in map(json.loads, out.splitlines())]
+    assert records == [(m, r) for m in argv[1:3] for r in (5, 7, 9)]
+    assert (code, out, err) == serial
+
+
+# A --jobs 3 request whose stdout raises at the first record while each child
+# sends more than a pipe's buffer holds.  The script prints the exception and
+# the children alive while it handles it, then lets it end the interpreter,
+# whose exit joins every child still alive.
+WRITER_FAILS = """
+import multiprocessing, sys
+from seifertwrt import cli
+
+class Failing:
+    def write(self, text):
+        raise OSError("the writer failed")
+    def flush(self):
+        pass
+
+cli.CHILD_START_S = 0
+cli._usable_cpus = lambda: 3
+def send_share(conn, tasks):
+    with conn:
+        conn.send(["x" * 200_000])
+cli._send_share = send_share
+sys.stdout = Failing()
+try:
+    cli.main(["tau", "X(2/1,3/1)", "--r", "5,7,9", "--jobs", "3"])
+except OSError as exc:
+    print(exc, multiprocessing.active_children(), file=sys.__stdout__)
+    raise
+"""
+
+
+def test_writer_failing_mid_request_stops_every_child():
+    start = time.monotonic()
+    code, out, err = run_fresh("-c", WRITER_FAILS, timeout=20)
+    assert time.monotonic() - start < 10
+    assert (code, out) == (1, "the writer failed []\n")
+    assert err.endswith("OSError: the writer failed\n"), err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_exits_2_quietly(jobs):
+    # The reader takes one line and, once --jobs has started its child and
+    # stdout's pipe is full, closes its end.
+    proc = start_fresh("-m", "seifertwrt.cli", "tau", "X(5/2,-5/3,6/1,-7/2)",
+                       "--r-range", "3:2001", "--jobs", jobs)
+    try:
+        assert proc.stdout.readline().startswith("X(5/2,-5/3,6/1,-7/2) r=3 ")
+        time.sleep(0.5)
+        proc.stdout.close()
+        code = proc.wait(timeout=20)
+        err = proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stderr.close()
+    assert code == 2
+    assert err in ("", "error: [Errno 32] Broken pipe\n"), err
+    with pytest.raises(ProcessLookupError):  # no child is left in the group
+        os.killpg(proc.pid, 0)
+
+
+# Runs ``main`` on its arguments with stdout to /dev/null and prints the exit
+# code and the process's peak resident set in kB.  The peak is the kernel's
+# VmHWM, which starts afresh at exec: ``getrusage``'s ``ru_maxrss`` keeps the
+# peak of the process that forked it, here the test run's own.
+PEAK_RSS = """
+import contextlib, os, sys
+from seifertwrt import cli
+
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_a_long_request_holds_about_one_record():
+    def peak_kb(*levels: str) -> int:
+        code, out, err = run_fresh("-c", PEAK_RSS, "tau", "X(5/2,-5/3,6/1,-7/2)",
+                                   *levels, "--format", "json")
+        assert (code, err) == (0, "")
+        status, kb = map(int, out.split())
+        assert status == 0
+        return kb
+
+    # 500 records of r <= 1001 against the one record at r = 1001.
+    assert peak_kb("--r-range", "3:1001") <= peak_kb("--r", "1001") + 8 * 1024
 
 
 @pytest.mark.parametrize(
