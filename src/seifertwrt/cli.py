@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from math import gcd, isfinite
+from math import gcd
 from time import perf_counter
 from typing import Callable
 
@@ -43,7 +43,6 @@ from .wrt import (
     HypothesisViolated,
     InvariantResult,
     _theta_is_integral,
-    tau_from_xi,
     tau_prime,
     tau_rozansky_numeric,
     tref_xi_closed,
@@ -52,7 +51,9 @@ from .wrt import (
 
 ROZANSKY_DPS = 30
 ROZANSKY_TOL_EXP = -20  # pass iff |difference| < 10**EXP at ROZANSKY_DPS digits
-MAX_PRECISION = 1000  # the most --precision digits
+# The most --precision digits.  The option changes no record; its range is
+# kept, so that the same requests are refused.
+MAX_PRECISION = 1000
 # The highest level.  In-process on a shared 2 vCPU (Python 3.11.7), a record
 # of X(2,3,7) (``_tau_record`` with no checks, after the level's first) took
 # 11 ms at r = 4001 and 13 ms at 3999.  The value is kept, so that the same
@@ -106,7 +107,6 @@ TEXT_LINE = ("{manifold} r={r} t={t}: tau'={tau_re:+.9f}{tau_im:+.9f}i nu={nu} "
 
 def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
     """One output record: the object a ``--format json`` line serializes."""
-    tau_re, tau_im = float(res.tau.real), float(res.tau.imag)
     return {
         "manifold": str(res.manifold),
         "r": res.r,
@@ -116,8 +116,8 @@ def _record(res: InvariantResult, checks: dict[str, bool | None]) -> dict:
         "b_minus": res.b_minus,
         "xi": _xi_pairs(res.xi),
         "xi_str": str(res.xi),
-        "tau_re": tau_re,
-        "tau_im": tau_im,
+        "tau_re": res.tau.real,
+        "tau_im": res.tau.imag,
         "xi_integral": res.xi_is_integral,
         "theta_integral": res.theta_is_integral,
         "checks": checks,
@@ -140,7 +140,7 @@ def _rozansky_agrees(M, r, t, xi, budget) -> bool:
         quarter = mod_inverse(4, r)
         if t != quarter:
             xi = xi.galois(quarter * mod_inverse(t, r))
-        a = tau_from_xi(xi, top_invariants(M).nu, precision=ROZANSKY_DPS)
+        a = xi.to_complex(ROZANSKY_DPS, top_invariants(M).nu)
         return bool(abs(a - b) < mpmath.mpf(10) ** ROZANSKY_TOL_EXP)
 
 
@@ -177,14 +177,11 @@ def _judge(names, M, r, t, xi, budget=BRUTE_BUDGET) -> dict[str, bool | None]:
     return checks
 
 
-def _tau_record(M: SeifertData, r: int, t: int | None,
-                names: tuple[str, ...], precision: int | None) -> dict:
+def _tau_record(M: SeifertData, r: int, t: int | None, names: tuple[str, ...]) -> dict:
     """The record of ``M`` at level ``r``, judged by the checks ``names``."""
     try:
-        result = tau_prime(M, r, precision=precision, t=t)
-        if not (isfinite(result.tau.real) and isfinite(result.tau.imag)):
-            raise OverflowError
-    except OverflowError:  # a tau' no double holds, on either numeric path
+        result = tau_prime(M, r, t=t)
+    except OverflowError:  # a part of tau' that no double holds
         raise ValueError(f"tau' is outside the double range ({M} at r={r})") from None
     return _record(result, _judge(names, M, r, result.t, result.xi))
 
@@ -334,7 +331,7 @@ def _emit(names: tuple[str, ...], records, fmt: str, out) -> bool:
     as a JSON line, a CSV row or a text line.  Whether any check failed.
 
     The CSV header is written with the first row, so a request that fails
-    before its first record writes nothing.
+    before its first record writes nothing.  ``out`` is flushed at the end.
     """
     if fmt == "csv":
         import csv  # here: only CSV output needs it, and start-up would pay
@@ -355,6 +352,7 @@ def _emit(names: tuple[str, ...], records, fmt: str, out) -> bool:
         else:
             states = (f"{name}={CHECK_STATES[value]}" for name, value in checks)
             out.write(" ".join([TEXT_LINE.format_map(rec), *states]) + "\n")
+    out.flush()  # a reader that has gone is met here, in main's try, not at exit
     return failed
 
 
@@ -367,8 +365,7 @@ def _cmd_tau(args):
         manifolds.append(parse_manifold(spec))
         _within_ceilings(spec, manifolds[-1], levels[-1])
     names = tuple(dict.fromkeys(args.checks))
-    tasks = [(M, r, args.t, names, args.precision)
-             for M in manifolds for r in levels]
+    tasks = [(M, r, args.t, names) for M in manifolds for r in levels]
     return names, _tau_records(tasks, min(args.jobs, _usable_cpus()))
 
 
@@ -390,8 +387,7 @@ def _cmd_tref_table(args):
     if not levels:
         raise ValueError("tref-table needs a level r with gcd(r, 3) = 1")
     names = ("closed_matches_general",)
-    return names, (_tau_record(TREFOIL_ZERO, r, None, names, args.precision)
-                   for r in levels)
+    return names, (_tau_record(TREFOIL_ZERO, r, None, names) for r in levels)
 
 
 RECORD_COMMANDS = {
@@ -443,6 +439,7 @@ def _cmd_selftest(args, out) -> int:
     failures, skipped = results.count(False), results.count(None)
     out.write(f"selftest: {len(results) - skipped} checks, {failures} failures, "
               f"{skipped} skipped (brute force over --budget)\n")
+    out.flush()  # as in _emit
     return 1 if failures else 0
 
 
@@ -483,14 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r-range", dest="r_range",
                        help="inclusive range A:B of odd levels")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        # 15 digits are the 53 bits of a double: fewer would report tau'
-        # less accurately than the default float path.  The ceiling bounds a
-        # record's run time: X(2,3,7) at r = 101 takes 0.15 s at 1000 digits,
-        # and a minute at 20000.
+        # Every record prints the nearest doubles of tau', so --precision
+        # changes no record.  It keeps its type and range, so that every
+        # invocation keeps its exit code.
         p.add_argument("--precision", type=_int_range(15, MAX_PRECISION),
                        default=None,
-                       help=f"mpmath decimal digits (15..{MAX_PRECISION}) for "
-                       "numerics (default float)")
+                       help=f"accepted digits (15..{MAX_PRECISION}); records "
+                       "always print the nearest doubles of tau'")
 
     p_tau = sub.add_parser("tau", help="invariants of given manifolds")
     add_common(p_tau, manifolds=True)

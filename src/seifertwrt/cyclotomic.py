@@ -3,32 +3,26 @@
 A :class:`CyclotomicNumber` is a vector of ``euler_phi(r)`` integers over a
 single positive denominator, representing a polynomial in ``zeta = e^{2*pi*i/r}``
 reduced modulo the r-th cyclotomic polynomial.  All arithmetic (including
-inversion and Galois twists) is exact; a numerical embedding into C is
-available at float or arbitrary mpmath precision for cross-checks only.  Both
-routes build their vectors of ``Z[C_r] = Z[x]/(x^r - 1)`` here, products too.
+inversion and Galois twists) is exact.  The numerical embedding into C
+(:meth:`CyclotomicNumber.to_complex`) is one integer fixed-point sum with a
+proven error bound, read as the nearest doubles or as an mpmath number of a
+given precision; it keeps at most 16 tables of a level's powers of
+``zeta_r`` (:func:`_powers`) and imports no mpmath for doubles.  Both exact routes
+build their vectors of ``Z[C_r] = Z[x]/(x^r - 1)`` here, products too.
 ``Phi_r`` is described once, by Moebius inversion, as the binomials
 ``x^d - 1`` of the divisors ``d`` of ``r`` (:func:`_binomial_factors`): a
 vector is reduced by multiplying and dividing by them, each step one pass of
 ``O(r)`` (:func:`_reduce_int_vector`), with no long division.
 :func:`_check_level` is the package's one level validator.
-
-The residue form of ``wrt`` fills one table of the roots ``zeta_r^k``,
-``k < r``, per level and precision (:func:`_root_table`), all ``r`` at once,
-so a table is empty or whole.  The mpmath embedding reads a whole table and
-otherwise computes each root by :func:`_root`, the call the term-by-term sum
-made, without keeping it.  At most 16 tables are kept.  Full at ``r = 4001``,
-a 30-digit table takes 1.9 MB and a 1000-digit one 5.1 MB, so the tables hold
-at most about 82 MB.  The float embedding computes its roots as it sums.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm, prod
-from operator import add, sub
+from math import cos, gcd, isqrt, lcm, pi, prod, sin
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .numtheory import NonInvertible, mod_inverse, prime_factors
@@ -92,23 +86,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(-c for c in _reduce_int_vector(n, [0] * phi + [1])) + (1,)
 
 
-@lru_cache(maxsize=16)
-def _root_table(r: int, digits: int) -> list:
-    """The roots ``zeta_r^k``, ``k < r``, of level ``r`` at ``digits`` decimal
-    digits: a constant of the level, empty until the residue form fills it
-    whole with :func:`_root`, and read by the mpmath embedding."""
-    return []
-
-
-def _root(r: int, k: int):
-    """``zeta_r^k = e^(2 pi i k/r)`` at mpmath's working precision: the call
-    the embedding once made term by term, so that sums over the table are
-    unchanged to the last bit."""
-    import mpmath
-
-    return mpmath.expjpi(mpmath.mpf(2 * k) / r)
-
-
 def _check_level(r: int, t: int | None = 1) -> int:
     """Validate ``r``, then return ``t mod r`` (``None`` means ``1/4 mod r``)."""
     if r < 3 or r % 2 == 0:
@@ -168,6 +145,65 @@ def _cyclic(vec: list[int], r: int) -> list[int]:
     for k in range(r, len(vec), r):
         out[: len(vec) - k] = map(add, out, vec[k : k + r])
     return out
+
+
+def _times(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    """The fixed-point product ``a b / 2^bits`` of two Gaussian integers, each
+    part floored: within ``sqrt(2)`` of the exact quotient."""
+    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
+
+
+def _fixed_root(n: int, bits: int) -> tuple[int, int]:
+    """``zeta_n 2^bits`` as a Gaussian integer, each part within ``1/2 + 2^-30``.
+
+    The doubles ``cos(2 pi/n)`` and ``sin(2 pi/n)``, cut to 53 bits, are
+    ``zeta_n (1 + eps)`` with ``|eps| <= 2^-50``.  Newton's step on
+    ``z^n = 1``, with ``z^(n-1)`` taken as ``1/z`` in the derivative, is
+    ``z -> z (n + 1 - z^n)/n``.  With ``z^n = 1 + d`` and
+    ``d = n eps + (n choose 2) eps^2 + ...``, it maps ``z`` to
+    ``zeta_n (1 + eps) (1 - d/n) = zeta_n (1 - (n + 1)/2 eps^2 + ...)``:
+    ``|eps'| <= n |eps|^2`` while ``n |eps| <= 2^-10``.  Each step runs at
+    ``bits + 64`` bits, where ``z^n`` by squaring and the step's roundings
+    add less than ``2^-(bits + 40)``.  So the steps stop once the bound is
+    below ``2^-(bits + 32)``, and each part is rounded to ``bits``.
+    """
+    work, good = bits + 64, 50  # |eps| <= 2^-good
+    x = tuple(int(f(2 * pi / n) * 2**53) << work - 53 for f in (cos, sin))
+    while good < bits + 32:
+        y = x
+        for bit in bin(n)[3:]:
+            y = _times(y, y, work)
+            y = _times(y, x, work) if bit == "1" else y
+        x = _times(x, ((n + 1 << work) - y[0], -y[1]), work)
+        x, good = (x[0] // n, x[1] // n), 2 * good - n.bit_length()
+    return x[0] + (1 << 63) >> 64, x[1] + (1 << 63) >> 64
+
+
+@lru_cache(maxsize=16)
+def _powers(r: int, bits: int) -> tuple[list[int], list[int]]:
+    """The real and imaginary parts of ``zeta_r^k 2^bits`` for
+    ``k < h = (r + 1)/2``, each within ``2r + 2`` units of ``2^-bits``; the
+    first, ``(2^bits, 0)``, is exact.
+
+    ``zeta^k = b_s g_t`` for ``k = tm + s`` and ``s < m``, with ``m^2 >= h``:
+    the baby steps ``b_(s+1) = b_s Z`` and the giant steps
+    ``g_(t+1) = g_t b_m`` are fixed-point products (:func:`_times`) from the
+    root ``Z`` of :func:`_fixed_root`, within 1 of ``zeta 2^bits``, and each
+    power is one more product.  Such a product of ``x`` and ``y``, within
+    ``a`` and ``b`` of ``X 2^bits`` and ``Y 2^bits`` with ``|X| = |Y| = 1``,
+    is within ``a + b + ab 2^-bits + sqrt(2)`` of ``XY 2^bits``.  So ``b_s``
+    is within ``3s``, ``g_t`` within ``t (3m + 2)`` and the power within
+    ``3k + 2t + 2 <= 3h + 2 sqrt(h) - 1 <= 4h``, for ``r < 2^20`` and
+    ``bits >= 64``, where every ``ab 2^-bits`` is below 1/2.  A level's
+    table is kept, at most 16 of them (0.2 MB at ``r = 4001`` and 128 bits),
+    and its lists are shared: callers only read them.
+    """
+    h, one = (r + 1) // 2, (1 << bits, 0)
+    m, times = isqrt(h - 1) + 1, lambda a, b: _times(a, b, bits)
+    *baby, step = accumulate([_fixed_root(r, bits)] * m, times, initial=one)
+    giant = list(accumulate([step] * ((h - 1) // m), times, initial=one))
+    re = [(a * c - b * d) >> bits for a, b in giant for c, d in baby]
+    return re[:h], [(a * d + b * c) >> bits for a, b in giant for c, d in baby][:h]
 
 
 class CyclotomicNumber:
@@ -351,32 +387,72 @@ class CyclotomicNumber:
 
     # -- numerics and comparisons --------------------------------------------
 
-    def to_complex(self, precision: int | None = None):
-        """Numerical value: a ``complex`` (default) or an ``mpmath.mpc``.
+    def to_complex(self, precision: int | None = None, nu: int = 0):
+        """``(sin(pi/r)/sqrt(r))**nu`` times the value at ``zeta_r``, ``nu`` 0 or 1.
 
-        ``precision`` is in decimal digits; when given, mpmath evaluates the
-        embedding with that working precision: each nonzero coordinate, in
-        order, times its root, read from the table of this level and
-        precision when the residue form has filled it (:func:`_root_table`,
-        at most 16 tables of at most 5.1 MB each), and otherwise computed by
-        :func:`_root` and not kept.
+        By default the nearest double of each part, as a ``complex``; with
+        ``precision`` decimal digits, an ``mpmath.mpc`` within
+        ``10^-precision sum|c_k|/den`` of the value.  Each part is the
+        fixed-point sum of :meth:`_fixed` at the first multiple of 64 bits
+        where its bound is at most half of ``10^-precision sum|c_k|/den`` (20
+        digits by default).  Python's ``int / int`` rounds correctly, so a
+        part is the double that both ends of its interval round to, and 0
+        when :meth:`_fixed` shows it to be 0; both outputs read that
+        decision.  Otherwise the bits double, at most three times: no number
+        of bits decides a part on the midpoint of two doubles, which is then
+        the one of them that ``int / int`` picks.
         """
-        if precision is None:
-            total = 0j
-            for k, n in enumerate(self._num):
-                if n:
-                    total += n * cmath.exp(2j * cmath.pi * k / self.r)
-            return total / self._den
-        import mpmath
+        first = -(-(8 * (self.r + 1) * 10 ** (precision or 20)).bit_length() // 64) * 64
+        for k in range(1 if precision else 4):
+            parts, scale = self._fixed(first << k, nu)
+            if precision:
+                import mpmath
 
-        roots = _root_table(self.r, precision)
-        root = roots.__getitem__ if roots else partial(_root, self.r)
-        with mpmath.workdps(precision):
-            total = mpmath.mpc(0)
-            for k, n in enumerate(self._num):
-                if n:
-                    total += n * root(k)
-            return total / self._den
+                with mpmath.workdps(precision):
+                    return mpmath.mpc(*(mpmath.mpf(v) / scale for v, _ in parts))
+            low = [(v - b) / scale for v, b in parts]
+            if low == [(v + b) / scale for v, b in parts]:
+                return complex(*low)
+        return complex(*(v / scale for v, _ in parts))
+
+    def _fixed(self, bits: int, nu: int) -> tuple[list[tuple[int, int]], int]:
+        """The real and imaginary parts of :meth:`to_complex`'s value as
+        ``(value, bound)`` pairs over one ``scale``: each part lies within
+        ``bound/scale`` of ``value/scale``, and a part shown to be 0 is
+        ``(0, 0)``.
+
+        With ``c_k = 0`` for ``phi <= k <= r``, ``zeta^(r-k) = conj(zeta^k)``
+        folds the coordinates onto ``k < h = (r + 1)/2``: the real part is
+        ``sum (c_k + c_(r-k)) Re zeta^k`` and the imaginary part
+        ``sum (c_k - c_(r-k)) Im zeta^k``.  Each is one integer sum ``A`` of
+        these coefficients ``a_k`` times the powers of :func:`_powers`, each
+        within ``e = 2r + 2`` units of ``2^-bits`` and the power ``k = 0``
+        exact, so ``A`` is within ``E = e sum_(k>0) |a_k| <= e sum|c_k|`` of
+        the part times ``den 2^bits``.  The factor ``F`` is ``2^bits``, exactly, for
+        ``nu = 0``.  For ``nu = 1`` it is ``S Q >> bits``, with
+        ``S = Im zeta_r^(h-1) 2^bits = sin(pi/r) 2^bits`` within ``e`` and
+        ``Q = isqrt(2^(2 bits)/r)`` within 1 of ``2^bits/sqrt(r)``: so ``F``
+        is within ``2 + e/sqrt(r) + e 2^-bits <= e`` of ``f 2^bits``, with
+        ``f = sin(pi/r)/sqrt(r) < 1``.  With ``e_F`` the factor's error (0 or
+        ``e``), ``A F`` is within ``e_F |A| + E (F + e_F)`` of the part times
+        ``den 2^(2 bits)``.  A part whose interval holds 0 is 0 exactly when
+        ``galois(-1)``, the complex conjugate, is ``-self`` (real part) or
+        ``self`` (imaginary part); an interval of width 0 is the part itself,
+        as for the imaginary part of a rational number.
+        """
+        r, h = self.r, (self.r + 1) // 2
+        vec = [*self._num, *[0] * (r + 1 - len(self._num))]  # c_k for k <= r
+        (re, im), e, parts = _powers(r, bits), 2 * r + 2, []
+        F, slack = ((im[-1] * isqrt((1 << 2 * bits) // r) >> bits, e) if nu
+                    else (1 << bits, 0))
+        for i, (fold, table) in enumerate(((add, re), (sub, im))):
+            coords = list(map(fold, vec[:h], vec[r : r - h : -1]))
+            a = sum(map(mul, coords, table))
+            err = slack * abs(a) + e * sum(map(abs, coords[1:])) * (F + slack)
+            # the interval holds 0 and is more than a point
+            zero = 0 < err >= abs(a * F) and self.galois(-1) == (self if i else -self)
+            parts.append((0, 0) if zero else (a * F, err))
+        return parts, self._den << 2 * bits
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -24,6 +24,7 @@ closed form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
@@ -35,8 +36,6 @@ from .cyclotomic import (
     _gauss_vector,
     _reduce_int_vector,
     _ring_mul,
-    _root,
-    _root_table,
     euler_phi,
 )
 from .numtheory import dedekind_integer, jacobi, mod_inverse, prime_factors
@@ -363,8 +362,8 @@ def xi_closed_form(
 class InvariantResult(NamedTuple):
     """The bundle of invariants of one ``(M, r)`` evaluation at ``A = zeta^t``.
 
-    ``xi`` is exact; ``tau`` is the numerical ``tau'_r`` (a complex or an
-    mpmath complex, depending on the requested precision); ``theta`` would be
+    ``xi`` is exact; ``tau`` is the numerical ``tau'_r`` (the nearest doubles,
+    or an mpmath complex at a requested precision); ``theta`` would be
     ``xi / 2**nu`` and is reported through its integrality flag.
     """
 
@@ -380,35 +379,15 @@ class InvariantResult(NamedTuple):
     theta_is_integral: bool
 
 
-def tau_from_xi(xi: CyclotomicNumber, nu: int, precision: int | None = None):
-    """The embedding ``(sin(pi/r)/sqrt(r))**nu * xi`` of an exact ``xi`` at level ``r``.
-
-    A ``complex`` by default, an mpmath complex at ``precision`` decimal
-    digits when given.
-    """
-    r = xi.r
-    if precision is None:
-        tau = xi.to_complex()
-        if nu:
-            tau *= math.sin(math.pi / r) / math.sqrt(r)
-        return tau
-    import mpmath
-
-    with mpmath.workdps(precision):
-        tau = xi.to_complex(precision=precision)
-        if nu:
-            tau *= mpmath.sinpi(mpmath.mpf(1) / r) / mpmath.sqrt(r)
-    return tau
-
-
 def tau_prime(
     M: SeifertData, r: int, precision: int | None = None, t: int | None = None
 ) -> InvariantResult:
     """``tau'_r(M)`` and friends, evaluated at ``A = zeta_r**t``.
 
     ``t`` defaults to ``1/4 mod r``, the convention of ``tau'``.
-    ``tau' = (sin(pi/r)/sqrt(r))**nu * xi_r(M, A)``; for ``nu = 0`` this is
-    just the exact ``xi`` embedded numerically.
+    ``tau' = (sin(pi/r)/sqrt(r))**nu * xi_r(M, A)``, embedded by
+    :meth:`CyclotomicNumber.to_complex`: the nearest doubles by default, an
+    mpmath complex at ``precision`` decimal digits when given.
     """
     t = _check_level(r, t)
     xi = xi_closed_form(M, r, t)
@@ -421,7 +400,7 @@ def tau_prime(
         nu=nu,
         b_plus=b_plus,
         b_minus=b_minus,
-        tau=tau_from_xi(xi, nu, precision),
+        tau=xi.to_complex(precision, nu),
         xi_is_integral=xi.is_algebraic_integer(),
         theta_is_integral=_theta_is_integral(xi, nu),
     )
@@ -436,6 +415,18 @@ def _theta_is_integral(xi: CyclotomicNumber, nu: int) -> bool:
     """
     num, den = xi.integer_coefficients()
     return den == 1 and all(n % 2**nu == 0 for n in num)
+
+
+@lru_cache(maxsize=16)
+def _roots(r: int, digits: int) -> tuple:
+    """The roots ``e^(2 pi i x/r)``, ``x < r``, at ``digits`` decimal digits:
+    the residue form's own table, apart from the embedding it checks.  At
+    most 16 are kept; at ``r = 4001`` one takes 1.9 MB at 30 digits and
+    5.1 MB at 1000."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * x) / r) for x in range(r))
 
 
 def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
@@ -460,12 +451,7 @@ def tau_rozansky_numeric(M: SeifertData, r: int, precision: int = 30):
     import mpmath
 
     with mpmath.workdps(precision):
-        # e_r(x) = exp(2 pi i x / r) for every residue x: the level's table.
-        # It is filled in one assignment, so an interrupted fill leaves it
-        # empty and the embedding never meets part of a table.
-        e_r = _root_table(r, precision)
-        if not e_r:
-            e_r[:] = [_root(r, x) for x in range(r)]
+        e_r = _roots(r, precision)  # e_r(x) = exp(2 pi i x / r)
         # e_r(x) - e_r(-x), the factor of the central vertex and of each leg.
         diff = [e_r[x] - e_r[-x % r] for x in range(r)]
         P_prime = mod_inverse(tops.P, r)

@@ -70,18 +70,18 @@ integral(theta)=True integrality=skip
 manifold,r,t,nu,b_plus,b_minus,tau_re,tau_im,xi_integral,theta_integral,xi,\
 check_integrality\r
 "X(2/1,3/1,5/1)",3,1,0,6,1,1.0,0.0,True,True,1/1;0/1,pass\r
-"X(2/1,3/1,5/1)",5,4,0,6,1,-0.8090169943749473,2.4898982848827806,True,True,\
+"X(2/1,3/1,5/1)",5,4,0,6,1,-0.8090169943749475,2.48989828488278,True,True,\
 1/1;2/1;2/1;1/1,pass\r
-"X(2/1,3/1,5/1)",7,2,0,6,1,-2.6479484716198862,-0.19309642971379337,True,True,\
+"X(2/1,3/1,5/1)",7,2,0,6,1,-2.6479484716198862,-0.1930964297137938,True,True,\
 1/1;1/1;1/1;2/1;2/1;2/1,pass\r
-"X(2/1,3/1,5/1)",9,7,0,6,1,0.7660444431189773,-3.058878703906754,True,True,\
+"X(2/1,3/1,5/1)",9,7,0,6,1,0.766044443118978,-3.058878703906754,True,True,\
 -1/1;0/1;-1/1;-2/1;-1/1;0/1,pass\r
 "X(3/1,3/1,6/1,9/1)",3,1,0,8,1,1.0,0.0,True,True,1/1;0/1,skip\r
-"X(3/1,3/1,6/1,9/1)",5,4,0,8,1,-0.30901699437494745,0.9510565162951538,True,\
+"X(3/1,3/1,6/1,9/1)",5,4,0,8,1,-0.30901699437494745,0.9510565162951535,True,\
 True,1/1;1/1;1/1;1/1,pass\r
-"X(3/1,3/1,6/1,9/1)",7,2,0,8,1,-2.6479484716198867,-1.7567593946498532,True,\
+"X(3/1,3/1,6/1,9/1)",7,2,0,8,1,-2.6479484716198862,-1.7567593946498534,True,\
 True,0/1;-1/1;0/1;1/1;1/1;1/1,pass\r
-"X(3/1,3/1,6/1,9/1)",9,7,0,8,1,-8.117211191714663,-14.059422199816504,True,\
+"X(3/1,3/1,6/1,9/1)",9,7,0,8,1,-8.11721119171466,-14.059422199816504,True,\
 True,-6/1;-6/1;-3/1;-6/1;-3/1;3/1,skip\r
 """),
     # The residue form needs a prime level and no leg entry divisible by it

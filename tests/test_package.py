@@ -1,7 +1,7 @@
 """Package-level guards: the public namespace, no public definition that
 ``src/`` leaves unnamed, the oldest supported Python, the one home of
-``Z[C_r]``, the CLI's start-up imports, the records' value semantics and the
-suite's own warning filters."""
+``Z[C_r]``, the CLI's start-up imports, the default records' freedom from
+mpmath, the records' value semantics and the suite's own warning filters."""
 
 from __future__ import annotations
 
@@ -190,6 +190,28 @@ def test_cli_start_up_imports_no_rarely_used_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(("checks", "imported"), [((), False), (("--rozansky",), True)])
+def test_default_records_import_no_mpmath(checks, imported):
+    # The embedding prints doubles from integers alone; importing mpmath adds
+    # about 2.8 MB of peak resident memory to the CLI's 16.1 MB (Python 3.11).  The residue form needs it.  Both
+    # manifolds' records at 3..31 cover nu = 0 (X(2,3,7)) and nu = 1
+    # (X(-2,3,6)).
+    probe = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from seifertwrt.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = main(['tau', 'X(2,3,7)', 'X(-2,3,6)', '--r-range', '3:31',"
+        " '--format', 'json', *sys.argv[2:]])\n"
+        "lines = sys.stdout.getvalue().splitlines()\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, len(lines), 'mpmath' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(SRC.parent), *checks],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["0", "30", str(imported)]
 
 
 def test_no_module_imports_dataclasses():
